@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ScenarioConfig, parse_config
+from .config import parse_config
 from .dynamics import fit_decay_rate, run_flow, save_timeseries_csv
 from .errors import ConfigError, ShapeError, SolverError
 from .geometry import build_star_domain, save_domain_csv
@@ -131,6 +131,9 @@ def cmd_stability(args):
         amplitudes = np.linspace(float(lo), float(hi), int(n))
     except ValueError:
         print("bad --modes/--eps-grid", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.vol <= 0.0:
+        print("--vol must be positive", file=sys.stderr)
         return EXIT_CONFIG
     shapes = [args.shape] if args.shape else None
     rows = sweep_stability(modes=modes, amplitudes=amplitudes, vol=args.vol,

@@ -20,7 +20,7 @@ Keys (defaults in parentheses):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .dynamics import polynomial_law, quadratic_law
 from .errors import ConfigError

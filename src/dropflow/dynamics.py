@@ -206,7 +206,8 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt0=None, dt_max=np.inf,
     rejected step (energy increase under the default law, or a degenerate
     stage), cautiously doubled after 10 clean accepted steps.
     The run ends at t_end, at stationarity (max |V| below tol_stationary),
-    or with a halted trajectory recording the reason.
+    or with a halted trajectory recording the reason; a failed recentering
+    halts after keeping the accepted step it followed.
     """
     law = quadratic_law() if law is None else law
     b = ball_closed_forms(2, vol)
@@ -267,8 +268,12 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt0=None, dt_max=np.inf,
         domain, sol = new_domain, new_sol
         drift = np.linalg.norm(domain.barycenter - domain.center)
         if drift > recenter_fraction * domain.in_radius:
-            domain = domain.recentered()
-            sol = solve_torsion(domain, vol)
+            try:
+                moved = domain.recentered()
+                domain, sol = moved, solve_torsion(moved, vol)
+            except (ShapeError, SolverError) as exc:
+                # keep the accepted, un-recentered state and stop here
+                status, halt_reason = "halted", f"recenter_failed: {exc}"
         state, asym_center = _diagnose(t, domain, sol, law, b.r_star, asym_center)
         accepted += 1
         for key in ("t", "energy", "deficit", "asymmetry", "max_vn", "dissipation"):
@@ -277,6 +282,8 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt0=None, dt_max=np.inf,
         dense["dt"].append(dt_try)
         if accepted % snapshot_stride == 0:
             states.append(state)
+        if status == "halted":
+            break
         if clean >= _CLEAN_STEPS_TO_GROW:
             dt = 2.0 * dt_try
             clean = 0

@@ -14,8 +14,8 @@ minimal reflection radius) and CSV snapshot I/O.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize

@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize
 
+from .errors import ConvergenceError, ShapeError, SolverError
 from .geometry import (StarDomain, asymmetry_to_ball, build_star_domain,
                        parse_shape, rho0_estimate)
 from .torsion import solve_torsion
@@ -205,7 +206,8 @@ def sweep_stability(modes=(2, 3, 4), amplitudes=None, vol=1.0, m=128,
     """Stability metrics across a perturbed-ball family (or explicit shapes).
 
     Returns a list of row dicts matching SWEEP_HEADER plus a `failed` flag;
-    build or solve errors mark the row failed instead of aborting the sweep.
+    shape, solver and convergence errors mark the row failed instead of
+    aborting the sweep, and any other exception propagates.
     """
     if amplitudes is None:
         amplitudes = np.linspace(0.02, 0.2, 10)
@@ -230,7 +232,7 @@ def sweep_stability(modes=(2, 3, 4), amplitudes=None, vol=1.0, m=128,
             row.update(asymmetry=rep.asymmetry, deficit=rep.deficit,
                        ratio_thm1=rep.ratio_thm1, fk_gap=rep.fk_gap,
                        fk_cor_ratio=rep.fk_cor_ratio, lhs_l2dist=rep.lhs_l2dist)
-        except Exception as exc:  # noqa: BLE001 - row-level fault isolation
+        except (ShapeError, SolverError, ConvergenceError) as exc:
             row.update(asymmetry=math.nan, deficit=math.nan, ratio_thm1=math.nan,
                        fk_gap=math.nan, fk_cor_ratio=math.nan,
                        lhs_l2dist=math.nan, failed=True, error=str(exc))

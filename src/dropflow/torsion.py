@@ -1,16 +1,28 @@
-"""Volume-normalized torsion solve on star domains via boundary integrals.
+"""Volume-normalized torsion solve on star domains via one Cauchy kernel.
 
 Solves -Delta u = lambda in the domain with u = 0 on the boundary, the
 multiplier lambda fixed by int u = vol.  With u = lambda * phi and
 phi = -|x - c|^2/4 + h, the harmonic correction h is a double-layer
 potential whose density solves the second-kind system (-I/2 + K) mu = g,
-g = |x - c|^2/4.  The boundary normal derivative of h comes from the
-tangential identity d_n D[mu] = d/ds S[d mu/ds], with the log-singular
-single layer handled by the spectral product quadrature on the periodic
-grid.  Interior values, gradients and Hessians of h are sums of a complex
-Cauchy-type kernel; near-boundary targets are handled by zero-padded
-upsampling of the density plus subtraction of its value at the nearest
-source node (the constant-density potential is known exactly inside).
+g = |x - c|^2/4.  Written as a Cauchy integral, h = -Re Phi with
+
+    Phi(z) = (1/2 pi i) oint mu(zeta) dzeta / (zeta - z),
+
+and a single matrix w_j / (z_j - z_i), w_j = z'_j 2 pi/M, serves both the
+Nystrom system (its imaginary part is the double-layer kernel) and the
+interior boundary values
+
+    Phi_-(z_i) = mu_i + (1/2 pi i) [sum_{j != i} (mu_j - mu_i) w_j/(z_j - z_i)
+                                    + mu'(theta_i) 2 pi/M],
+
+whose integrand is smooth.  The boundary normal derivative of h is the
+tangential derivative of the conjugate, d_n h = -d_s Im Phi_-.  Interior
+values, gradients and Hessians of h come from Phi, Phi' and Phi'': their
+boundary values are formed once on a 4M-point resampled grid (the M grid
+aliases the product integrand and loses digits in Phi'') and continued
+inside by the barycentric Cauchy formula
+sum_j w_j F_j / (z_j - z) / sum_j w_j / (z_j - z), which stays accurate
+up to the boundary.
 """
 from __future__ import annotations
 
@@ -22,42 +34,25 @@ from . import spectral
 from .errors import EvaluationError, SolverError
 from .geometry import BoundaryField, interior_quadrature
 
-_UPSAMPLE_LEVELS = (1, 8, 32, 128, 512)
-_SAFE_SPACINGS = 6.5  # target point-to-source distance in fine spacings
-_CHUNK_BUDGET = 1 << 22
+
+def _dtheta(f):
+    """Spectral d/dtheta of complex periodic samples."""
+    return spectral.deriv(f.real) + 1j * spectral.deriv(f.imag)
 
 
-def _dlp_matrix(d):
-    """Nystrom double-layer matrix including arc weights (smooth kernel)."""
-    diff = d.z[:, None] - d.z[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ker = (d.normal_c[None, :] / diff).real / (2.0 * np.pi)
-    np.fill_diagonal(ker, -d.curvature / (4.0 * np.pi))
-    return ker * d.arc_weights[None, :]
+def _cauchy_matrix(z, w):
+    """C_ij = w_j / (z_j - z_i) off the diagonal, 0 on it."""
+    diff = z[None, :] - z[:, None]
+    np.fill_diagonal(diff, np.inf)
+    return w[None, :] / diff
 
 
-def _kress_row(m):
-    dgrid = 2.0 * np.pi * np.arange(m) / m
-    ms = np.arange(1, m // 2)
-    row = -(4.0 * np.pi / m) * (np.cos(np.outer(dgrid, ms)) / ms).sum(axis=1)
-    row -= (4.0 * np.pi / m**2) * np.cos((m // 2) * dgrid)
-    return row
-
-
-def _slp_matrix(d):
-    """Single-layer matrix S[g](x_i) = -(1/2pi) oint ln|x_i - y| g dsigma."""
-    m = d.m
-    th = d.theta
-    dt = th[:, None] - th[None, :]
-    s2 = 4.0 * np.sin(dt / 2.0) ** 2
-    dist2 = np.abs(d.z[:, None] - d.z[None, :]) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        smooth = 0.5 * np.log(dist2 / s2)
-    np.fill_diagonal(smooth, np.log(d.speed))
-    row = _kress_row(m)
-    idx = (np.arange(m)[:, None] - np.arange(m)[None, :]) % m
-    a = 0.5 * row[idx] + smooth * (2.0 * np.pi / m)
-    return -(a * d.speed[None, :]) / (2.0 * np.pi)
+def _boundary_values(c, mu):
+    """Interior limit Phi_-(z_i) of the Cauchy integral of mu at the nodes."""
+    # a complex @ real matmul misses BLAS in numpy, hence the cast
+    s = (c @ mu.astype(complex) - mu * c.sum(axis=1)
+         + spectral.deriv(mu) * (2.0 * np.pi / mu.size))
+    return mu + s / (2j * np.pi)
 
 
 class TorsionSolution:
@@ -93,7 +88,7 @@ class TorsionSolution:
         self._dn_phi = dn_phi
         self.boundary_grad = BoundaryField(domain, -lambda_ * dn_phi)
         self.condition_estimate = float(cond)
-        self._levels = {}
+        self._sources = None
         self._quad_cache = {}
 
     # -- boundary quantities --------------------------------------------------
@@ -122,52 +117,31 @@ class TorsionSolution:
 
     # -- interior evaluation ---------------------------------------------------
 
-    def _level_sources(self, q):
-        if q not in self._levels:
+    def _cauchy_sources(self):
+        """4M-grid nodes z_j and columns w_j * (Phi_-, Phi_-', Phi_-'', 1)."""
+        if self._sources is None:
             d = self.domain
-            mq = q * d.m
-            if q == 1:
-                zq, muq = d.z, self.density.values
-                nq, spq = d.normal_c, d.speed
-            else:
-                zq = spectral.resample_complex(d.z, mq)
-                muq = spectral.resample(self.density.values, mq)
-                k = np.fft.fftfreq(mq, 1.0 / mq)
-                zpq = np.fft.ifft(np.fft.fft(zq) * (1j * k))
-                spq = np.abs(zpq)
-                nq = -1j * zpq / spq
-            ker = nq * spq * (2.0 * np.pi / mq) / (2.0 * np.pi)
-            self._levels[q] = (zq, muq, ker)
-        return self._levels[q]
+            mq = 4 * d.m
+            zq = d.dense_boundary(4)
+            zp = _dtheta(zq)
+            w = zp * (2.0 * np.pi / mq)
+            muq = spectral.resample(self.density.values, mq)
+            phi = _boundary_values(_cauchy_matrix(zq, w), muq)
+            dphi = _dtheta(phi) / zp
+            d2phi = _dtheta(dphi) / zp
+            cols = np.column_stack([phi, dphi, d2phi, np.ones(mq)])
+            self._sources = (zq, w[:, None] * cols)
+        return self._sources
 
-    def _harmonic_parts(self, zt, dist):
-        """h, Psi', Psi'' of the double-layer part at interior targets."""
-        d = self.domain
-        h_max = d.arc_weights.max()
-        need = _SAFE_SPACINGS * h_max / np.maximum(dist, 1e-300)
-        h = np.empty(zt.shape, dtype=float)
-        p1 = np.empty(zt.shape, dtype=complex)
-        p2 = np.empty(zt.shape, dtype=complex)
-        level_of = np.full(zt.shape, _UPSAMPLE_LEVELS[-1], dtype=int)
-        for q in _UPSAMPLE_LEVELS:
-            level_of[need <= q] = np.minimum(level_of[need <= q], q)
-        for q in _UPSAMPLE_LEVELS:
-            sel = np.nonzero(level_of == q)[0]
-            if sel.size == 0:
-                continue
-            zq, muq, ker = self._level_sources(q)
-            step = max(1, _CHUNK_BUDGET // zq.size)
-            for lo in range(0, sel.size, step):
-                idx = sel[lo: lo + step]
-                diff = zt[idx, None] - zq[None, :]
-                near = np.argmin(np.abs(diff), axis=1)
-                mu0 = muq[near]
-                w = (muq[None, :] - mu0[:, None]) * ker[None, :]
-                inv = 1.0 / diff
-                h[idx] = -mu0 + (w * inv).sum(axis=1).real
-                p1[idx] = -(w * inv**2).sum(axis=1)
-                p2[idx] = 2.0 * (w * inv**3).sum(axis=1)
-        return h, p1, p2
+    def _harmonic_parts(self, zt):
+        """Barycentric h = -Re Phi, Psi' = -Phi' and Psi'' = -Phi'' at targets."""
+        zq, cols = self._cauchy_sources()
+        sums = np.empty((zt.size, 4), dtype=complex)
+        # blocks of 1024 targets bound the kernel temporary to 1024 x 4M
+        for lo in range(0, zt.size, 1024):
+            sums[lo: lo + 1024] = (1.0 / (zq[None, :] - zt[lo: lo + 1024, None])) @ cols
+        f = sums[:, :3] / sums[:, 3:]
+        return -f[:, 0].real, -f[:, 1], -f[:, 2]
 
     def eval_interior(self, pts, min_distance=None):
         """u, Du and D^2 u at strictly interior points.
@@ -195,7 +169,7 @@ class TorsionSolution:
             raise EvaluationError(
                 f"{bad.size} evaluation points outside the domain or closer "
                 f"than {min_distance:g} to the boundary", bad_indices=bad)
-        h, p1, p2 = self._harmonic_parts(zt, dist)
+        h, p1, p2 = self._harmonic_parts(zt)
         rel = zt - d.zc
         lam = self.lambda_
         u = lam * (-np.abs(rel) ** 2 / 4.0 + h)
@@ -253,7 +227,11 @@ def solve_torsion(domain, vol, cond_limit=1e8, check_volume=False, n_radial=24):
     rel = d.z - d.zc
     g = np.abs(rel) ** 2 / 4.0
 
-    a = -0.5 * np.eye(d.m) + _dlp_matrix(d)
+    # -Im(C)/2pi is the Nystrom double-layer kernel (arc weights included);
+    # its diagonal limit is the curvature term.
+    c = _cauchy_matrix(d.z, d.arc_weights * d.tangent_c)
+    a = -c.imag / (2.0 * np.pi)
+    np.fill_diagonal(a, -0.5 - d.curvature * d.arc_weights / (4.0 * np.pi))
     anorm = np.linalg.norm(a, 1)
     lu, piv = lu_factor(a)
     rcond, info = dgecon(lu, anorm, norm="1")
@@ -263,10 +241,7 @@ def solve_torsion(domain, vol, cond_limit=1e8, check_volume=False, n_radial=24):
             f"boundary system condition estimate {cond:.3e} exceeds "
             f"limit {cond_limit:.3e}", condition_estimate=cond)
     mu = lu_solve((lu, piv), g)
-
-    mu_s = spectral.deriv(mu) / d.speed
-    slp = _slp_matrix(d)
-    dn_h = spectral.deriv(slp @ mu_s) / d.speed
+    dn_h = -spectral.deriv(_boundary_values(c, mu).imag) / d.speed
 
     int_phi = _phi_integral_boundary(d, g, dn_h)
     if int_phi <= 0.0:

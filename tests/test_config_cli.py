@@ -132,6 +132,11 @@ def test_cli_stability_sweep_and_failures(tmp_path, capsys):
     assert main(["stability", "--eps-grid", "nonsense"]) == 2
 
 
+def test_cli_stability_rejects_nonpositive_vol(tmp_path, capsys):
+    assert main(["stability", "--vol", "0", "--out", str(tmp_path / "s.csv")]) == 2
+    assert "--vol must be positive" in capsys.readouterr().err
+
+
 def test_cli_run_writes_outputs(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("DROPFLOW_OUTDIR", raising=False)
     cfg = tmp_path / "scenario.cfg"

@@ -129,6 +129,33 @@ def test_flow_recenters_drifting_domain():
     assert np.linalg.norm(final.barycenter - final.center) <= 0.1 * final.in_radius + 1e-9
 
 
+@pytest.mark.parametrize("fail", ["solve", "recenter"])
+def test_flow_halts_with_data_when_recentering_fails(monkeypatch, fail):
+    from dropflow import ShapeError, SolverError, StarDomain, dynamics
+    d = build_star_domain("fourier(1;1:0.05,2:0.1)", 32)
+    if fail == "solve":
+        real_solve = dynamics.solve_torsion
+
+        def solve(domain, vol, **kw):
+            # only the recentered domain has moved its star center
+            if np.any(domain.center != 0.0):
+                raise SolverError("forced recentering failure")
+            return real_solve(domain, vol, **kw)
+        monkeypatch.setattr(dynamics, "solve_torsion", solve)
+    else:
+        def recentered(self, point=None, m=None):
+            raise ShapeError("forced recentering failure")
+        monkeypatch.setattr(StarDomain, "recentered", recentered)
+    traj = run_flow(d, 1.0, t_end=1.0, recenter_fraction=0.0)
+    assert traj.status == "halted"
+    assert traj.halt_reason.startswith("recenter_failed")
+    assert "forced recentering failure" in traj.halt_reason
+    # the accepted step before the failed recentering is kept
+    assert len(traj.times) == 2 and traj.times[-1] > 0.0
+    assert traj.final_state.t == traj.times[-1]
+    assert np.all(traj.final_state.domain.center == 0.0)
+
+
 def test_timeseries_csv_roundtrip(tmp_path, decay_traj):
     path = tmp_path / "ts.csv"
     save_timeseries_csv(decay_traj, path)

@@ -169,6 +169,23 @@ def test_sweep_rows_and_failure_isolation(tmp_path):
     assert float(parsed[2]["ratio_thm1"]) == rows[2]["ratio_thm1"]
 
 
+def test_sweep_isolates_solver_errors_only(monkeypatch):
+    from dropflow import SolverError, stability
+
+    def raise_solver_error(domain, vol):
+        raise SolverError("forced solver failure")
+    monkeypatch.setattr(stability, "solve_torsion", raise_solver_error)
+    rows = sweep_stability(shapes=["circle(1)"], m=32)
+    assert rows[0]["failed"] and rows[0]["error"] == "forced solver failure"
+    assert math.isnan(rows[0]["deficit"])
+
+    def raise_type_error(domain, vol):
+        raise TypeError("programming error")
+    monkeypatch.setattr(stability, "solve_torsion", raise_type_error)
+    with pytest.raises(TypeError, match="programming error"):
+        sweep_stability(shapes=["circle(1)"], m=32)
+
+
 def test_sweep_mode_family_ratio_spread():
     rows = sweep_stability(modes=(2, 3), amplitudes=(0.05, 0.1), m=64)
     assert [row["k"] for row in rows] == [2, 2, 3, 3]

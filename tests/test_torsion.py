@@ -3,9 +3,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dropflow import (EvaluationError, SolverError, build_star_domain,
-                      eval_interior, solve_torsion)
+from dropflow import (EvaluationError, FourierShape, SolverError,
+                      build_star_domain, eval_interior, solve_torsion)
 
 LAMBDA_DISK = 8.0 / math.pi
 LAMBDA_ELLIPSE = 4.0 * (1.2**2 + 0.8**2) / (math.pi * 1.2**3 * 0.8**3)
@@ -89,6 +91,54 @@ def test_interior_evaluation_near_boundary(disk_sol):
     assert np.allclose(u, u0, atol=1e-10)
     assert np.allclose(grad, g0, atol=1e-9)
     assert np.allclose(hess, h0, atol=1e-7)
+
+
+def ellipse_closed_form(lam, pts, a=1.2, b=0.8):
+    """u, Du, D^2u for the quadratic u = c (1 - x^2/a^2 - y^2/b^2)."""
+    c = lam * a**2 * b**2 / (2.0 * (a**2 + b**2))
+    u = c * (1.0 - pts[:, 0] ** 2 / a**2 - pts[:, 1] ** 2 / b**2)
+    grad = np.column_stack([-2.0 * c * pts[:, 0] / a**2, -2.0 * c * pts[:, 1] / b**2])
+    hess = np.broadcast_to(np.diag([-2.0 * c / a**2, -2.0 * c / b**2]), (len(pts), 2, 2))
+    return u, grad, hess
+
+
+@pytest.mark.parametrize("m, tol_u, tol_grad, tol_hess",
+                         [(64, 3e-11, 1e-9, 5e-8), (128, 2e-14, 6e-13, 6e-11)])
+def test_interior_evaluation_ellipse_at_quadrature_nodes(m, tol_u, tol_grad, tol_hess):
+    # every node of the 24-point radial rule, the outermost Gauss ring
+    # (about a fifth of a node spacing off the wall) included
+    sol = solve_torsion(build_star_domain("ellipse(1.2,0.8)", m), 1.0)
+    quad, u, grad, hess = sol.quadrature_data(24)
+    u0, g0, h0 = ellipse_closed_form(sol.lambda_, quad.nodes)
+    assert np.abs(u - u0).max() < tol_u
+    assert np.abs(grad - g0).max() < tol_grad
+    assert np.abs(hess - h0).max() < tol_hess
+
+
+def test_interior_evaluation_converges_to_fine_solve(fourier35_sol):
+    # the M = 512 solve carries about 2e-10 of round-off in its Hessians
+    ref = solve_torsion(build_star_domain("fourier(1;3:0.1,5:0.03)", 512), 1.0)
+    quad, u, grad, hess = fourier35_sol.quadrature_data(24)
+    u_ref, g_ref, h_ref = ref.eval_interior(quad.nodes)
+    assert np.abs(u - u_ref).max() < 3e-14
+    assert np.abs(grad - g_ref).max() < 5e-12
+    assert np.abs(hess - h_ref).max() < 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(modes=st.lists(st.tuples(st.integers(2, 8), st.floats(-0.08, 0.08)),
+                      max_size=3, unique_by=lambda km: km[0]),
+       base=st.floats(0.5, 2.0),
+       center=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       s=st.floats(0.0, 0.5), angle=st.floats(0.0, 2.0 * np.pi))
+def test_cauchy_weights_sum_to_two_pi_i_inside(modes, base, center, s, angle):
+    # sum_j w_j / (z_j - z) with w_j = z'_j 2pi/M is the trapezoid rule for
+    # oint dzeta / (zeta - z) = 2 pi i, the barycentric denominator
+    shape = FourierShape(base, tuple((k, base * eps) for k, eps in modes))
+    d = build_star_domain(shape, 128, center=center)
+    z = d.zc + s * d.radius_at(np.array([angle]))[0] * np.exp(1j * angle)
+    w = d.arc_weights * d.tangent_c
+    assert abs(np.sum(w / (d.z - z)) - 2j * np.pi) < 1e-12
 
 
 def test_interior_evaluation_rejects_outside(disk_sol):

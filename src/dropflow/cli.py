@@ -35,6 +35,14 @@ EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_HALT = 3
 
+# (argument, valid, message) for the numeric options of every subcommand
+_ARG_CHECKS = (
+    ("vol", lambda v: v > 0.0, "--vol must be positive"),
+    ("m", lambda v: v >= 16 and v % 2 == 0, "--m must be even and >= 16"),
+    ("n_radial", lambda v: v >= 2, "--n-radial must be >= 2"),
+    ("n", lambda v: v >= 2, "--n must be >= 2"),
+)
+
 _DEFAULT_VERIFY_SHAPES = (
     "circle(1)",
     "ellipse(1.2,0.8)",
@@ -132,9 +140,6 @@ def cmd_stability(args):
     except ValueError:
         print("bad --modes/--eps-grid", file=sys.stderr)
         return EXIT_CONFIG
-    if args.vol <= 0.0:
-        print("--vol must be positive", file=sys.stderr)
-        return EXIT_CONFIG
     shapes = [args.shape] if args.shape else None
     rows = sweep_stability(modes=modes, amplitudes=amplitudes, vol=args.vol,
                            m=args.m, shapes=shapes)
@@ -199,6 +204,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    for name, ok, message in _ARG_CHECKS:
+        if hasattr(args, name) and not ok(getattr(args, name)):
+            print(message, file=sys.stderr)
+            return EXIT_CONFIG
     return args.func(args)
 
 

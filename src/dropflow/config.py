@@ -7,16 +7,20 @@ Keys (defaults in parentheses):
     shape            shape spec string, e.g. fourier(1;2:0.1)   (required)
     vol              prescribed torsion mass, (0, 1e6]          (1.0)
     m                boundary samples, even, 16..2048           (128)
-    n_radial         radial quadrature order, 4..64             (24)
+    n_radial         radial quadrature order, 4..64; echo-only  (24)
     law              "quadratic" or "poly:c0,c1,..."            (quadratic)
     dt0              initial step, (0, 10]; 0 = CFL choice      (0)
     cfl              CFL fraction, (0, 1]                       (0.4)
     t_end            final time, (0, 1e4]                       (10)
     tol_stationary   stationarity threshold on max |V|, (0, 1)  (1e-7)
     snapshot_stride  steps between stored snapshots, >= 1       (50)
-    filter_strength  spectral filter exponent, >= 0; 0 = default (0)
-    seed             nonnegative integer, echoed into outputs   (0)
+    filter_strength  damping strength alpha of the order-8
+                     exponential filter, >= 0; 0 = default      (0)
+    seed             nonnegative integer; echo-only             (0)
     outdir           output directory                           (".")
+
+``n_radial`` and ``seed`` are range-checked and echoed into summary.json,
+but ``dropflow run`` uses neither.
 """
 from __future__ import annotations
 

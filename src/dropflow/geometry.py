@@ -1,10 +1,13 @@
 """Star-shaped planar domains with spectral boundary geometry.
 
 A domain is represented by M radius samples on the uniform angle grid
-theta_j = 2*pi*j/M about a center point; the boundary curve is the
-trigonometric interpolant r(theta) swept around the center.  All boundary
-differential geometry (tangent, normal, speed, curvature, arc weights) is
-computed by FFT differentiation of the complex boundary nodes.
+theta_j = 2*pi*j/M about a center point.  The boundary is one curve, the
+trigonometric interpolant r(theta) swept around the center:
+gamma(theta) = center + r(theta) e^{i theta}.  Everything else is derived
+from r and its spectral derivatives r', r'': the nodes, the tangent, normal,
+speed, curvature and arc weights (from gamma' and gamma''), the curve at
+arbitrary angles, membership, and the cached dense node clouds that the
+distance queries, ray casting and the ball overlap read.
 
 Besides the representation itself this module provides area/moment
 computations, a tensor-product interior quadrature, ball-comparison metrics
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -142,14 +146,14 @@ class StarDomain:
         self.theta = spectral.angle_grid(m)
         self.spectral_tail = spectral.tail_fraction(radii)
 
-        # boundary nodes and FFT differential geometry (complex form)
-        cz = center[0] + 1j * center[1]
-        self.zc = cz
-        self.z = cz + radii * np.exp(1j * self.theta)
-        k = np.fft.fftfreq(m, 1.0 / m)
-        zh = np.fft.fft(self.z)
-        zp = np.fft.ifft(zh * (1j * k))
-        zpp = np.fft.ifft(zh * (1j * k) ** 2)
+        # boundary nodes and differential geometry from r, r', r''
+        self._rp = spectral.deriv(radii)
+        self._rpp = spectral.deriv(radii, 2)
+        e = np.exp(1j * self.theta)
+        self.zc = center[0] + 1j * center[1]
+        self.z = self.zc + radii * e
+        zp = (self._rp + 1j * radii) * e
+        zpp = (self._rpp + 2j * self._rp - radii) * e
         self.speed = np.abs(zp)
         self.tangent_c = zp / self.speed
         self.normal_c = -1j * self.tangent_c
@@ -161,63 +165,50 @@ class StarDomain:
         self.normal = np.column_stack([self.normal_c.real, self.normal_c.imag])
 
         self.area = 0.5 * spectral.dealiased_power_sum(radii, 2)
-        self._rp = spectral.deriv(radii)
-        self._rpp = spectral.deriv(radii, 2)
-        self._barycenter = None
-        self._extremes = None
         self._dense = {}
 
     def dense_boundary(self, factor=16):
-        """Cached spectrally-resampled boundary nodes (complex)."""
+        """Cached curve points (complex) on the factor*M uniform angle grid."""
         if factor not in self._dense:
-            self._dense[factor] = spectral.resample_complex(self.z, factor * self.m)
+            mq = factor * self.m
+            self._dense[factor] = (self.zc + spectral.resample(self.radii, mq)
+                                   * np.exp(1j * spectral.angle_grid(mq)))
         return self._dense[factor]
 
     # -- scalar geometry ----------------------------------------------------
 
-    @property
+    @cached_property
     def barycenter(self):
-        if self._barycenter is None:
-            mq = 4 * self.m
-            psi = spectral.angle_grid(mq)
-            r3 = spectral.resample(self.radii, mq) ** 3 / 3.0
-            dpsi = 2.0 * np.pi / mq
-            mom = dpsi * np.array([np.sum(r3 * np.cos(psi)), np.sum(r3 * np.sin(psi))])
-            self._barycenter = self.center + mom / self.area
-        return self._barycenter
+        # first moment (1/3) oint r^3 e^{i psi} dpsi, with r^3 e^{i psi} = |g|^2 g
+        g = self.dense_boundary(4) - self.zc
+        mom = np.sum(np.abs(g) ** 2 * g) * (2.0 * np.pi / (3.0 * g.size))
+        return self.center + np.array([mom.real, mom.imag]) / self.area
 
-    def _extreme_dists(self, p):
-        """(min, max) distance from point p to the boundary curve."""
-        mq = 8 * self.m
-        thq = spectral.angle_grid(mq)
-        g = self.curve_points(thq)
-        d2 = np.abs(g - (p[0] + 1j * p[1])) ** 2
-        out = []
-        for pick in (np.argmin, np.argmax):
-            th = thq[pick(d2)]
-            pc = p[0] + 1j * p[1]
-            for _ in range(4):
-                gme = self.curve_points(th) - pc
-                gp = self.curve_deriv(th)
-                gpp = self.curve_deriv(th, 2)
-                f1 = (np.conj(gme) * gp).real
-                f2 = (np.abs(gp) ** 2 + (np.conj(gme) * gpp).real)
-                if f2 == 0.0:
-                    break
-                th = th - f1 / f2
-            out.append(float(np.abs(self.curve_points(th) - pc)[0]))
-        return out[0], out[1]
+    @cached_property
+    def _extremes(self):
+        """(min, max) distance from the barycenter to the boundary curve.
+
+        Newton on d|gamma - p|^2/dtheta = 0, seeded at the nearest and the
+        farthest point of the 8M cloud and iterated on both together.
+        """
+        pc = self.barycenter[0] + 1j * self.barycenter[1]
+        seed = np.abs(self.dense_boundary(8) - pc)
+        th = spectral.angle_grid(8 * self.m)[[seed.argmin(), seed.argmax()]]
+        for _ in range(4):
+            g, gp, gpp = self.curve_jet(th)
+            gme = g - pc
+            f1 = (np.conj(gme) * gp).real
+            f2 = (np.abs(gp) ** 2 + (np.conj(gme) * gpp).real)
+            th = th - np.divide(f1, f2, out=np.zeros_like(f1), where=f2 != 0.0)
+        dist = np.abs(self.curve_points(th) - pc)
+        return float(dist[0]), float(dist[1])
 
     @property
     def in_radius(self):
-        if self._extremes is None:
-            self._extremes = self._extreme_dists(self.barycenter)
         return self._extremes[0]
 
     @property
     def out_radius(self):
-        if self._extremes is None:
-            self._extremes = self._extreme_dists(self.barycenter)
         return self._extremes[1]
 
     @property
@@ -236,15 +227,12 @@ class StarDomain:
         th = np.asarray(th, dtype=float)
         return self.zc + spectral.eval_at_angles(self.radii, th) * np.exp(1j * th)
 
-    def curve_deriv(self, th, order=1):
+    def curve_jet(self, th):
+        """gamma, gamma' and gamma'' at parameter angles th, from r, r', r''."""
         th = np.asarray(th, dtype=float)
-        r = spectral.eval_at_angles(self.radii, th)
-        rp = spectral.eval_at_angles(self._rp, th)
+        r, rp, rpp = (spectral.eval_at_angles(f, th) for f in (self.radii, self._rp, self._rpp))
         e = np.exp(1j * th)
-        if order == 1:
-            return (rp + 1j * r) * e
-        rpp = spectral.eval_at_angles(self._rpp, th)
-        return (rpp + 2j * rp - r) * e
+        return self.zc + r * e, (rp + 1j * r) * e, (rpp + 2j * rp - r) * e
 
     # -- membership ----------------------------------------------------------
 
@@ -257,9 +245,9 @@ class StarDomain:
         return rho <= rb + tol
 
     def boundary_distance(self, pts):
-        """Distance to the boundary, via a dense node cloud (lower-accuracy)."""
+        """Distance to the boundary, via the 8M node cloud (lower-accuracy)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        dense = spectral.resample_complex(self.z, 8 * self.m)
+        dense = self.dense_boundary(8)
         zt = pts[:, 0] + 1j * pts[:, 1]
         out = np.empty(len(pts))
         for lo in range(0, len(pts), 2048):
@@ -291,14 +279,11 @@ class StarDomain:
 
 
 def build_star_domain(shape, m=128, center=(0.0, 0.0)):
-    """Construct a StarDomain from a shape spec (object or string)."""
-    if m < _MIN_M or m % 2 != 0:
-        raise ShapeError(f"M must be even and >= {_MIN_M}, got {m}")
-    theta = spectral.angle_grid(m)
-    radii = _shape_radii(shape, theta)
-    if np.any(radii <= 0.0):
-        raise ShapeError("shape spec produces non-positive radii")
-    return StarDomain(center, radii)
+    """Construct a StarDomain from a shape spec (object or string).
+
+    The constructor rejects a bad M and non-positive radii.
+    """
+    return StarDomain(center, _shape_radii(shape, spectral.angle_grid(m)))
 
 
 def boundary_geometry(d):
@@ -325,15 +310,6 @@ class BoundaryField:
     def integrate(self):
         """Line integral over the boundary."""
         return float(np.sum(self.values * self.domain.arc_weights))
-
-    def deriv_theta(self):
-        return BoundaryField(self.domain, spectral.deriv(self.values))
-
-    def deriv_arc(self):
-        return BoundaryField(self.domain, spectral.deriv(self.values) / self.domain.speed)
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.values, dtype=dtype)
 
 
 # ----------------------------------------------------------------------------
@@ -371,8 +347,7 @@ def interior_quadrature(d, n_radial=24):
     nodes = np.column_stack([zn.real.ravel(), zn.imag.ravel()])
     w = (2.0 * np.pi / d.m) * np.outer(s * v, d.radii**2)
     ring = d.zc + s[-1] * d.radii * u
-    dense = spectral.resample_complex(d.z, 8 * d.m)
-    mind = np.abs(ring[:, None] - dense[None, :]).min()
+    mind = d.boundary_distance(np.column_stack([ring.real, ring.imag])).min()
     offset = float(mind / d.arc_weights.max())
     return InteriorQuadrature(nodes, w.ravel(), offset, int(n_radial), d.m)
 
@@ -389,9 +364,8 @@ def ray_radii(d, p, psi, newton_iters=3):
     """
     p = np.asarray(p, dtype=float).reshape(2)
     pc = p[0] + 1j * p[1]
-    mq = 8 * d.m
-    thq = spectral.angle_grid(mq)
-    rel = d.curve_points(thq) - pc
+    thq = spectral.angle_grid(8 * d.m)
+    rel = d.dense_boundary(8) - pc
     ang = np.unwrap(np.angle(rel))
     if np.any(np.diff(ang) <= 0.0) or ang[-1] >= ang[0] + 2.0 * np.pi:
         raise ShapeError("curve is not star-shaped about the requested point")
@@ -402,8 +376,8 @@ def ray_radii(d, p, psi, newton_iters=3):
     th = np.interp(tgt, np.append(ang, ang[0] + 2 * np.pi), np.append(thq, 2 * np.pi))
     ux, uy = np.cos(psi), np.sin(psi)
     for _ in range(newton_iters):
-        g = d.curve_points(th) - pc
-        gp = d.curve_deriv(th)
+        g, gp, _ = d.curve_jet(th)
+        g = g - pc
         f = g.real * uy - g.imag * ux
         fp = gp.real * uy - gp.imag * ux
         th = th - f / fp
@@ -419,38 +393,17 @@ def ray_radii(d, p, psi, newton_iters=3):
 # ----------------------------------------------------------------------------
 
 def _ball_overlap(d, p, radius, factor=16):
-    """|domain  intersect  B_radius(p)| by angular integration about p.
+    """|domain  intersect  B_radius(p)| for any point p off the curve.
 
-    Uses the dense resampled boundary cloud: angles about p, star check by
-    monotone winding, then a sorted nonuniform trapezoid of min(rho, r)^2/2.
-    Falls back to an indicator lattice when not star-shaped about p.
+    Green's theorem in polar form about p: the area is (1/2) oint
+    min(|gamma - p|, r)^2 dpsi, taken in traversal order along the dense
+    cloud (trapezoid in the signed angle increments), so every ray crossing
+    counts with its sign and no star-shapedness about p is needed.
     """
     g = d.dense_boundary(factor) - (p[0] + 1j * p[1])
-    psi = np.angle(g)
-    if np.any(np.diff(np.unwrap(psi)) <= 0.0):
-        return _ball_overlap_lattice(d, p, radius)
-    rho = np.abs(g)
-    order = np.argsort(psi)
-    psi_s = psi[order]
-    f = np.minimum(rho[order], radius) ** 2
-    dpsi = np.diff(np.append(psi_s, psi_s[0] + 2.0 * np.pi))
-    fw = np.append(f, f[0])
-    return 0.25 * float(np.sum((fw[1:] + fw[:-1]) * dpsi))
-
-
-def _ball_overlap_lattice(d, p, radius, n=512):
-    """Indicator-grid fallback when the domain is not star-shaped about p."""
-    lo = np.minimum(d.nodes.min(axis=0), p - radius)
-    hi = np.maximum(d.nodes.max(axis=0), p + radius)
-    xs = np.linspace(lo[0], hi[0], n)
-    ys = np.linspace(lo[1], hi[1], n)
-    cell = (xs[1] - xs[0]) * (ys[1] - ys[0])
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    in_ball = ((pts[:, 0] - p[0]) ** 2 + (pts[:, 1] - p[1]) ** 2) <= radius**2
-    hits = in_ball.copy()
-    hits[in_ball] = d.contains(pts[in_ball])
-    return float(hits.sum()) * cell
+    f = np.minimum(np.abs(g), radius) ** 2
+    dpsi = np.angle(np.roll(g, -1) / g)
+    return 0.25 * float(np.sum((f + np.roll(f, -1)) * dpsi))
 
 
 def asymmetry_to_ball(d, radius, center0=None, return_center=False):
@@ -491,8 +444,7 @@ def lemma_distance_check(d, radius):
 
 def rho0_estimate(d):
     """Interior-ball scale: min(inscribed radius, 1/max positive curvature)."""
-    mq = 4 * d.m
-    dense = StarDomain(d.center, spectral.resample(d.radii, mq)) if mq >= _MIN_M else d
+    dense = StarDomain(d.center, spectral.resample(d.radii, 4 * d.m))
     kmax = dense.curvature.max()
     if kmax <= 0.0:
         return d.in_radius
@@ -547,7 +499,8 @@ def rho_reflection_min(d, n_directions=None, tol=1e-4):
     dirs = np.column_stack([np.cos(alpha), np.sin(alpha)])
     nodes = d.nodes
     proj = nodes @ dirs.T
-    hi = float(d.boundary_distance(np.zeros((1, 2)))[0])
+    ball = float(d.boundary_distance(np.zeros((1, 2)))[0])
+    hi = ball
     if not _reflections_pass(d, hi, dirs, nodes, proj):
         raise ConvergenceError(
             "no admissible reflection radius up to the inscribed-ball bound",
@@ -562,11 +515,11 @@ def rho_reflection_min(d, n_directions=None, tol=1e-4):
         else:
             lo = mid
     rho = hi
-    rr = np.abs(spectral.resample_complex(d.z, 8 * d.m))
+    rr = np.abs(d.dense_boundary(8))
     osc = float(rr.max() - rr.min())
     star = float(np.sqrt(max(rr.min() ** 2 - rho**2, 0.0)))
     return ReflectionReport(rho=float(rho), oscillation=osc, star_radius=star,
-                            ball_bound=float(d.boundary_distance(np.zeros((1, 2)))[0]))
+                            ball_bound=ball)
 
 
 # ----------------------------------------------------------------------------

@@ -22,27 +22,20 @@ def deriv(f, order=1):
 
 
 def resample(f, m_new):
-    """Trigonometric interpolation of real samples onto a finer uniform grid."""
+    """Trigonometric interpolation of real samples onto a finer uniform grid.
+
+    The Nyquist bin is halved: on the finer grid it is an ordinary mode that
+    irfft counts twice, and the interpolant carries it as cos(M*theta/2).
+    """
     f = np.asarray(f, dtype=float)
     m = f.shape[-1]
     if m_new == m:
         return f.copy()
     if m_new < m:
         raise ValueError("resample only refines")
-    return np.fft.irfft(np.fft.rfft(f), m_new) * (m_new / m)
-
-
-def resample_complex(z, m_new):
-    """Trigonometric interpolation of complex periodic samples (two-sided pad)."""
-    z = np.asarray(z, dtype=complex)
-    m = z.shape[-1]
-    if m_new == m:
-        return z.copy()
-    zh = np.fft.fft(z)
-    out = np.zeros(m_new, dtype=complex)
-    out[: m // 2] = zh[: m // 2]
-    out[-(m // 2):] = zh[-(m // 2):]
-    return np.fft.ifft(out) * (m_new / m)
+    fh = np.fft.rfft(f)
+    fh[..., -1] *= 0.5
+    return np.fft.irfft(fh, m_new) * (m_new / m)
 
 
 def eval_at_angles(f, psi, chunk=65536):

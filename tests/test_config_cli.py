@@ -137,6 +137,20 @@ def test_cli_stability_rejects_nonpositive_vol(tmp_path, capsys):
     assert "--vol must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--vol", "0"], "--vol must be positive"),
+    (["verify", "--n-radial", "1"], "--n-radial must be >= 2"),
+    (["ball", "--vol", "0"], "--vol must be positive"),
+    (["ball", "--n", "1"], "--n must be >= 2"),
+    (["stability", "--m", "17"], "--m must be even and >= 16"),
+])
+def test_cli_rejects_out_of_range_arguments(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_run_writes_outputs(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("DROPFLOW_OUTDIR", raising=False)
     cfg = tmp_path / "scenario.cfg"

@@ -8,7 +8,8 @@ from dropflow import (Circle, Ellipse, FourierShape, Samples, ShapeError,
                       asymmetry_to_ball, boundary_geometry, build_star_domain,
                       interior_quadrature, lemma_distance_check,
                       load_domain_csv, parse_shape, ray_radii, rho0_estimate,
-                      rho_reflection_min, save_domain_csv)
+                      rho_reflection_min, save_domain_csv, spectral)
+from dropflow.geometry import _ball_overlap
 
 R_STAR = (4.0 / math.pi) ** (1.0 / 3.0)
 
@@ -199,6 +200,33 @@ def test_asymmetry_fourier_matches_quadrature_oracle():
     d = build_star_domain("fourier(1;2:0.1)", 128)
     d = d.scaled(R_STAR / math.sqrt(d.area / math.pi))
     assert abs(asymmetry_to_ball(d, R_STAR) - oracle) < 1e-5
+
+
+def test_dense_boundary_is_the_radius_interpolant():
+    # one curve: the dense cloud is r(theta) swept about the center, also on
+    # a rough shape whose Nyquist mode is not negligible
+    rng = np.random.default_rng(11)
+    th = spectral.angle_grid(64)
+    radii = (1.0 + 0.1 * np.cos(2 * th)) * (1.0 + 0.01 * rng.standard_normal(64))
+    d = build_star_domain(Samples(tuple(radii)), 64)
+    dense = d.dense_boundary(8)
+    assert np.abs(dense - d.curve_points(spectral.angle_grid(512))).max() <= 1e-14
+    assert np.abs(dense[::8] - d.z).max() <= 1e-14
+
+
+def _lens_area(c, r):
+    """|B_1(0) intersect B_r((c, 0))| for circles that cross."""
+    d1 = (c * c + 1.0 - r * r) / (2.0 * c)
+    d2 = c - d1
+    return (math.acos(d1) - d1 * math.sqrt(1.0 - d1 * d1)
+            + r * r * math.acos(d2 / r) - d2 * math.sqrt(r * r - d2 * d2))
+
+
+@pytest.mark.parametrize("c, r", [(1.2, 0.5), (1.5, 1.0), (2.0, 1.5), (0.6, 0.7)])
+def test_ball_overlap_matches_lens_area(c, r):
+    # centres outside the disk (not star-shaped about them) and one inside
+    d = build_star_domain("circle(1)", 128)
+    assert abs(_ball_overlap(d, np.array([c, 0.0]), r) - _lens_area(c, r)) < 1e-5
 
 
 def test_lemma_distance_annulus_anchor():

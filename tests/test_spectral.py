@@ -37,12 +37,15 @@ def test_resample_matches_exact_samples():
         spectral.resample(trig_poly(coarse), 16)
 
 
-def test_resample_complex_matches_exact_samples():
-    coarse = spectral.angle_grid(32)
-    fine = spectral.angle_grid(96)
-    z = np.exp(1j * coarse) + 0.2 * np.exp(-3j * coarse)
-    zf = np.exp(1j * fine) + 0.2 * np.exp(-3j * fine)
-    assert np.allclose(spectral.resample_complex(z, 96), zf, atol=1e-12)
+def test_resample_carries_the_nyquist_mode_once(rng):
+    # the +-M/2 mode is the single term cos(M*theta/2): refining must
+    # reproduce the samples at the old nodes and agree with eval_at_angles
+    alt = (-1.0) ** np.arange(32)
+    assert np.abs(spectral.resample(alt, 128)[::4] - alt).max() < 1e-14
+    f = rng.standard_normal(32)
+    up = spectral.resample(f, 128)
+    assert np.abs(up[::4] - f).max() < 1e-13
+    assert np.abs(up - spectral.eval_at_angles(f, spectral.angle_grid(128))).max() < 1e-13
 
 
 def test_eval_at_angles_matches_function(rng):

@@ -8,8 +8,8 @@ parameterization this is the radius law
 
 integrated with classical RK4.  A spectral low-pass filter on the top third
 of the radius modes controls aliasing growth after each step; the step size
-follows a CFL bound from the boundary node spacing and, for the default
-monotone law, is rejected and halved whenever the base energy J increases.
+follows a CFL bound from the boundary node spacing and, for every law, is
+rejected and halved whenever the base energy J increases.
 """
 from __future__ import annotations
 
@@ -203,7 +203,7 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt0=None, dt_max=np.inf,
 
     Step size: capped by the advective CFL bound cfl * min node spacing /
     max |V| and by the high-mode damping bound of `_stiff_dt`; halved on a
-    rejected step (energy increase under the default law, or a degenerate
+    rejected step (an energy increase under any law, or a degenerate
     stage), cautiously doubled after 10 clean accepted steps.
     The run ends at t_end, at stationarity (max |V| below tol_stationary),
     or with a halted trajectory recording the reason; a failed recentering
@@ -253,7 +253,7 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt0=None, dt_max=np.inf,
                 break
             continue
         new_energy = total_energy(new_sol)
-        if law.is_quadratic and new_energy > state.energy + _J_SLACK * max(1.0, abs(state.energy)):
+        if new_energy > state.energy + _J_SLACK * max(1.0, abs(state.energy)):
             rejects += 1
             clean = 0
             dt = dt_try / 2.0

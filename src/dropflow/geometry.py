@@ -236,13 +236,39 @@ class StarDomain:
 
     # -- membership ----------------------------------------------------------
 
+    @cached_property
+    def _radius_poly(self):
+        """Coefficients c_k, k = 0..M/2, of r(theta) = Re sum_k c_k e^{i k theta}."""
+        c = np.fft.rfft(self.radii) * (2.0 / self.m)
+        c[0] *= 0.5
+        c[-1] = 0.5 * c[-1].real
+        return c
+
+    def _radius_toward(self, u):
+        """r in the directions of unit complex numbers u, as Re P(u).
+
+        P(u) = sum_k c_k u^k is evaluated by Horner's rule, so no
+        trigonometric function is taken.
+        """
+        c = self._radius_poly
+        p = np.full_like(u, c[-1])
+        for ck in c[-2::-1]:
+            p *= u
+            p += ck
+        return p.real
+
     def contains(self, pts, tol=1e-10):
-        """Point-in-domain test against the interpolated radius function."""
+        """Point-in-domain test |x - center| <= r + tol.
+
+        r is the radius interpolant in the point's direction
+        u = (x - center)/|x - center|, from the Horner form of
+        `_radius_toward`; the center itself takes u = 1 (angle 0).
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         rel = (pts[:, 0] - self.center[0]) + 1j * (pts[:, 1] - self.center[1])
         rho = np.abs(rel)
-        rb = self.radius_at(np.angle(rel))
-        return rho <= rb + tol
+        u = np.divide(rel, rho, out=np.ones_like(rel), where=rho > 0.0)
+        return rho <= self._radius_toward(u) + tol
 
     def boundary_distance(self, pts):
         """Distance to the boundary, via the 8M node cloud (lower-accuracy)."""
@@ -462,23 +488,20 @@ class ReflectionReport:
 
 
 def _reflections_pass(d, rho, dirs, nodes, proj, tol=1e-10):
-    """All boundary nodes reflect into the closure across every admissible cut."""
-    h = d.arc_weights.min()
-    ds = 0.5 * h
-    for i in range(dirs.shape[0]):
-        e = dirs[i]
-        a = proj[:, i]
-        smax = a.max()
-        if smax <= rho:
+    """All boundary nodes reflect into the closure across every admissible cut.
+
+    The cuts s = rho, rho + ds, ... are tested deepest first, each in one
+    membership call over every direction, so a failing rho usually stops at
+    the first cut.
+    """
+    ds = 0.5 * d.arc_weights.min()
+    for s in np.arange(rho, proj.max(), ds):
+        j, i = np.nonzero(proj > s + 1e-14)
+        if j.size == 0:
             continue
-        s = np.arange(rho, smax, ds)
-        mask = a[None, :] > s[:, None] + 1e-14
-        if not mask.any():
-            continue
-        shift = 2.0 * (s[:, None] - a[None, :])
-        px = nodes[None, :, 0] + shift * e[0]
-        py = nodes[None, :, 1] + shift * e[1]
-        pts = np.column_stack([px[mask], py[mask]])
+        shift = 2.0 * (s - proj[j, i])
+        pts = np.column_stack([nodes[j, 0] + shift * dirs[i, 0],
+                               nodes[j, 1] + shift * dirs[i, 1]])
         if not d.contains(pts, tol=tol).all():
             return False
     return True
@@ -490,7 +513,8 @@ def rho_reflection_min(d, n_directions=None, tol=1e-4):
     Bisection over rho: a candidate passes when B_rho(0) fits inside the
     domain and, for every sampled direction e and cut offset s >= rho, each
     boundary node x with x.e > s reflects across the cut line into the
-    closed domain.
+    closed domain.  Each pass tests its cuts deepest first (s = rho, then
+    outward), every direction at once, and stops at the first failing cut.
     """
     if not d.contains(np.zeros((1, 2)))[0]:
         raise ShapeError("reflection radius needs the origin inside the domain")

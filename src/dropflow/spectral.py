@@ -38,28 +38,17 @@ def resample(f, m_new):
     return np.fft.irfft(fh, m_new) * (m_new / m)
 
 
-def eval_at_angles(f, psi, chunk=65536):
+def eval_at_angles(f, psi):
     """Evaluate the trigonometric interpolant of samples f at arbitrary angles."""
     f = np.asarray(f, dtype=float)
     psi = np.atleast_1d(np.asarray(psi, dtype=float))
     m = f.shape[-1]
     fh = np.fft.rfft(f) / m
-    a0 = fh[0].real
-    ak = 2.0 * fh[1:-1].real
-    bk = -2.0 * fh[1:-1].imag
-    anyq = fh[-1].real
-    ks = np.arange(1, m // 2)
-    out = np.empty_like(psi)
-    for lo in range(0, psi.size, chunk):
-        p = psi[lo: lo + chunk, None]
-        kp = ks[None, :] * p
-        out[lo: lo + chunk] = (
-            a0
-            + np.cos(kp) @ ak
-            + np.sin(kp) @ bk
-            + anyq * np.cos((m // 2) * p[:, 0])
-        )
-    return out
+    kp = np.arange(1, m // 2) * psi[:, None]
+    return (fh[0].real
+            + np.cos(kp) @ (2.0 * fh[1:-1].real)
+            - np.sin(kp) @ (2.0 * fh[1:-1].imag)
+            + fh[-1].real * np.cos((m // 2) * psi))
 
 
 def tail_fraction(f, frac=1.0 / 3.0):

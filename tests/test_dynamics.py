@@ -156,6 +156,23 @@ def test_flow_halts_with_data_when_recentering_fails(monkeypatch, fail):
     assert np.all(traj.final_state.domain.center == 0.0)
 
 
+@pytest.mark.parametrize("law", [quadratic_law(), polynomial_law([-1, 0, 1])],
+                         ids=["quadratic", "poly"])
+def test_energy_guard_rejects_steps_for_every_law(monkeypatch, law):
+    from dropflow import StarDomain, dynamics
+
+    def deform(domain, vol, law, dt, **kw):
+        # a step that deepens the mode-3 bump, away from the ball: J rises
+        return StarDomain(domain.center,
+                          domain.radii * (1.0 + 0.05 * np.cos(3 * domain.theta)))
+    monkeypatch.setattr(dynamics, "advance_step", deform)
+    traj = run_flow(build_star_domain("fourier(1;2:0.1)", 32), 1.0, law=law,
+                    t_end=1.0, max_rejects=3)
+    assert traj.status == "halted"
+    assert traj.halt_reason == "energy_increase"
+    assert len(traj.times) == 1
+
+
 def test_timeseries_csv_roundtrip(tmp_path, decay_traj):
     path = tmp_path / "ts.csv"
     save_timeseries_csv(decay_traj, path)

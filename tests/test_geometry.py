@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ellipe
 
 from dropflow import (Circle, Ellipse, FourierShape, Samples, ShapeError,
-                      asymmetry_to_ball, boundary_geometry, build_star_domain,
-                      interior_quadrature, lemma_distance_check,
-                      load_domain_csv, parse_shape, ray_radii, rho0_estimate,
-                      rho_reflection_min, save_domain_csv, spectral)
+                      StarDomain, asymmetry_to_ball, boundary_geometry,
+                      build_star_domain, interior_quadrature,
+                      lemma_distance_check, load_domain_csv, parse_shape,
+                      ray_radii, rho0_estimate, rho_reflection_min,
+                      save_domain_csv, spectral)
 from dropflow.geometry import _ball_overlap
 
 R_STAR = (4.0 / math.pi) ** (1.0 / 3.0)
@@ -146,6 +149,40 @@ def test_contains_and_boundary_distance():
     assert abs(d.boundary_distance(np.zeros((1, 2)))[0] - 1.0) < 1e-6
 
 
+@settings(max_examples=40, deadline=None)
+@given(modes=st.lists(st.tuples(st.integers(1, 8), st.floats(-0.08, 0.08)),
+                      max_size=3, unique_by=lambda km: km[0]),
+       nyquist=st.floats(-0.02, 0.02), base=st.floats(0.5, 2.0),
+       m=st.sampled_from([32, 64, 128]),
+       center=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_contains_matches_trig_radius(modes, nyquist, base, m, center, seed):
+    # the Horner form of contains against |rel| <= r(angle(rel)) + tol;
+    # the (-1)^j samples exercise the halved cos(M theta/2) coefficient
+    th = spectral.angle_grid(m)
+    radii = base + nyquist * np.cos(0.5 * m * th)
+    for k, eps in modes:
+        radii = radii + eps * np.cos(k * th)
+    d = StarDomain(center, radii)
+    rng = np.random.default_rng(seed)
+    psi = rng.uniform(-np.pi, np.pi, 400)
+    u = np.exp(1j * psi)
+    assert np.abs(d._radius_toward(u) - d.radius_at(psi)).max() <= 1e-14
+    # points at random and within 1e-9..1e-15 of the boundary, both sides
+    near = rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(-15, -9, 200)
+    scale = np.concatenate([rng.uniform(0.0, 1.5, 200), 1.0 + near])
+    rel = scale * d.radius_at(psi) * u
+    pts = np.column_stack([center[0] + rel.real, center[1] + rel.imag])
+    pts = np.vstack([pts, [center]])
+    rel = (pts[:, 0] - center[0]) + 1j * (pts[:, 1] - center[1])
+    for tol in (1e-10, 0.0):
+        margin = np.abs(rel) - (d.radius_at(np.angle(rel)) + tol)
+        got = d.contains(pts, tol=tol)
+        far = np.abs(margin) > 1e-12
+        assert np.array_equal(got[far], margin[far] <= 0.0)
+        assert got[-1]
+
+
 def test_ray_radii_from_center_matches_radius():
     d = build_star_domain("ellipse(1.2,0.8)", 128)
     psi = np.linspace(0, 2 * np.pi, 17, endpoint=False)
@@ -259,6 +296,22 @@ def test_rho_reflection_centered_disk_is_zero():
     rep = rho_reflection_min(d)
     assert rep.rho < 2e-4
     assert rep.oscillation < 1e-12
+
+
+def _offcenter_disk_samples(dist, alpha, m):
+    # radii about the origin of the unit disk centred at dist * e^{i alpha}
+    psi = 2.0 * np.pi * np.arange(m) / m - alpha
+    return Samples(tuple(dist * np.cos(psi) + np.sqrt(1.0 - (dist * np.sin(psi)) ** 2)))
+
+
+@pytest.mark.parametrize("spec, m, rho", [
+    ("fourier(1;2:0.1)", 128, 0.19594116210937496),
+    ("fourier(1;3:0.1,5:0.03)", 128, 0.38540405273437495),
+    ("ellipse(1.2,0.8)", 128, 0.39999999999999997),
+    (_offcenter_disk_samples(0.24, 4.2, 64), 64, 0.2400051469772701),
+], ids=["fourier2", "fourier35", "ellipse", "offcenter-disk"])
+def test_rho_reflection_pinned_values(spec, m, rho):
+    assert rho_reflection_min(build_star_domain(spec, m)).rho == rho
 
 
 def test_rho0_estimate_disk():

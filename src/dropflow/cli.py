@@ -99,6 +99,7 @@ def cmd_run(args):
         "asymmetry_final": float(traj.asymmetries[-1]),
         "max_vn_final": float(traj.max_vns[-1]),
         "decay_fit": fit_obj,
+        "stats": traj.stats,
         "config": cfg.as_dict(),
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")

@@ -9,7 +9,7 @@ Keys (defaults in parentheses):
     m                boundary samples, even, 16..2048           (128)
     n_radial         radial quadrature order, 4..64; echo-only  (24)
     law              "quadratic" or "poly:c0,c1,..."            (quadratic)
-    dt0              initial step, (0, 10]; 0 = CFL choice      (0)
+    dt0              initial step, (0, 10]; 0 = automatic       (0)
     cfl              CFL fraction, (0, 1]                       (0.4)
     t_end            final time, (0, 1e4]                       (10)
     tol_stationary   stationarity threshold on max |V|, (0, 1)  (1e-7)

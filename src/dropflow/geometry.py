@@ -144,12 +144,11 @@ class StarDomain:
         self.radii = radii
         self.m = m
         self.theta = spectral.angle_grid(m)
-        self.spectral_tail = spectral.tail_fraction(radii)
 
         # boundary nodes and differential geometry from r, r', r''
         self._rp = spectral.deriv(radii)
         self._rpp = spectral.deriv(radii, 2)
-        e = np.exp(1j * self.theta)
+        e = spectral.unit_circle(m)
         self.zc = center[0] + 1j * center[1]
         self.z = self.zc + radii * e
         zp = (self._rp + 1j * radii) * e
@@ -172,8 +171,13 @@ class StarDomain:
         if factor not in self._dense:
             mq = factor * self.m
             self._dense[factor] = (self.zc + spectral.resample(self.radii, mq)
-                                   * np.exp(1j * spectral.angle_grid(mq)))
+                                   * spectral.unit_circle(mq))
         return self._dense[factor]
+
+    @cached_property
+    def spectral_tail(self):
+        """Relative l2 weight of the top third of the radius modes."""
+        return spectral.tail_fraction(self.radii)
 
     # -- scalar geometry ----------------------------------------------------
 
@@ -224,17 +228,14 @@ class StarDomain:
 
     def curve_points(self, th):
         """gamma(theta) = center + r(theta) e^{i theta}, exact interpolant."""
-        th = np.asarray(th, dtype=float)
-        return self.zc + spectral.eval_at_angles(self.radii, th) * np.exp(1j * th)
+        u = np.exp(1j * np.atleast_1d(np.asarray(th, dtype=float)))
+        return self.zc + self._radius_jet(u, 0)[0] * u
 
     def curve_jet(self, th):
         """gamma, gamma' and gamma'' at parameter angles th, from r, r', r''."""
-        th = np.asarray(th, dtype=float)
-        r, rp, rpp = (spectral.eval_at_angles(f, th) for f in (self.radii, self._rp, self._rpp))
-        e = np.exp(1j * th)
-        return self.zc + r * e, (rp + 1j * r) * e, (rpp + 2j * rp - r) * e
-
-    # -- membership ----------------------------------------------------------
+        u = np.exp(1j * np.atleast_1d(np.asarray(th, dtype=float)))
+        r, rp, rpp = self._radius_jet(u)
+        return self.zc + r * u, (rp + 1j * r) * u, (rpp + 2j * rp - r) * u
 
     @cached_property
     def _radius_poly(self):
@@ -243,6 +244,29 @@ class StarDomain:
         c[0] *= 0.5
         c[-1] = 0.5 * c[-1].real
         return c
+
+    @cached_property
+    def _jet_poly(self):
+        """Rows c_k, i k c_k, -k^2 c_k: r, r' and r'' as Re sum_k row_k u^k.
+
+        r' drops the Nyquist term, as `spectral.deriv` does.
+        """
+        c = self._radius_poly
+        ik = 1j * np.arange(c.size)
+        cp = ik * c
+        cp[-1] = 0.0
+        return np.stack([c, cp, ik * ik * c])
+
+    def _radius_jet(self, u, order=2):
+        """r, ..., r^(order) in the directions u = e^{i theta}, one row each.
+
+        The powers u^k come from cumulative products (`np.vander`), so
+        besides u itself no trigonometric function is taken.
+        """
+        coef = self._jet_poly[: order + 1]
+        return (np.vander(u, coef.shape[1], increasing=True) @ coef.T).real.T
+
+    # -- membership ----------------------------------------------------------
 
     def _radius_toward(self, u):
         """r in the directions of unit complex numbers u, as Re P(u).
@@ -368,7 +392,7 @@ def interior_quadrature(d, n_radial=24):
     s, v = np.polynomial.legendre.leggauss(int(n_radial))
     s = 0.5 * (s + 1.0)
     v = 0.5 * v
-    u = np.exp(1j * d.theta)
+    u = spectral.unit_circle(d.m)
     zn = d.zc + np.outer(s, d.radii * u)
     nodes = np.column_stack([zn.real.ravel(), zn.imag.ravel()])
     w = (2.0 * np.pi / d.m) * np.outer(s * v, d.radii**2)

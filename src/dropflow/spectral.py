@@ -3,11 +3,21 @@
 All routines assume an even number of samples f_j = f(2*pi*j/M) and work
 through the real FFT; odd-order derivatives zero the Nyquist mode.
 """
+from functools import lru_cache
+
 import numpy as np
 
 
 def angle_grid(m):
     return 2.0 * np.pi * np.arange(m) / m
+
+
+@lru_cache(maxsize=16)
+def unit_circle(m):
+    """e^{i theta_j} on the uniform angle grid (cached, read-only)."""
+    e = np.exp(1j * angle_grid(m))
+    e.flags.writeable = False
+    return e
 
 
 def deriv(f, order=1):

@@ -185,3 +185,18 @@ def test_cli_run_config_error(tmp_path, capsys):
     assert main(["run", str(cfg)]) == 2
     assert "config error" in capsys.readouterr().err
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
+
+
+def test_cli_run_summary_reports_stats(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("DROPFLOW_OUTDIR", raising=False)
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(GOOD_CONFIG + f"outdir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 0
+    out = tmp_path / "out"
+    summary = json.loads((out / "summary.json").read_text())
+    stats = summary["stats"]
+    assert stats["accepted_steps"] == summary["steps"]
+    assert stats["stage_solves"] == 3 * stats["attempted_steps"]
+    assert sum(stats["dt_bound"].values()) == stats["attempted_steps"]
+    header = (out / "timeseries.csv").read_text().splitlines()[0]
+    assert header == "t,J,lambda,deficit,asymmetry,max_Vn,dt"

@@ -241,3 +241,80 @@ def test_fit_decay_rate_too_few_points():
                       dissipations=np.zeros(3), states=[None], status="t_end")
     with pytest.raises(ValueError):
         fit_decay_rate(traj)
+
+
+def _mode_amplitude(domain, k):
+    return 2.0 * abs(np.fft.rfft(domain.radii)[k]) / domain.m
+
+
+def test_step_count_to_stationarity_hardly_depends_on_m():
+    # the explicit stepper's stiffness bound doubled the steps with M
+    steps = []
+    for m in (32, 64, 128):
+        traj = run_flow(normalized_domain("fourier(1;2:0.1)", m=m), 1.0,
+                        t_end=20.0)
+        assert traj.status == "stationary"
+        steps.append(len(traj.times) - 1)
+    assert max(steps) <= 1.3 * min(steps), steps
+
+
+def test_step_damps_mode_three_at_the_linear_ball_rate():
+    # about the ball, radius mode k decays at 2 (k - 1) / r_star; the
+    # integrating factor takes that damping exactly, also at a step where
+    # explicit RK4 is 1% off
+    d = build_star_domain(f"fourier({R_STAR!r};3:1e-6)", 64)
+    dt = 0.25
+    d2 = advance_step(d, 1.0, quadratic_law(), dt)
+    ratio = _mode_amplitude(d2, 3) / _mode_amplitude(d, 3)
+    assert abs(ratio / math.exp(-4.0 * dt / R_STAR) - 1.0) < 1e-4
+
+
+def test_step_beyond_the_explicit_bound_damps_high_modes():
+    from dropflow import dynamics
+    d = build_star_domain(f"fourier({R_STAR!r};20:1e-8)", 64)
+    law = quadratic_law()
+    dt = 4.0 * dynamics._stiff_dt(d, solve_torsion(d, 1.0), law)
+    d2 = advance_step(d, 1.0, law, dt)
+    ratio = _mode_amplitude(d2, 20) / _mode_amplitude(d, 20)
+    # explicit RK4 amplifies the mode about 30x at this step
+    assert ratio < 1.0
+    assert abs(ratio / math.exp(-38.0 * dt / R_STAR) - 1.0) < 1e-3
+
+
+def test_flow_stats_add_up():
+    # the drifting disk of test_flow_recenters_drifting_domain recenters
+    psi = 2 * np.pi * np.arange(64) / 64
+    r = 0.3 * np.cos(psi) + np.sqrt(1.0 - 0.09 * np.sin(psi) ** 2)
+    from dropflow import Samples
+    traj = run_flow(build_star_domain(Samples(tuple(r)), 64), 1.0, t_end=0.2)
+    st = traj.stats
+    assert st["accepted_steps"] == len(traj.times) - 1
+    assert st["attempted_steps"] == st["accepted_steps"] + sum(st["rejects"].values())
+    assert sum(st["dt_bound"].values()) == st["attempted_steps"]
+    assert set(st["dt_bound"]) <= {"cfl", "accuracy", "dt_max", "t_end", "growth"}
+    assert st["stage_solves"] == 3 * st["attempted_steps"]
+    assert st["recenters"] >= 1
+    assert st["solves"] == 1 + 4 * st["attempted_steps"] + st["recenters"]
+
+
+def test_trajectory_stats_default_empty():
+    traj = Trajectory(np.zeros(1), np.zeros(1), np.ones(1), np.zeros(1),
+                      np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1),
+                      [None], "t_end")
+    assert traj.stats == {}
+
+
+def test_energy_halt_names_du_outside_the_checked_range(monkeypatch):
+    # a small disk has |Du| = 4 vol / (pi r^3) ~ 19.9 > 10; shrinking it
+    # raises J, and the halt reason says that |Du| left the law's check
+    from dropflow import StarDomain, dynamics
+
+    def shrink(domain, vol, law, dt, **kw):
+        return StarDomain(domain.center, 0.9 * domain.radii)
+    monkeypatch.setattr(dynamics, "advance_step", shrink)
+    traj = run_flow(build_star_domain("circle(0.4)", 32), 1.0, t_end=1.0,
+                    max_rejects=3)
+    assert traj.status == "halted"
+    assert traj.halt_reason.startswith("energy_increase: |Du| spans [")
+    assert "[0.1, 10]" in traj.halt_reason
+    assert traj.stats["rejects"] == {"energy_increase": 4}

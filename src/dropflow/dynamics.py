@@ -221,12 +221,12 @@ def advance_step(domain, vol, law, dt, sol=None, filter_frac=1.0 / 3.0,
     return _stage_domain(c, r_new)
 
 
-def _diagnose(t, domain, sol, law, r_star, asym_center):
+def _diagnose(t, domain, sol, law, r_star, asym_center, stats):
     vn = law(sol.boundary_grad.values)
     bg = sol.boundary_grad.values
     dissipation = float(np.sum((1.0 - bg**2) * vn * domain.arc_weights))
     asym, center = asymmetry_to_ball(domain, r_star, center0=asym_center,
-                                     return_center=True)
+                                     return_center=True, stats=stats)
     return FlowState(
         t=t, domain=domain, solution=sol, energy=total_energy(sol),
         deficit=serrin_deficit(sol), asymmetry=asym,
@@ -262,17 +262,18 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt0=None, dt_max=np.inf,
     or with a halted trajectory recording the reason; a failed recentering
     halts after keeping the accepted step it followed.  `Trajectory.stats`
     counts the solves (all of them) and stage solves, the attempted and
-    accepted steps, rejects by reason, recenters, and per attempted step
-    the bound that set dt.
+    accepted steps, rejects by reason, recenters, the ball-overlap
+    evaluations of the asymmetry searches ("ball_evals"), and per attempted
+    step the bound that set dt.
     """
     law = quadratic_law() if law is None else law
     b = ball_closed_forms(2, vol)
     sol = solve_torsion(domain, vol)
     counts = Counter(solves=1, stage_solves=0, attempted_steps=0,
-                     accepted_steps=0, recenters=0)
+                     accepted_steps=0, recenters=0, ball_evals=0)
     reject_reasons, dt_bound = Counter(), Counter()
     state, asym_center = _diagnose(0.0, domain, sol, law, b.r_star,
-                                   domain.barycenter)
+                                   domain.barycenter, counts)
     dense = {k: [getattr(state, k)] for k in
              ("t", "energy", "deficit", "asymmetry", "max_vn", "dissipation")}
     dense["lambda"] = [sol.lambda_]
@@ -346,7 +347,8 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt0=None, dt_max=np.inf,
             except (ShapeError, SolverError) as exc:
                 # keep the accepted, un-recentered state and stop here
                 status, halt_reason = "halted", f"recenter_failed: {exc}"
-        state, asym_center = _diagnose(t, domain, sol, law, b.r_star, asym_center)
+        state, asym_center = _diagnose(t, domain, sol, law, b.r_star, asym_center,
+                                       counts)
         counts["accepted_steps"] += 1
         for key in ("t", "energy", "deficit", "asymmetry", "max_vn", "dissipation"):
             dense[key].append(getattr(state, key))

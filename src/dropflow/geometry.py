@@ -7,12 +7,18 @@ gamma(theta) = center + r(theta) e^{i theta}.  Everything else is derived
 from r and its spectral derivatives r', r'': the nodes, the tangent, normal,
 speed, curvature and arc weights (from gamma' and gamma''), the curve at
 arbitrary angles, membership, and the cached dense node clouds that the
-distance queries, ray casting and the ball overlap read.
+distance queries (through a k-d tree of the 8M cloud), ray casting and the
+crossing search of the ball overlap read.
 
 Besides the representation itself this module provides area/moment
 computations, a tensor-product interior quadrature, ball-comparison metrics
 (symmetric-difference asymmetry, the boundary-distance estimate pair, the
-minimal reflection radius) and CSV snapshot I/O.
+minimal reflection radius) and CSV snapshot I/O.  The overlap with a ball
+is exact: the curve's crossings with the circle split the boundary of the
+intersection into curve arcs, whose area comes from the Fourier
+coefficients of r^2, and circle arcs; its gradient and Hessian in the ball
+center come in closed form from the same crossings, and the asymmetry
+search is Newton's method on them.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.spatial import cKDTree
 
 from . import spectral
 from .errors import ConvergenceError, ShapeError
@@ -215,7 +221,7 @@ class StarDomain:
     def out_radius(self):
         return self._extremes[1]
 
-    @property
+    @cached_property
     def diameter(self):
         d = self.nodes[:, None, :] - self.nodes[None, :, :]
         return float(np.sqrt((d**2).sum(-1)).max())
@@ -257,6 +263,21 @@ class StarDomain:
         cp[-1] = 0.0
         return np.stack([c, cp, ik * ik * c])
 
+    @cached_property
+    def _sector_poly(self):
+        """(a_0, b_k for k = 0..M): the integral of r^2/2 from 0 to theta is
+        a_0 theta + Re sum_k b_k u^k up to a constant (b_0 = 0).
+
+        r^2 is a trigonometric polynomial of degree M, so one rfft of its
+        samples |gamma - center|^2 on the 4M cloud gives its coefficients
+        exactly.
+        """
+        g = self.dense_boundary(4) - self.zc
+        a = np.fft.rfft(0.5 * (g.real**2 + g.imag**2))[: self.m + 1] * (0.5 / self.m)
+        b = np.zeros_like(a)
+        b[1:] = a[1:] / (1j * np.arange(1, self.m + 1))
+        return 0.5 * a[0].real, b
+
     def _radius_jet(self, u, order=2):
         """r, ..., r^(order) in the directions u = e^{i theta}, one row each.
 
@@ -294,16 +315,19 @@ class StarDomain:
         u = np.divide(rel, rho, out=np.ones_like(rel), where=rho > 0.0)
         return rho <= self._radius_toward(u) + tol
 
-    def boundary_distance(self, pts):
-        """Distance to the boundary, via the 8M node cloud (lower-accuracy)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    @cached_property
+    def _distance_tree(self):
         dense = self.dense_boundary(8)
-        zt = pts[:, 0] + 1j * pts[:, 1]
-        out = np.empty(len(pts))
-        for lo in range(0, len(pts), 2048):
-            blk = zt[lo: lo + 2048]
-            out[lo: lo + 2048] = np.abs(blk[:, None] - dense[None, :]).min(axis=1)
-        return out
+        return cKDTree(np.column_stack([dense.real, dense.imag]))
+
+    def boundary_distance(self, pts):
+        """Distance to the nearest point of the 8M node cloud (lower-accuracy).
+
+        The nearest node comes from a k-d tree of the cloud, built once per
+        domain.
+        """
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return self._distance_tree.query(pts)[0]
 
     # -- derived domains -----------------------------------------------------
 
@@ -442,46 +466,235 @@ def ray_radii(d, p, psi, newton_iters=3):
 # ball-comparison metrics
 # ----------------------------------------------------------------------------
 
-def _ball_overlap(d, p, radius, factor=16):
-    """|domain  intersect  B_radius(p)| for any point p off the curve.
+_NEWTON_STEP_TOL = 1e-10    # stop at a step this short, in units of the radius
+_NEWTON_GAIN_TOL = 1e-15    # or at a predicted gain this small, in ball areas
+_NEWTON_MAX_EVALS = 60
+_HALLEY_MAX_STEPS = 8       # per crossing search; one step is the rule
+_TANGENCY_FLOOR = 1e-13     # least dip of |gamma - p|^2/radius^2 - 1 seeding a pair
 
-    Green's theorem in polar form about p: the area is (1/2) oint
-    min(|gamma - p|, r)^2 dpsi, taken in traversal order along the dense
-    cloud (trapezoid in the signed angle increments), so every ray crossing
-    counts with its sign and no star-shapedness about p is needed.
+
+def _newton_2d(evaluate, p0, step_tol, gain_tol, max_step):
+    """Minimize a smooth function of a point in the plane: Newton's method
+    with backtracking.
+
+    evaluate(p) returns (value, gradient, Hessian).  Where the Hessian is
+    not positive definite the step goes max_step down the gradient
+    instead, so a start outside the basin of the minimum still reaches it.
+    The search ends at a zero gradient with such a Hessian, when halving
+    the step finds no decrease before it falls below step_tol, or when the
+    Newton step is shorter than step_tol or predicts a decrease below
+    gain_tol.  That last step is too small to measure against rounding, so
+    it is taken on the quadratic model without another evaluation.
+    Returns (point, value, evaluations).
     """
-    g = d.dense_boundary(factor) - (p[0] + 1j * p[1])
-    f = np.minimum(np.abs(g), radius) ** 2
-    dpsi = np.angle(np.roll(g, -1) / g)
-    return 0.25 * float(np.sum((f + np.roll(f, -1)) * dpsi))
+    p = np.asarray(p0, dtype=float).copy()
+    val, g, h = evaluate(p)
+    n = 1
+    while n < _NEWTON_MAX_EVALS:
+        det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
+        if h[0, 0] > 0.0 and det > 0.0:
+            step = np.array([h[0, 1] * g[1] - h[1, 1] * g[0],
+                             h[1, 0] * g[0] - h[0, 0] * g[1]]) / det
+            gain = -0.5 * float(g @ step)
+            size = float(np.hypot(step[0], step[1]))
+            if size <= step_tol or gain <= gain_tol:
+                return p + step, val - gain, n
+        else:
+            # no minimum in the quadratic model: steepest descent
+            gnorm = float(np.hypot(g[0], g[1]))
+            if gnorm == 0.0:
+                break
+            step, size = -g * (max_step / gnorm), max_step
+        t = 1.0
+        while True:
+            trial = evaluate(p + t * step)
+            n += 1
+            if trial[0] < val:
+                p = p + t * step
+                val, g, h = trial
+                break
+            t *= 0.5
+            if t * size <= step_tol or n >= _NEWTON_MAX_EVALS:
+                return p, val, n
+    return p, val, n
 
 
-def asymmetry_to_ball(d, radius, center0=None, return_center=False):
+def _circle_f(d, pc, radius, th):
+    """f = |gamma - pc|^2 - radius^2 and its first two theta-derivatives."""
+    g, gp, gpp = d.curve_jet(th)
+    w = g - pc
+    f = w.real**2 + w.imag**2 - radius**2
+    fp = 2.0 * (np.conj(w) * gp).real
+    fpp = 2.0 * (gp.real**2 + gp.imag**2 + (np.conj(w) * gpp).real)
+    return f, fp, fpp
+
+
+def _circle_crossings(d, pc, radius):
+    """Parameter angles where the curve crosses the circle |z - pc| = radius.
+
+    The crossings are the sign changes of f = |gamma - pc|^2 - radius^2 on
+    the 4M cloud, seeded by linear interpolation.  A pair closer than one
+    grid interval (a near-tangency) shows as a node triple whose parabola
+    dips to zero; Newton on f' finds its extremum, and where f changes sign
+    there by more than rounding (1e-13 radius^2; a shallower pair bounds a
+    sliver of area ~1e-20) the pair is seeded on either side.  Halley steps
+    (cubic convergence) refine them all; a step that leaves the crossing's
+    shrinking sign bracket, or stalls near a zero of f', is replaced by
+    bisection.  One step suffices, as good as two Newton steps, unless a
+    seed was off by more than 1 % of a grid interval, as on wiggly curves
+    at small M or near a tangency.  Returns the angles in increasing
+    order, whether the curve leaves the disk at each, and whether the
+    curve starts (theta = 0) inside it.
+    """
+    g = d.dense_boundary(4) - pc
+    f = g.real**2 + g.imag**2 - radius**2
+    h = 2.0 * np.pi / f.size
+    fe = np.concatenate((f[-1:], f, f[:1]))
+    fl, fr = fe[:-2], fe[2:]
+    j = np.flatnonzero((f < 0.0) != (fr < 0.0))
+    lo, hi = j * h, (j + 1) * h
+    th = lo + h * (f[j] / (f[j] - fr[j]))
+    exits = f[j] < 0.0
+    # near-tangencies: the parabola through three same-sign nodes has its
+    # vertex within a step, bends toward zero and dips past zero there
+    dd, sl = fr - 2.0 * f + fl, fr - fl
+    near = np.flatnonzero(np.abs(sl) < 2.0 * np.abs(dd))
+    fn, dn, sn = f[near], dd[near], sl[near]
+    near = near[(fn * dn > 0.0) & (8.0 * np.abs(fn * dn) - sn * sn < 8.0 * dn * dn)
+                & (fn * fl[near] > 0.0) & (fn * fr[near] > 0.0)]
+    if near.size:
+        tc = (near - 0.5 * sl[near] / dd[near]) * h
+        for _ in range(2):
+            _, fp, fpp = _circle_f(d, pc, radius, tc)
+            step = np.divide(fp, fpp, out=np.zeros_like(fp), where=fpp != 0.0)
+            tc = np.clip(tc - step, (near - 1) * h, (near + 1) * h)
+        fc, _, fpp = _circle_f(d, pc, radius, tc)
+        keep = ((fc * f[near] < 0.0) & (fpp * f[near] > 0.0)
+                & (np.abs(fc) > _TANGENCY_FLOOR * radius**2))
+        # neighbouring triples can find the same extremum: seed its pair once
+        kept = np.flatnonzero(keep)
+        t = np.append(tc[kept], tc[kept[:1]])
+        dup = np.abs(np.angle(np.exp(1j * np.diff(t)))) < 0.5 * h
+        keep[kept[1:][dup[:-1]]] = False
+        if kept.size > 2 and dup[-1]:
+            keep[kept[-1]] = False
+        if keep.any():
+            near, tc, fin = near[keep], tc[keep], f[near[keep]] < 0.0
+            half = np.sqrt(-2.0 * fc[keep] / fpp[keep])
+            th = np.concatenate((th, tc - half, tc + half))
+            lo = np.concatenate((lo, (near - 1) * h, tc))
+            hi = np.concatenate((hi, tc, (near + 1) * h))
+            exits = np.concatenate((exits, fin, ~fin))
+            order = np.argsort(th)
+            th, lo, hi, exits = th[order], lo[order], hi[order], exits[order]
+    for _ in range(_HALLEY_MAX_STEPS):
+        fv, fp, fpp = _circle_f(d, pc, radius, th)
+        den = 2.0 * fp * fp - fv * fpp
+        step = np.divide(2.0 * fv * fp, den, out=np.zeros_like(den), where=den != 0.0)
+        new = th - step
+        # Halley's step stalls where f' = 0 short of a root: trust it only
+        # where it is at least half of Newton's step f/f'
+        ok = 2.0 * np.abs(step * fp) >= np.abs(fv)
+        if (ok.all() and np.all((lo <= new) & (new <= hi))
+                and not np.abs(step).max(initial=0.0) > 1e-2 * h):
+            return new, exits, bool(f[0] < 0.0)
+        # f < 0 on the lo side exactly at an exit: shrink the brackets to th
+        # and bisect where the step is not trusted or leaves them
+        below = (fv < 0.0) == exits
+        lo, hi = np.where(below, th, lo), np.where(below, hi, th)
+        bad = ~(ok & (lo <= new) & (new <= hi))
+        new[bad] = 0.5 * (lo[bad] + hi[bad])
+        th = new
+    return th, exits, bool(f[0] < 0.0)
+
+
+def _ball_overlap_jet(d, p, radius):
+    """|domain  intersect  B_radius(p)| with its gradient and Hessian in p.
+
+    The boundary of the intersection is made of curve arcs inside the disk
+    and circle arcs inside the domain, joined at the crossings theta_i.  By
+    Green's theorem about p a curve arc from theta_a to theta_b adds
+    int r^2/2 dtheta + Im(conj(center - p) (gamma_b - gamma_a))/2, and a
+    circle arc adds radius^2/2 times its angle.  The circle arc that
+    starts at a crossing, counter-clockwise in psi = arg(gamma - p), lies
+    in the domain exactly when the curve leaves the disk there, and it ends
+    at the next crossing in psi.  None of this needs the domain to be
+    star-shaped about p.  Moving p moves the disk's edge, so the gradient
+    is radius * int e^{i psi} dpsi over those arcs, i (sum over exits minus
+    sum over entries of gamma_i); the Hessian follows from how each
+    crossing slides along the curve as p moves.
+    """
+    pc = p[0] + 1j * p[1]
+    th, exits, start_inside = _circle_crossings(d, pc, radius)
+    if th.size == 0:
+        if start_inside:
+            area = d.area
+        else:
+            area = np.pi * radius**2 if d.contains(np.asarray(p)[None, :])[0] else 0.0
+        return area, np.zeros(2), np.zeros((2, 2))
+    u = np.exp(1j * th)
+    powers = np.vander(u, d.m + 1, increasing=True)
+    r, rp = (powers[:, : d.m // 2 + 1] @ d._jet_poly[:2].T).real.T
+    w = d.zc + r * u - pc
+    gp = (rp + 1j * r) * u
+    s = np.where(exits, 1.0, -1.0)
+    a0, b = d._sector_poly
+    sector = a0 * th + (powers @ b).real
+    sw = s @ w
+    curve = s @ sector + 0.5 * (np.conj(d.zc - pc) * sw).imag
+    if exits[0]:
+        curve += 2.0 * np.pi * a0           # the arc inside the disk wraps theta = 0
+    psi = np.angle(w)
+    order = np.argsort(psi, kind="stable")
+    psi = np.append(psi[order], psi[order[0]] + 2.0 * np.pi)
+    area = curve + 0.5 * radius**2 * np.diff(psi)[exits[order]].sum()
+    grad = 1j * sw
+    dot = (np.conj(w) * gp).real
+    q = np.divide(1j * s * gp, dot, out=np.zeros_like(gp), where=dot != 0.0)
+    hx, hy = q @ w.real, q @ w.imag
+    hess = np.array([[hx.real, hy.real], [hx.imag, hy.imag]])
+    return float(area), np.array([grad.real, grad.imag]), 0.5 * (hess + hess.T)
+
+
+def _ball_overlap(d, p, radius):
+    """|domain  intersect  B_radius(p)|, exact for any p (see `_ball_overlap_jet`)."""
+    return _ball_overlap_jet(d, p, radius)[0]
+
+
+def asymmetry_to_ball(d, radius, center0=None, return_center=False, stats=None):
     """Scaled symmetric difference to the best-matching ball of given radius.
 
-    Minimizes |domain DELTA B_radius(x)| / |B_radius| over the ball center x
-    with a Nelder-Mead search started at the barycenter (or `center0`).
+    Minimizes |domain DELTA B_radius(x)| / |B_radius| over the ball center
+    x, that is, maximizes the exact overlap of `_ball_overlap_jet`, by
+    Newton's method with its analytic gradient and Hessian (steepest
+    ascent, from steps of radius/4, where the overlap is not concave),
+    started at the barycenter (or `center0`, such as the previous center
+    in a flow).  The
+    search stops at a step of 1e-10 radius or a predicted gain of 1e-15
+    ball areas, below which rounding decides.  `stats`, a dict, counts the
+    overlap evaluations under "ball_evals".
     """
     ball_area = np.pi * radius**2
 
-    def objective(p):
-        ov = _ball_overlap(d, p, radius)
-        return (d.area + ball_area - 2.0 * ov) / ball_area
+    def evaluate(p):
+        area, grad, hess = _ball_overlap_jet(d, p, radius)
+        return -area, -grad, -hess
 
-    x0 = np.asarray(center0 if center0 is not None else d.barycenter, dtype=float)
-    res = minimize(objective, x0, method="Nelder-Mead",
-                   options={"xatol": 1e-10 * radius, "fatol": np.inf,
-                            "maxiter": 600, "maxfev": 1200})
-    val = float(max(res.fun, 0.0))
+    x0 = d.barycenter if center0 is None else center0
+    center, neg_area, evals = _newton_2d(evaluate, x0, _NEWTON_STEP_TOL * radius,
+                                         _NEWTON_GAIN_TOL * ball_area, 0.25 * radius)
+    if stats is not None:
+        stats["ball_evals"] = stats.get("ball_evals", 0) + evals
+    val = max((d.area + ball_area + 2.0 * neg_area) / ball_area, 0.0)
     if return_center:
-        return val, res.x.copy()
+        return val, center
     return val
 
 
 def lemma_distance_check(d, radius):
     """(lhs, rhs) of the boundary-distance estimate about the origin.
 
-    lhs = |domain DELTA B_radius(0)| / |B_radius|,
+    lhs = |domain DELTA B_radius(0)| / |B_radius|, from the exact overlap,
     rhs = sqrt(radius^{-1} * oint (|x|/radius - 1)^2 dsigma).
     """
     ov = _ball_overlap(d, np.zeros(2), radius)
@@ -493,9 +706,16 @@ def lemma_distance_check(d, radius):
 
 
 def rho0_estimate(d):
-    """Interior-ball scale: min(inscribed radius, 1/max positive curvature)."""
-    dense = StarDomain(d.center, spectral.resample(d.radii, 4 * d.m))
-    kmax = dense.curvature.max()
+    """Interior-ball scale: min(inscribed radius, 1/max positive curvature).
+
+    The curvature (r^2 + 2 r'^2 - r r'')/(r^2 + r'^2)^(3/2) is sampled on
+    the 4M grid, with r, r', r'' from one inverse FFT of the radius jet.
+    """
+    n = 4 * d.m
+    scale = np.full(d.m // 2 + 1, 0.5 * n)
+    scale[0] = n
+    r, rp, rpp = np.fft.irfft(d._jet_poly * scale, n)
+    kmax = ((r * r + 2.0 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5).max()
     if kmax <= 0.0:
         return d.in_radius
     return float(min(d.in_radius, 1.0 / kmax))
@@ -547,7 +767,8 @@ def rho_reflection_min(d, n_directions=None, tol=1e-4):
     dirs = np.column_stack([np.cos(alpha), np.sin(alpha)])
     nodes = d.nodes
     proj = nodes @ dirs.T
-    ball = float(d.boundary_distance(np.zeros((1, 2)))[0])
+    rr = np.abs(d.dense_boundary(8))        # cloud distances to the origin
+    ball = float(rr.min())
     hi = ball
     if not _reflections_pass(d, hi, dirs, nodes, proj):
         raise ConvergenceError(
@@ -563,7 +784,6 @@ def rho_reflection_min(d, n_directions=None, tol=1e-4):
         else:
             lo = mid
     rho = hi
-    rr = np.abs(d.dense_boundary(8))
     osc = float(rr.max() - rr.min())
     star = float(np.sqrt(max(rr.min() ** 2 - rho**2, 0.0)))
     return ReflectionReport(rho=float(rho), oscillation=osc, star_radius=star,

@@ -297,6 +297,12 @@ def test_flow_stats_add_up():
     assert st["solves"] == 1 + 4 * st["attempted_steps"] + st["recenters"]
 
 
+def test_flow_stats_count_ball_evaluations():
+    # one asymmetry search per accepted state, at least one evaluation each
+    traj = run_flow(normalized_domain("fourier(1;3:0.1)", m=32), 1.0, t_end=0.5)
+    assert traj.stats["ball_evals"] >= len(traj.times)
+
+
 def test_trajectory_stats_default_empty():
     traj = Trajectory(np.zeros(1), np.zeros(1), np.ones(1), np.zeros(1),
                       np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1),

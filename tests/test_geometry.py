@@ -149,6 +149,14 @@ def test_contains_and_boundary_distance():
     assert abs(d.boundary_distance(np.zeros((1, 2)))[0] - 1.0) < 1e-6
 
 
+def test_boundary_distance_is_the_cloud_minimum(rng):
+    d = build_star_domain("fourier(1;3:0.1,5:0.03)", 64, center=(0.2, -0.1))
+    pts = rng.uniform(-1.4, 1.4, size=(500, 2))
+    dense = d.dense_boundary(8)
+    brute = np.abs((pts[:, 0] + 1j * pts[:, 1])[:, None] - dense[None, :]).min(axis=1)
+    assert np.abs(d.boundary_distance(pts) - brute).max() < 1e-15
+
+
 @settings(max_examples=40, deadline=None)
 @given(modes=st.lists(st.tuples(st.integers(1, 8), st.floats(-0.08, 0.08)),
                       max_size=3, unique_by=lambda km: km[0]),
@@ -266,6 +274,113 @@ def test_ball_overlap_matches_lens_area(c, r):
     assert abs(_ball_overlap(d, np.array([c, 0.0]), r) - _lens_area(c, r)) < 1e-5
 
 
+@pytest.mark.parametrize("c, r", [(1.2, 0.5), (1.5, 1.0), (2.0, 1.5), (0.6, 0.7)])
+def test_ball_overlap_is_exact_lens_area(c, r):
+    # the crossing-point formula has no quadrature error
+    d = build_star_domain("circle(1)", 128)
+    assert abs(_ball_overlap(d, np.array([c, 0.0]), r) - _lens_area(c, r)) < 1e-13
+
+
+@pytest.mark.parametrize("c, r", [(1.5 - 1e-5, 0.5), (0.5 + 1e-5, 0.5),
+                                  (2.0 - 1e-6, 1.0)])
+@pytest.mark.parametrize("node", [57.5, 0.5, 511.5])
+def test_ball_overlap_finds_crossings_between_nodes(c, r, node):
+    # near-tangent circles whose two crossings fall between two nodes of
+    # the 4M cloud (M = 128), also across theta = 0; the lens is 1e-9-1e-8
+    d = build_star_domain("circle(1)", 128)
+    ang = 2.0 * np.pi * node / 512
+    p = np.array([c * math.cos(ang), c * math.sin(ang)])
+    assert abs(_ball_overlap(d, p, r) - _lens_area(c, r)) < 1e-13
+
+
+@pytest.mark.parametrize("r", [1.0, 0.5])
+def test_ball_overlap_crossings_near_an_extremum(r):
+    # crossing pairs 0.3-3 grid intervals apart at M = 32, where f has its
+    # extremum between the two roots and a root-finder can stall on f' = 0
+    d = build_star_domain("circle(1)", 32)
+    h = 2.0 * np.pi / 128
+    for half in np.linspace(0.3, 3.0, 28) * h:
+        c = math.cos(half) + math.sqrt(math.cos(half) ** 2 - 1.0 + r * r)
+        for ang in (np.linspace(0.0, 1.0, 9) + 0.3) * h:
+            p = np.array([c * math.cos(ang), c * math.sin(ang)])
+            assert abs(_ball_overlap(d, p, r) - _lens_area(c, r)) < 1e-13
+
+
+def test_ball_overlap_matches_fine_quadrature():
+    # random shapes, centres and radii, including centres outside and balls
+    # cutting wiggly curves at M = 32, against the Richardson-extrapolated
+    # polar trapezoid sum of (1/2) min(|gamma - p|, r)^2 on a 2048M cloud
+    def trapezoid(d, p, r, factor):
+        g = d.dense_boundary(factor) - (p[0] + 1j * p[1])
+        f = np.minimum(np.abs(g), r) ** 2
+        return 0.25 * float(np.sum((f + np.roll(f, -1)) * np.angle(np.roll(g, -1) / g)))
+
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        ks = rng.choice(np.arange(2, 9), size=int(rng.integers(1, 4)), replace=False)
+        modes = tuple((int(k), float(rng.uniform(-0.25, 0.25)) / len(ks)) for k in ks)
+        d = build_star_domain(FourierShape(1.0, modes), int(rng.choice([32, 64, 128])),
+                              center=tuple(rng.uniform(-0.5, 0.5, 2)))
+        p, r = rng.uniform(-1.5, 1.5, 2), rng.uniform(0.1, 2.0)
+        fine = (4.0 * trapezoid(d, p, r, 2048) - trapezoid(d, p, r, 1024)) / 3.0
+        assert abs(_ball_overlap(d, p, r) - fine) < 1e-8
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_asymmetry_matches_first_order_closed_form(k):
+    # normalized r*(1 + eps cos k theta): |Omega delta B|/|B| = 4 eps/pi + O(eps^3)
+    eps = 1e-6
+    d = build_star_domain(f"fourier(1;{k}:{eps})", 128)
+    d_norm = d.scaled(R_STAR / math.sqrt(d.area / math.pi))
+    assert abs(asymmetry_to_ball(d_norm, R_STAR) / (4.0 * eps / math.pi) - 1.0) < 1e-8
+
+
+def test_best_center_follows_translation():
+    d = build_star_domain("fourier(1;3:0.1,5:0.03)", 128)
+    val, center = asymmetry_to_ball(d, 1.0, return_center=True)
+    shift = np.array([0.31, -0.17])
+    start = center + shift + np.array([0.05, 0.0])
+    moved, center_t = asymmetry_to_ball(d.translated(shift), 1.0, center0=start,
+                                        return_center=True)
+    assert np.abs(center_t - center - shift).max() < 1e-9
+    assert abs(moved - val) < 1e-12
+
+
+@pytest.mark.parametrize("spec", ["fourier(1;2:0.01)", "fourier(1;3:0.1,5:0.03)"])
+def test_asymmetry_from_a_start_outside_the_newton_basin(spec):
+    # 0.3 off, where the overlap is not concave: steepest descent leads in
+    d = build_star_domain(spec, 64)
+    d = d.scaled(R_STAR / math.sqrt(d.area / math.pi))
+    ref = asymmetry_to_ball(d, R_STAR)
+    for ang in (0.0, 2.0, 4.0):
+        start = d.barycenter + 0.3 * np.array([math.cos(ang), math.sin(ang)])
+        assert abs(asymmetry_to_ball(d, R_STAR, center0=start) / ref - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("spec", ["fourier(1;2:0.1)", "fourier(1;3:0.1,5:0.03)",
+                                  "fourier(1;2:0.05,3:0.02)"])
+def test_asymmetry_does_not_depend_on_the_start(spec):
+    # a start moved by 1e-12 ends at the same optimum (Nelder-Mead moved in
+    # the 3rd-4th digit under a 3e-17 change near stationarity)
+    d = build_star_domain(spec, 64)
+    d = d.scaled(R_STAR / math.sqrt(d.area / math.pi))
+    ref = asymmetry_to_ball(d, R_STAR)
+    for off in ([1e-12, 0.0], [0.0, -1e-12], [7e-13, 7e-13]):
+        val = asymmetry_to_ball(d, R_STAR, center0=d.barycenter + np.array(off))
+        assert abs(val / ref - 1.0) < 1e-10
+
+
+def test_asymmetry_counts_overlap_evaluations():
+    stats = {}
+    # no crossings: gradient and Hessian vanish, the search stops at the start
+    assert abs(asymmetry_to_ball(build_star_domain("circle(1.1)", 64), 1.0,
+                                 stats=stats) - 0.21) < 1e-12
+    assert stats == {"ball_evals": 1}
+    d = build_star_domain("fourier(1;3:0.1,5:0.03)", 64)
+    asymmetry_to_ball(d, 1.0, center0=d.barycenter + 0.05, stats=stats)
+    assert stats["ball_evals"] > 2
+
+
 def test_lemma_distance_annulus_anchor():
     d = build_star_domain("circle(1.1)", 256)
     lhs, rhs = lemma_distance_check(d, 1.0)
@@ -316,6 +431,12 @@ def test_rho_reflection_pinned_values(spec, m, rho):
 
 def test_rho0_estimate_disk():
     assert abs(rho0_estimate(build_star_domain("circle(1)", 64)) - 1.0) < 1e-10
+
+
+def test_rho0_estimate_ellipse_curvature_radius():
+    # 1/max curvature of the ellipse is b^2/a, below its in-radius b
+    d = build_star_domain("ellipse(1.2,0.8)", 128)
+    assert abs(rho0_estimate(d) - 0.8**2 / 1.2) < 1e-12
 
 
 # -- snapshot I/O -------------------------------------------------------------

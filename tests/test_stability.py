@@ -101,6 +101,20 @@ def test_l2_distance_lhs_vanishes_at_equilibrium():
     assert np.abs(center).max() < 1e-6
 
 
+@pytest.mark.parametrize("a", [0.9, 1.2])
+def test_l2_distance_lhs_offset_disk(a):
+    # the disk's own centre is optimal, where every node has |x - x0| = a
+    d = build_star_domain(f"circle({a})", 128).translated((0.3, -0.2))
+    sol = solve_torsion(d, 1.0)
+    val, center = l2_distance_lhs(sol)
+    exact = 2.0 * math.pi * a * (0.5 * sol.lambda_ * a - 1.0) ** 2
+    assert abs(val / exact - 1.0) < 1e-12
+    assert np.abs(center - [0.3, -0.2]).max() < 1e-12
+    val2, center2 = l2_distance_lhs(sol, x0=(0.35, -0.1))
+    assert abs(val2 / exact - 1.0) < 1e-12
+    assert np.abs(center2 - [0.3, -0.2]).max() < 1e-9
+
+
 def test_faber_krahn_gap_zero_on_disks():
     for r in (0.7, 1.0, 1.6):
         sol = solve_torsion(build_star_domain(f"circle({r})", 128), 1.0)

@@ -100,6 +100,8 @@ def cmd_run(args):
         "max_vn_final": float(traj.max_vns[-1]),
         "decay_fit": fit_obj,
         "stats": traj.stats,
+        "blas_threads": {k: os.environ.get(k) for k in (  # as set outside
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "config": cfg.as_dict(),
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")

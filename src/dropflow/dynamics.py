@@ -10,12 +10,12 @@ About a ball, radius mode k >= 1 decays at sigma_k = F'(|Du|) (lambda/2)
 (k - 1), a rate that grows with k and would tie an explicit step to 1/M.
 The stepper is Lawson's integrating-factor RK4 in the radius's Fourier
 modes: that linear damping is integrated exactly and only the nonlinear
-remainder is explicit.  A spectral low-pass filter on the top third of the
-radius modes controls aliasing growth after each step.  The step size is
-the smallest of an advective CFL bound, a fixed fraction of the mode-2
-damping time, dt_max and a running step that is halved whenever a step is
-rejected (an energy increase under any law, or a degenerate stage) and
-doubled after clean steps.
+remainder is explicit; the stages are domains built from the modes, and a
+low-pass factor on the top third of them controls aliasing growth.  The
+step size is the smallest of an advective CFL bound, a fixed fraction of
+the mode-2 damping time, dt_max and a running step that is halved whenever
+a step is rejected (an energy increase under any law, or a degenerate
+stage) and doubled after clean steps.
 """
 from __future__ import annotations
 
@@ -64,17 +64,15 @@ class VelocityLaw:
             raise ValueError("law needs degree >= 1")
         if abs(np.polynomial.polynomial.polyval(1.0, c)) > 1e-12:
             raise ValueError("velocity law must vanish at s = 1")
-        grid = np.linspace(*_LAW_CHECK_RANGE, 256)
-        dc = np.polynomial.polynomial.polyder(c)
-        if np.any(np.polynomial.polynomial.polyval(grid, dc) <= 0.0):
+        object.__setattr__(self, "_dc", np.polynomial.polynomial.polyder(c))
+        if np.any(self.deriv(np.linspace(*_LAW_CHECK_RANGE, 256)) <= 0.0):
             raise ValueError("velocity law must be strictly increasing on [0.1, 10]")
 
     def __call__(self, s):
         return np.polynomial.polynomial.polyval(s, np.asarray(self.coeffs))
 
     def deriv(self, s):
-        dc = np.polynomial.polynomial.polyder(np.asarray(self.coeffs, dtype=float))
-        return np.polynomial.polynomial.polyval(s, dc)
+        return np.polynomial.polynomial.polyval(s, self._dc)
 
     @property
     def is_quadratic(self):
@@ -176,10 +174,23 @@ def _stiff_dt(domain, sol, law):
     return 2.5 / max(rate, 1e-300)
 
 
-def _stage_domain(center, radii):
-    if np.any(radii <= 0.0):
-        raise FlowHalt("radius_collapse")
-    return StarDomain(center, radii)
+def _stage_domain(center, modes):
+    try:
+        return StarDomain(center, modes=modes)
+    except ShapeError:
+        if np.all(np.isfinite(modes)):          # so a radius sample is <= 0
+            raise FlowHalt("radius_collapse") from None
+        raise
+
+
+def _solve(domain, vol, stats=None):
+    """`solve_torsion`, widening the stats' condition-estimate range."""
+    sol = solve_torsion(domain, vol)
+    if stats is not None:
+        cond = sol.condition_estimate
+        stats["cond_min"] = min(stats.get("cond_min", cond), cond)
+        stats["cond_max"] = max(stats.get("cond_max", cond), cond)
+    return sol
 
 
 def advance_step(domain, vol, law, dt, sol=None, filter_frac=1.0 / 3.0,
@@ -192,12 +203,13 @@ def advance_step(domain, vol, law, dt, sol=None, filter_frac=1.0 / 3.0,
     exactly by the factors exp(-sigma_k dt/2), and RK4 treats only the
     remainder rate(r) + sigma * r.  `sol` may pass in the already-solved
     state at `domain` to avoid one of the four stage solves; `stats`, a
-    dict, counts the stage solves under "stage_solves".
+    dict, counts them ("stage_solves") and their range of condition
+    estimates ("cond_min", "cond_max").
     """
     c = domain.center
     m = domain.m
     if sol is None:
-        sol = solve_torsion(domain, vol)
+        sol = _solve(domain, vol, stats)
     sigma = _damping_slope(sol, law) * np.maximum(np.arange(m // 2 + 1) - 1.0, 0.0)
     e = np.exp(-0.5 * dt * sigma)
 
@@ -205,26 +217,27 @@ def advance_step(domain, vol, law, dt, sol=None, filter_frac=1.0 / 3.0,
         return np.fft.rfft(_radius_rate(d, s, law)) + sigma * rh
 
     def stage(rh):
-        d = _stage_domain(c, np.fft.irfft(rh, m))
+        d = _stage_domain(c, rh)
         if stats is not None:
             stats["stage_solves"] += 1
-        return remainder(d, solve_torsion(d, vol), rh)
+        return remainder(d, _solve(d, vol, stats), rh)
 
-    r0 = np.fft.rfft(domain.radii)
+    r0 = domain.modes
     k1 = remainder(domain, sol, r0)
     k2 = stage(e * (r0 + 0.5 * dt * k1))
     k3 = stage(e * r0 + 0.5 * dt * k2)
     k4 = stage(e * e * r0 + dt * e * k3)
     r_new = e * e * (r0 + (dt / 6.0) * k1) + (dt / 6.0) * (2.0 * e * (k2 + k3) + k4)
-    r_new = spectral.exp_filter(np.fft.irfft(r_new, m), frac=filter_frac,
-                                alpha=filter_alpha)
-    return _stage_domain(c, r_new)
+    return _stage_domain(c, r_new * spectral.exp_filter_factor(m, filter_frac,
+                                                                filter_alpha))
 
 
 def _diagnose(t, domain, sol, law, r_star, asym_center, stats):
     vn = law(sol.boundary_grad.values)
     bg = sol.boundary_grad.values
     dissipation = float(np.sum((1.0 - bg**2) * vn * domain.arc_weights))
+    tail = spectral.tail_fraction(bg)
+    stats["grad_tail_max"] = max(stats.get("grad_tail_max", tail), tail)
     asym, center = asymmetry_to_ball(domain, r_star, center0=asym_center,
                                      return_center=True, stats=stats)
     return FlowState(
@@ -264,13 +277,15 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt0=None, dt_max=np.inf,
     counts the solves (all of them) and stage solves, the attempted and
     accepted steps, rejects by reason, recenters, the ball-overlap
     evaluations of the asymmetry searches ("ball_evals"), and per attempted
-    step the bound that set dt.
+    step the bound that set dt, the condition-estimate range of all solves
+    ("cond_min", "cond_max") and the largest top-third |Du| tail of the
+    accepted states ("grad_tail_max").
     """
     law = quadratic_law() if law is None else law
     b = ball_closed_forms(2, vol)
-    sol = solve_torsion(domain, vol)
     counts = Counter(solves=1, stage_solves=0, attempted_steps=0,
                      accepted_steps=0, recenters=0, ball_evals=0)
+    sol = _solve(domain, vol, counts)
     reject_reasons, dt_bound = Counter(), Counter()
     state, asym_center = _diagnose(0.0, domain, sol, law, b.r_star,
                                    domain.barycenter, counts)
@@ -309,27 +324,22 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt0=None, dt_max=np.inf,
                                       filter_frac=filter_frac,
                                       filter_alpha=filter_alpha, stats=counts)
             counts["solves"] += 1
-            new_sol = solve_torsion(new_domain, vol)
+            new_sol = _solve(new_domain, vol, counts)
+            slack = _J_SLACK * max(1.0, abs(state.energy))
+            if total_energy(new_sol) > state.energy + slack:
+                raise FlowHalt("energy_increase")
         except (FlowHalt, ShapeError, SolverError) as exc:
-            reject_reasons[exc.reason if isinstance(exc, FlowHalt)
-                           else type(exc).__name__] += 1
+            reason = exc.reason if isinstance(exc, FlowHalt) else type(exc).__name__
+            reject_reasons[reason] += 1
             rejects += 1
             clean = 0
             dt = dt_try / 2.0
             log.debug("step rejected at t=%.6g (%s); dt -> %.3g", t, exc, dt)
             if rejects > max_rejects:
                 status = "halted"
-                halt_reason = exc.reason if isinstance(exc, FlowHalt) else str(exc)
-                break
-            continue
-        new_energy = total_energy(new_sol)
-        if new_energy > state.energy + _J_SLACK * max(1.0, abs(state.energy)):
-            reject_reasons["energy_increase"] += 1
-            rejects += 1
-            clean = 0
-            dt = dt_try / 2.0
-            if rejects > max_rejects:
-                status, halt_reason = "halted", _energy_halt_reason(sol, new_sol)
+                halt_reason = (_energy_halt_reason(sol, new_sol)
+                               if reason == "energy_increase" else
+                               exc.reason if isinstance(exc, FlowHalt) else str(exc))
                 break
             continue
 
@@ -342,7 +352,7 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt0=None, dt_max=np.inf,
             try:
                 moved = domain.recentered()
                 counts["solves"] += 1
-                domain, sol = moved, solve_torsion(moved, vol)
+                domain, sol = moved, _solve(moved, vol, counts)
                 counts["recenters"] += 1
             except (ShapeError, SolverError) as exc:
                 # keep the accepted, un-recentered state and stop here

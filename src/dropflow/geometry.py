@@ -1,14 +1,14 @@
 """Star-shaped planar domains with spectral boundary geometry.
 
-A domain is represented by M radius samples on the uniform angle grid
-theta_j = 2*pi*j/M about a center point.  The boundary is one curve, the
-trigonometric interpolant r(theta) swept around the center:
-gamma(theta) = center + r(theta) e^{i theta}.  Everything else is derived
-from r and its spectral derivatives r', r'': the nodes, the tangent, normal,
-speed, curvature and arc weights (from gamma' and gamma''), the curve at
-arbitrary angles, membership, and the cached dense node clouds that the
-distance queries (through a k-d tree of the 8M cloud), ray casting and the
-crossing search of the ball overlap read.
+A domain is held by its radius modes, the real FFT of M radius samples on
+the uniform angle grid theta_j = 2*pi*j/M about a center point, and is
+built from either.  The boundary is one curve, the interpolant r(theta)
+swept around the center: gamma(theta) = center + r(theta) e^{i theta}.
+Everything is derived from the modes: r, r', r'' in one batched inverse
+FFT, then the nodes, tangent, normal, speed, curvature and arc weights;
+the area by Parseval; the curve at arbitrary angles, membership, and the
+radii on refined grids (one inverse FFT each, cached) behind the dense
+clouds that distance queries, ray casting and the ball overlap read.
 
 Besides the representation itself this module provides area/moment
 computations, a tensor-product interior quadrature, ball-comparison metrics
@@ -127,8 +127,17 @@ class BoundaryGeometry(NamedTuple):
     arc_weights: np.ndarray
 
 
+def _jet_rows(c):
+    """Rows c_k, i k c_k, -k^2 c_k: the modes of r, r' and r'' from those of
+    r; r' drops the Nyquist term, as `spectral.deriv` does."""
+    ik = 1j * np.arange(c.size)
+    cp = ik * c
+    cp[-1] = 0.0
+    return np.stack([c, cp, ik * ik * c])
+
+
 class StarDomain:
-    """Star-shaped domain from uniform-angle radius samples.
+    """Star-shaped domain from uniform-angle radius samples or their modes.
 
     Parameters
     ----------
@@ -136,54 +145,74 @@ class StarDomain:
         Star center; the radius parameterization is taken about it.
     radii : (M,) array_like
         Positive radius samples at theta_j = 2*pi*j/M, M even, M >= 16.
+    modes : (M/2 + 1,) array_like, keyword only
+        Instead of `radii`: their real FFT, ``np.fft.rfft(radii)``.
     """
 
-    def __init__(self, center, radii):
+    def __init__(self, center, radii=None, *, modes=None):
         center = np.asarray(center, dtype=float).reshape(2)
-        radii = np.asarray(radii, dtype=float).copy()
-        m = radii.size
+        given = (np.array(radii, dtype=float) if modes is None
+                 else np.array(modes, dtype=complex))
+        m = given.size if modes is None else 2 * given.size - 2
         if m < _MIN_M or m % 2 != 0:
             raise ShapeError(f"need an even number of samples >= {_MIN_M}, got {m}")
-        if not np.all(np.isfinite(radii)) or np.any(radii <= 0.0):
+        if not np.all(np.isfinite(given)):
+            raise ShapeError("radius samples must be finite and positive")
+        # r', r'' (and r, when built from modes) in one inverse FFT
+        if modes is None:
+            radii, modes = given, np.fft.rfft(given)
+            rp, rpp = np.fft.irfft(_jet_rows(modes)[1:], m)
+        else:
+            modes = given
+            modes[[0, -1]] = modes[[0, -1]].real
+            radii, rp, rpp = np.fft.irfft(_jet_rows(modes), m)
+        if np.any(radii <= 0.0):
             raise ShapeError("radius samples must be finite and positive")
         self.center = center
+        self.modes = modes
         self.radii = radii
         self.m = m
         self.theta = spectral.angle_grid(m)
 
         # boundary nodes and differential geometry from r, r', r''
-        self._rp = spectral.deriv(radii)
-        self._rpp = spectral.deriv(radii, 2)
         e = spectral.unit_circle(m)
         self.zc = center[0] + 1j * center[1]
         self.z = self.zc + radii * e
-        zp = (self._rp + 1j * radii) * e
-        zpp = (self._rpp + 2j * self._rp - radii) * e
+        zp = (rp + 1j * radii) * e
+        zpp = (rpp + 2j * rp - radii) * e
         self.speed = np.abs(zp)
         self.tangent_c = zp / self.speed
         self.normal_c = -1j * self.tangent_c
         self.curvature = -(np.conj(zpp) * self.normal_c).real / self.speed**2
         self.arc_weights = (2.0 * np.pi / m) * self.speed
 
-        self.nodes = np.column_stack([self.z.real, self.z.imag])
-        self.tangent = np.column_stack([self.tangent_c.real, self.tangent_c.imag])
-        self.normal = np.column_stack([self.normal_c.real, self.normal_c.imag])
+        # Parseval: (1/2) int r^2 dtheta, the Nyquist mode a cosine
+        p = modes.real**2 + modes.imag**2
+        self.area = float(np.pi * (p[0] + 2.0 * p[1:-1].sum() + 0.5 * p[-1]) / m**2)
+        self._refined = {}
 
-        self.area = 0.5 * spectral.dealiased_power_sum(radii, 2)
-        self._dense = {}
+    # (M, 2) real views of the complex z, tangent_c and normal_c
+    nodes = cached_property(lambda self: self.z.view(float).reshape(-1, 2))
+    tangent = cached_property(lambda self: self.tangent_c.view(float).reshape(-1, 2))
+    normal = cached_property(lambda self: self.normal_c.view(float).reshape(-1, 2))
+
+    def refined_radii(self, factor):
+        """Cached r on the factor*M uniform angle grid: one inverse FFT of
+        the modes, the Nyquist one halved (as in `spectral.resample`)."""
+        if factor not in self._refined:
+            fh = np.append(self.modes[:-1], 0.5 * self.modes[-1])
+            self._refined[factor] = np.fft.irfft(fh, factor * self.m) * factor
+        return self._refined[factor]
 
     def dense_boundary(self, factor=16):
-        """Cached curve points (complex) on the factor*M uniform angle grid."""
-        if factor not in self._dense:
-            mq = factor * self.m
-            self._dense[factor] = (self.zc + spectral.resample(self.radii, mq)
-                                   * spectral.unit_circle(mq))
-        return self._dense[factor]
+        """Curve points (complex) on the factor*M uniform angle grid."""
+        u = spectral.unit_circle(factor * self.m)
+        return self.zc + self.refined_radii(factor) * u
 
     @cached_property
     def spectral_tail(self):
         """Relative l2 weight of the top third of the radius modes."""
-        return spectral.tail_fraction(self.radii)
+        return spectral.mode_tail_fraction(self.modes)
 
     # -- scalar geometry ----------------------------------------------------
 
@@ -246,22 +275,15 @@ class StarDomain:
     @cached_property
     def _radius_poly(self):
         """Coefficients c_k, k = 0..M/2, of r(theta) = Re sum_k c_k e^{i k theta}."""
-        c = np.fft.rfft(self.radii) * (2.0 / self.m)
+        c = self.modes * (2.0 / self.m)
         c[0] *= 0.5
         c[-1] = 0.5 * c[-1].real
         return c
 
     @cached_property
     def _jet_poly(self):
-        """Rows c_k, i k c_k, -k^2 c_k: r, r' and r'' as Re sum_k row_k u^k.
-
-        r' drops the Nyquist term, as `spectral.deriv` does.
-        """
-        c = self._radius_poly
-        ik = 1j * np.arange(c.size)
-        cp = ik * c
-        cp[-1] = 0.0
-        return np.stack([c, cp, ik * ik * c])
+        """r, r' and r'' as Re sum_k row_k u^k (rows of `_jet_rows`)."""
+        return _jet_rows(self._radius_poly)
 
     @cached_property
     def _sector_poly(self):
@@ -269,11 +291,9 @@ class StarDomain:
         a_0 theta + Re sum_k b_k u^k up to a constant (b_0 = 0).
 
         r^2 is a trigonometric polynomial of degree M, so one rfft of its
-        samples |gamma - center|^2 on the 4M cloud gives its coefficients
-        exactly.
+        samples on the 4M grid gives its coefficients exactly.
         """
-        g = self.dense_boundary(4) - self.zc
-        a = np.fft.rfft(0.5 * (g.real**2 + g.imag**2))[: self.m + 1] * (0.5 / self.m)
+        a = np.fft.rfft(0.5 * self.refined_radii(4) ** 2)[: self.m + 1] * (0.5 / self.m)
         b = np.zeros_like(a)
         b[1:] = a[1:] / (1j * np.arange(1, self.m + 1))
         return 0.5 * a[0].real, b
@@ -711,10 +731,8 @@ def rho0_estimate(d):
     The curvature (r^2 + 2 r'^2 - r r'')/(r^2 + r'^2)^(3/2) is sampled on
     the 4M grid, with r, r', r'' from one inverse FFT of the radius jet.
     """
-    n = 4 * d.m
-    scale = np.full(d.m // 2 + 1, 0.5 * n)
-    scale[0] = n
-    r, rp, rpp = np.fft.irfft(d._jet_poly * scale, n)
+    fh = np.append(d.modes[:-1], 0.5 * d.modes[-1])     # as in `refined_radii`
+    r, rp, rpp = 4.0 * np.fft.irfft(_jet_rows(fh), 4 * d.m)
     kmax = ((r * r + 2.0 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5).max()
     if kmax <= 0.0:
         return d.in_radius

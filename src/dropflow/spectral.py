@@ -63,7 +63,11 @@ def eval_at_angles(f, psi):
 
 def tail_fraction(f, frac=1.0 / 3.0):
     """Relative l2 weight of the top `frac` of modes (smoothness diagnostic)."""
-    fh = np.fft.rfft(np.asarray(f, dtype=float))
+    return mode_tail_fraction(np.fft.rfft(np.asarray(f, dtype=float)), frac)
+
+
+def mode_tail_fraction(fh, frac=1.0 / 3.0):
+    """`tail_fraction` of the samples whose real FFT is fh."""
     power = np.abs(fh) ** 2
     power[1:-1] *= 2.0
     kmax = len(fh) - 1
@@ -75,22 +79,23 @@ def tail_fraction(f, frac=1.0 / 3.0):
 
 
 def exp_filter(f, frac=1.0 / 3.0, alpha=None, order=8):
-    """Exponential low-pass keeping the bottom (1-frac) of modes untouched.
+    """Exponential low-pass keeping the bottom (1-frac) of modes untouched."""
+    m = np.shape(f)[-1]
+    return np.fft.irfft(np.fft.rfft(f) * exp_filter_factor(m, frac, alpha, order), m)
 
-    Default alpha damps the top mode to machine epsilon.
-    """
-    f = np.asarray(f, dtype=float)
-    m = f.shape[-1]
+
+def exp_filter_factor(m, frac=1.0 / 3.0, alpha=None, order=8):
+    """The factor `exp_filter` applies to the real FFT of M samples; the
+    default alpha damps the top mode to machine epsilon."""
     if alpha is None:
         alpha = -np.log(np.finfo(float).eps)
-    fh = np.fft.rfft(f)
-    k = np.arange(len(fh))
     kmax = m // 2
+    k = np.arange(kmax + 1)
     kcut = int(np.floor((1.0 - frac) * kmax))
-    sigma = np.ones(len(fh))
+    sigma = np.ones(k.size)
     hi = k > kcut
     sigma[hi] = np.exp(-alpha * ((k[hi] - kcut) / (kmax - kcut)) ** order)
-    return np.fft.irfft(fh * sigma, m)
+    return sigma
 
 
 def dealiased_power_sum(f, power):

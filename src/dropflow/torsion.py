@@ -16,7 +16,8 @@ interior boundary values
                                     + mu'(theta_i) 2 pi/M],
 
 whose integrand is smooth.  The boundary normal derivative of h is the
-tangential derivative of the conjugate, d_n h = -d_s Im Phi_-.  Interior
+tangential derivative of the conjugate, d_n h = -d_s Im Phi_-, one real
+FFT pair for both terms of Im Phi_- (the sum and mu').  Interior
 values, gradients and Hessians of h come from Phi, Phi' and Phi'': their
 boundary values are formed once on a 4M-point resampled grid (the M grid
 aliases the product integrand and loses digits in Phi'') and continued
@@ -81,11 +82,10 @@ class TorsionSolution:
         self.lambda_ = float(lambda_)
         self.phi_integral = float(phi_integral)
         self.density = BoundaryField(domain, mu)
-        self._dn_h = dn_h
         d = domain
         rel = d.z - d.zc
-        dn_phi = -(rel.real * d.normal_c.real + rel.imag * d.normal_c.imag) / 2.0 + dn_h
-        self._dn_phi = dn_phi
+        self._dn_phi = dn_phi = -(rel.real * d.normal_c.real
+                                  + rel.imag * d.normal_c.imag) / 2.0 + dn_h
         self.boundary_grad = BoundaryField(domain, -lambda_ * dn_phi)
         self.condition_estimate = float(cond)
         self._sources = None
@@ -200,7 +200,7 @@ def _phi_integral_boundary(d, g, dn_h):
     rel = d.z - d.zc
     xdn = rel.real * d.normal_c.real + rel.imag * d.normal_c.imag
     int_h = np.sum((g * xdn / 2.0 - g * dn_h) * d.arc_weights)
-    int_x2 = spectral.dealiased_power_sum(d.radii, 4) / 4.0
+    int_x2 = (2.0 * np.pi / (4 * d.m)) * float(np.sum(d.refined_radii(4) ** 4)) / 4.0
     return float(-int_x2 / 4.0 + int_h)
 
 
@@ -241,7 +241,12 @@ def solve_torsion(domain, vol, cond_limit=1e8, check_volume=False, n_radial=24):
             f"boundary system condition estimate {cond:.3e} exceeds "
             f"limit {cond_limit:.3e}", condition_estimate=cond)
     mu = lu_solve((lu, piv), g)
-    dn_h = -spectral.deriv(_boundary_values(c, mu).imag) / d.speed
+    # d_n h = -d_theta Im Phi_-/speed, Im Phi_- = -Re(C mu - mu rowsum C)/2pi - mu'/M
+    fh = np.fft.rfft(np.stack([(c @ mu.astype(complex) - mu * c.sum(axis=1)).real, mu]))
+    ik = 1j * np.arange(d.m // 2 + 1)
+    dim = ik * (-fh[0] / (2.0 * np.pi) - ik * fh[1] / d.m)
+    dim[-1] = 0.0
+    dn_h = -np.fft.irfft(dim, d.m) / d.speed
 
     int_phi = _phi_integral_boundary(d, g, dn_h)
     if int_phi <= 0.0:

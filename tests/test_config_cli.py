@@ -200,3 +200,24 @@ def test_cli_run_summary_reports_stats(tmp_path, capsys, monkeypatch):
     assert sum(stats["dt_bound"].values()) == stats["attempted_steps"]
     header = (out / "timeseries.csv").read_text().splitlines()[0]
     assert header == "t,J,lambda,deficit,asymmetry,max_Vn,dt"
+
+
+def test_cli_run_summary_reports_blas_threads_and_ranges(tmp_path, capsys, monkeypatch):
+    import os
+    monkeypatch.delenv("DROPFLOW_OUTDIR", raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(GOOD_CONFIG + f"outdir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                       "OMP_NUM_THREADS": None,
+                                       "MKL_NUM_THREADS": None}
+    # recorded, never set by the package
+    assert "OMP_NUM_THREADS" not in os.environ
+    assert "MKL_NUM_THREADS" not in os.environ
+    stats = summary["stats"]
+    assert 1.0 <= stats["cond_min"] <= stats["cond_max"]
+    assert 0.0 <= stats["grad_tail_max"] < 1.0

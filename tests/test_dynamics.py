@@ -9,6 +9,7 @@ from dropflow import (FlowHalt, Trajectory, VelocityLaw, advance_step,
                       dissipation_residuals, fit_decay_rate, normalized_domain,
                       polynomial_law, quadratic_law, run_flow,
                       save_timeseries_csv, solve_torsion)
+from dropflow.spectral import tail_fraction as spectral_tail
 
 R_STAR = (4.0 / math.pi) ** (1.0 / 3.0)
 
@@ -69,6 +70,44 @@ def test_advance_step_halts_on_radius_collapse():
     with pytest.raises(FlowHalt) as info:
         advance_step(d, 1.0, quadratic_law(), 20.0)
     assert info.value.reason == "radius_collapse"
+
+
+def test_advance_step_stays_in_mode_space(monkeypatch):
+    # the stages, the step and the filter never go back to samples to
+    # differentiate, resample or integrate them
+    from dropflow import spectral
+
+    def forbidden(*args, **kw):
+        raise AssertionError("sample-space spectral helper called")
+    for name in ("deriv", "resample", "dealiased_power_sum", "exp_filter"):
+        monkeypatch.setattr(spectral, name, forbidden)
+    d = build_star_domain("fourier(1;2:0.1)", 64)
+    d2 = advance_step(d, 1.0, quadratic_law(), 0.01)
+    assert d2.m == 64 and 0.0 < np.abs(d2.radii - d.radii).max() < 0.01
+
+
+def test_stage_domain_halts_on_negative_modes_radius():
+    from dropflow import ShapeError, dynamics
+    th = 2 * np.pi * np.arange(32) / 32
+    modes = np.fft.rfft(0.2 + np.cos(th))           # negative near theta = pi
+    with pytest.raises(FlowHalt) as info:
+        dynamics._stage_domain(np.zeros(2), modes)
+    assert info.value.reason == "radius_collapse"
+    modes[2] = np.inf                               # non-finite stays a ShapeError
+    with pytest.raises(ShapeError):
+        dynamics._stage_domain(np.zeros(2), modes)
+
+
+def test_velocity_law_derivative_is_cached_and_exact(monkeypatch):
+    law = polynomial_law([-1.0, 0.5, 0.25, 0.25])
+    s = np.linspace(0.1, 3.0, 7)
+    dc = np.polynomial.polynomial.polyder(np.asarray(law.coeffs))
+    expected = np.polynomial.polynomial.polyval(s, dc)
+
+    def forbidden(*args, **kw):
+        raise AssertionError("derivative coefficients recomputed")
+    monkeypatch.setattr(np.polynomial.polynomial, "polyder", forbidden)
+    assert np.array_equal(law.deriv(s), expected)
 
 
 def test_hold_at_equilibrium_ball():
@@ -301,6 +340,29 @@ def test_flow_stats_count_ball_evaluations():
     # one asymmetry search per accepted state, at least one evaluation each
     traj = run_flow(normalized_domain("fourier(1;3:0.1)", m=32), 1.0, t_end=0.5)
     assert traj.stats["ball_evals"] >= len(traj.times)
+
+
+def test_flow_stats_report_condition_and_gradient_tail_ranges():
+    traj = run_flow(normalized_domain("fourier(1;3:0.1)", m=32), 1.0, t_end=0.5)
+    st = traj.stats
+    conds = [s.solution.condition_estimate for s in traj.states]
+    assert 1.0 <= st["cond_min"] <= min(conds)
+    assert max(conds) <= st["cond_max"] < 1e8
+    tails = [spectral_tail(s.solution.boundary_grad.values) for s in traj.states]
+    assert max(tails) <= st["grad_tail_max"] < 1e-3
+
+
+def test_pinned_mode_three_flow():
+    # fourier(1;3:0.1) at M = 32 to stationarity, pinned to the results
+    # of the sample-space stepper that preceded the modes path
+    traj = run_flow(build_star_domain("fourier(1;3:0.1)", 32), 1.0, t_end=20.0)
+    assert traj.status == "stationary"
+    assert len(traj.times) - 1 == 48
+    pinned = {"solves": 193, "stage_solves": 144, "ball_evals": 51,
+              "dt_bound": {"growth": 20, "accuracy": 28}, "rejects": {}}
+    assert {k: traj.stats[k] for k in pinned} == pinned
+    assert abs(fit_decay_rate(traj).rate / 3.874870381089509 - 1.0) < 1e-10
+    assert abs(traj.lambdas[-1] - 1.8452701486858674) < 1e-13
 
 
 def test_trajectory_stats_default_empty():

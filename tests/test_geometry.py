@@ -259,6 +259,59 @@ def test_dense_boundary_is_the_radius_interpolant():
     assert np.abs(dense[::8] - d.z).max() <= 1e-14
 
 
+def _rough_radii(m, seed):
+    rng = np.random.default_rng(seed)
+    th = spectral.angle_grid(m)
+    return (1.0 + 0.1 * np.cos(2 * th)) * (1.0 + 0.01 * rng.standard_normal(m))
+
+
+@pytest.mark.parametrize("m", [16, 64, 128])
+def test_domain_from_modes_matches_domain_from_samples(m):
+    # a rough shape, so the Nyquist mode matters; the modes path derives
+    # r, r', r'' in one inverse FFT, the samples path keeps r as given
+    radii = _rough_radii(m, 7)
+    a = StarDomain((0.2, -0.1), radii)
+    b = StarDomain((0.2, -0.1), modes=np.fft.rfft(radii))
+    assert np.array_equal(a.radii, radii)
+    assert np.array_equal(a.modes, b.modes)
+
+    def close(x, y):
+        # 1e-14 relative to the field's size (the curvature reaches ~30)
+        return np.abs(x - y).max() <= 1e-14 * np.abs(x).max()
+    for name in ("z", "speed", "curvature", "arc_weights", "nodes", "normal"):
+        assert close(getattr(a, name), getattr(b, name)), name
+    assert close(a.area, b.area)
+    assert close(a.dense_boundary(4), b.dense_boundary(4))
+    assert close(a._jet_poly, b._jet_poly)
+    assert a.spectral_tail == spectral.tail_fraction(radii)
+
+
+def test_domain_from_modes_rejects_bad_modes():
+    with pytest.raises(ShapeError, match="even number"):
+        StarDomain((0.0, 0.0), modes=np.ones(8))          # M = 14
+    bad = np.fft.rfft(np.full(32, 1.0))
+    bad[3] = np.nan
+    with pytest.raises(ShapeError, match="finite"):
+        StarDomain((0.0, 0.0), modes=bad)
+    with pytest.raises(ShapeError, match="positive"):
+        StarDomain((0.0, 0.0), modes=np.fft.rfft(np.full(32, -1.0)))
+
+
+@pytest.mark.parametrize("m", [16, 64, 256])
+def test_parseval_area_matches_dealiased_quadrature(m):
+    radii = _rough_radii(m, 3)
+    d = StarDomain((0.0, 0.0), radii)
+    ref = 0.5 * spectral.dealiased_power_sum(radii, 2)
+    assert abs(d.area / ref - 1.0) <= 1e-15
+
+
+def test_refined_radii_is_the_resampled_interpolant():
+    radii = _rough_radii(64, 5)
+    d = StarDomain((0.0, 0.0), radii)
+    assert np.array_equal(d.refined_radii(4), spectral.resample(radii, 256))
+    assert d.refined_radii(4) is d.refined_radii(4)
+
+
 def _lens_area(c, r):
     """|B_1(0) intersect B_r((c, 0))| for circles that cross."""
     d1 = (c * c + 1.0 - r * r) / (2.0 * c)

@@ -31,6 +31,6 @@ from .stability import (BallQuantities, StabilityReport, ball_closed_forms,
                         l2_distance_lhs, normalized_domain, serrin_deficit,
                         stability_report, sweep_stability, total_energy,
                         write_sweep_csv)
-from .torsion import TorsionSolution, eval_interior, solve_torsion
+from .torsion import TorsionSolution, solve_torsion
 
 __all__ = [name for name in dir() if not name.startswith("_")]

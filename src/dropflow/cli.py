@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import parse_config
+from .config import RANGES, parse_config
 from .dynamics import fit_decay_rate, run_flow, save_timeseries_csv
 from .errors import ConfigError, ShapeError, SolverError
 from .geometry import build_star_domain, save_domain_csv
@@ -35,12 +35,13 @@ EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_HALT = 3
 
-# (argument, valid, message) for the numeric options of every subcommand
+# (argument, valid, what it must be) for the numeric options of every
+# subcommand; --vol and --m take the ranges of the scenario file's keys
 _ARG_CHECKS = (
-    ("vol", lambda v: v > 0.0, "--vol must be positive"),
-    ("m", lambda v: v >= 16 and v % 2 == 0, "--m must be even and >= 16"),
-    ("n_radial", lambda v: v >= 2, "--n-radial must be >= 2"),
-    ("n", lambda v: v >= 2, "--n must be >= 2"),
+    ("vol", *RANGES["vol"]),
+    ("m", *RANGES["m"]),
+    ("n_radial", lambda v: v >= 2, ">= 2"),
+    ("n", lambda v: v >= 2, ">= 2"),
 )
 
 _DEFAULT_VERIFY_SHAPES = (
@@ -157,8 +158,12 @@ def cmd_stability(args):
 
 
 def cmd_ball(args):
-    b = ball_closed_forms(args.n, args.vol)
-    notes = ball_consistency_notes(args.n, args.vol)
+    try:
+        b = ball_closed_forms(args.n, args.vol)
+        notes = ball_consistency_notes(args.n, args.vol)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     payload = {
         "n": b.n, "vol": b.vol, "r_star": b.r_star,
         "lambda_star": b.lambda_star, "j_star": b.j_star,
@@ -207,9 +212,9 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    for name, ok, message in _ARG_CHECKS:
+    for name, ok, must in _ARG_CHECKS:
         if hasattr(args, name) and not ok(getattr(args, name)):
-            print(message, file=sys.stderr)
+            print(f"--{name.replace('_', '-')} must be {must}", file=sys.stderr)
             return EXIT_CONFIG
     return args.func(args)
 

@@ -86,17 +86,18 @@ _PARSERS = {
     "outdir": str,
 }
 
-_RANGES = {
-    "vol": lambda v: 0.0 < v <= 1e6,
-    "m": lambda v: 16 <= v <= 2048 and v % 2 == 0,
-    "n_radial": lambda v: 4 <= v <= 64,
-    "dt0": lambda v: 0.0 <= v <= 10.0,
-    "cfl": lambda v: 0.0 < v <= 1.0,
-    "t_end": lambda v: 0.0 < v <= 1e4,
-    "tol_stationary": lambda v: 0.0 < v < 1.0,
-    "snapshot_stride": lambda v: v >= 1,
-    "filter_strength": lambda v: v >= 0.0,
-    "seed": lambda v: v >= 0,
+# key: (valid, the range in words); the CLI checks its --vol and --m by these
+RANGES = {
+    "vol": (lambda v: 0.0 < v <= 1e6, "positive and <= 1e6"),
+    "m": (lambda v: 16 <= v <= 2048 and v % 2 == 0, "even and >= 16 and <= 2048"),
+    "n_radial": (lambda v: 4 <= v <= 64, "in 4..64"),
+    "dt0": (lambda v: 0.0 <= v <= 10.0, "in [0, 10]"),
+    "cfl": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "t_end": (lambda v: 0.0 < v <= 1e4, "in (0, 1e4]"),
+    "tol_stationary": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "snapshot_stride": (lambda v: v >= 1, ">= 1"),
+    "filter_strength": (lambda v: v >= 0.0, ">= 0"),
+    "seed": (lambda v: v >= 0, ">= 0"),
 }
 
 
@@ -120,9 +121,10 @@ def parse_config_text(text, source="<config>"):
             raise ConfigError(f"{source}:{ln}: bad value for {key!r}: {val!r}") from exc
     if "shape" not in seen:
         raise ConfigError(f"{source}: missing required key 'shape'")
-    for key, ok in _RANGES.items():
+    for key, (ok, must) in RANGES.items():
         if key in seen and not ok(seen[key]):
-            raise ConfigError(f"{source}: value for {key!r} out of range: {seen[key]!r}")
+            raise ConfigError(f"{source}: value for {key!r} out of range: "
+                              f"{seen[key]!r} (must be {must})")
     cfg = ScenarioConfig(**seen)
     try:
         parse_shape(cfg.shape)

@@ -193,10 +193,9 @@ def _solve(domain, vol, stats=None):
     return sol
 
 
-def advance_step(domain, vol, law, dt, sol=None, filter_frac=1.0 / 3.0,
-                 filter_alpha=None, stats=None):
+def advance_step(domain, vol, law, dt, sol=None, filter_alpha=None, stats=None):
     """One integrating-factor RK4 step of the radius law; returns the new
-    (filtered) domain.
+    domain, its top third of modes damped by the exponential filter.
 
     Lawson's scheme in the Fourier modes of the radius: the linear damping
     sigma_k = (k - 1) * sigma_2 of mode k >= 1 about the ball is integrated
@@ -228,8 +227,7 @@ def advance_step(domain, vol, law, dt, sol=None, filter_frac=1.0 / 3.0,
     k3 = stage(e * r0 + 0.5 * dt * k2)
     k4 = stage(e * e * r0 + dt * e * k3)
     r_new = e * e * (r0 + (dt / 6.0) * k1) + (dt / 6.0) * (2.0 * e * (k2 + k3) + k4)
-    return _stage_domain(c, r_new * spectral.exp_filter_factor(m, filter_frac,
-                                                                filter_alpha))
+    return _stage_domain(c, r_new * spectral.exp_filter_factor(m, alpha=filter_alpha))
 
 
 def _diagnose(t, domain, sol, law, r_star, asym_center, stats):
@@ -258,8 +256,7 @@ def _energy_halt_reason(*sols):
 
 def run_flow(domain, vol, law=None, t_end=10.0, dt0=None, dt_max=np.inf,
              cfl=0.4, tol_stationary=1e-7, snapshot_stride=50,
-             filter_frac=1.0 / 3.0, filter_alpha=None, recenter_fraction=0.1,
-             max_rejects=40):
+             filter_alpha=None, recenter_fraction=0.1, max_rejects=40):
     """Evolve a star domain under the normal-velocity law.
 
     Step size: the smallest of the advective CFL bound cfl * min node
@@ -321,7 +318,6 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt0=None, dt_max=np.inf,
         dt_bound[bound] += 1
         try:
             new_domain = advance_step(domain, vol, law, dt_try, sol=sol,
-                                      filter_frac=filter_frac,
                                       filter_alpha=filter_alpha, stats=counts)
             counts["solves"] += 1
             new_sol = _solve(new_domain, vol, counts)
@@ -401,7 +397,7 @@ class DissipationReport:
     integrated: np.ndarray
 
 
-def dissipation_residuals(traj, law=None):
+def dissipation_residuals(traj):
     """Check dJ/dt = oint (1 - |Du|^2) F(|Du|) dsigma discretely."""
     tt, jj, dd = traj.times, traj.energy, traj.dissipations
     if len(tt) < 2:

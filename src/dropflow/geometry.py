@@ -8,7 +8,10 @@ Everything is derived from the modes: r, r', r'' in one batched inverse
 FFT, then the nodes, tangent, normal, speed, curvature and arc weights;
 the area by Parseval; the curve at arbitrary angles, membership, and the
 radii on refined grids (one inverse FFT each, cached) behind the dense
-clouds that distance queries, ray casting and the ball overlap read.
+clouds that ray casting, the ball overlap and the reflection radius read.
+Membership is the one test of a point against the curve: the ray from the
+center meets it once, so the radial gap r - |x - center| is exact, and
+interior evaluation takes its depth guard from the same test.
 
 Besides the representation itself this module provides area/moment
 computations, a tensor-product interior quadrature, ball-comparison metrics
@@ -28,7 +31,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import spectral
 from .errors import ConvergenceError, ShapeError
@@ -327,27 +329,16 @@ class StarDomain:
 
         r is the radius interpolant in the point's direction
         u = (x - center)/|x - center|, from the Horner form of
-        `_radius_toward`; the center itself takes u = 1 (angle 0).
+        `_radius_toward`; the center itself takes u = 1 (angle 0).  The ray
+        from the center meets the curve once, so r - |x - center| is the
+        exact depth along it, negative outside and never below the distance
+        to the curve: a negative tol admits only points at least |tol| deep.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         rel = (pts[:, 0] - self.center[0]) + 1j * (pts[:, 1] - self.center[1])
         rho = np.abs(rel)
         u = np.divide(rel, rho, out=np.ones_like(rel), where=rho > 0.0)
         return rho <= self._radius_toward(u) + tol
-
-    @cached_property
-    def _distance_tree(self):
-        dense = self.dense_boundary(8)
-        return cKDTree(np.column_stack([dense.real, dense.imag]))
-
-    def boundary_distance(self, pts):
-        """Distance to the nearest point of the 8M node cloud (lower-accuracy).
-
-        The nearest node comes from a k-d tree of the cloud, built once per
-        domain.
-        """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self._distance_tree.query(pts)[0]
 
     # -- derived domains -----------------------------------------------------
 
@@ -360,16 +351,13 @@ class StarDomain:
             raise ShapeError("scale factor must be positive")
         return StarDomain(self.center, factor * self.radii)
 
-    def recentered(self, point=None, m=None):
-        """Re-parameterize the same curve about a new star center.
+    def recentered(self):
+        """Re-parameterize the same curve about its barycenter.
 
-        Default recenters at the barycenter.  Raises ShapeError if the curve
-        is not star-shaped about the requested point.
+        Raises ShapeError if the curve is not star-shaped about it.
         """
-        p = self.barycenter if point is None else np.asarray(point, dtype=float)
-        m = self.m if m is None else int(m)
-        rho = ray_radii(self, p, spectral.angle_grid(m))
-        return StarDomain(p, rho)
+        p = self.barycenter
+        return StarDomain(p, ray_radii(self, p, self.theta))
 
 
 def build_star_domain(shape, m=128, center=(0.0, 0.0)):
@@ -414,8 +402,9 @@ class BoundaryField:
 class InteriorQuadrature:
     """Tensor product rule: Gauss-Legendre radial x trapezoid angular.
 
-    `offset` is the minimal node distance to the boundary in units of the
-    largest boundary node spacing.
+    `offset` is the least depth of the outer ring below the boundary, along
+    the normal to first order, in units of the largest boundary node
+    spacing.
     """
 
     nodes: np.ndarray
@@ -440,9 +429,10 @@ def interior_quadrature(d, n_radial=24):
     zn = d.zc + np.outer(s, d.radii * u)
     nodes = np.column_stack([zn.real.ravel(), zn.imag.ravel()])
     w = (2.0 * np.pi / d.m) * np.outer(s * v, d.radii**2)
-    ring = d.zc + s[-1] * d.radii * u
-    mind = d.boundary_distance(np.column_stack([ring.real, ring.imag])).min()
-    offset = float(mind / d.arc_weights.max())
+    # the outer ring lies (1 - s) r_j inside along each ray, which is
+    # (1 - s) r_j^2/speed_j along the normal to first order
+    depth = (1.0 - s[-1]) * d.radii**2 / d.speed
+    offset = float(depth.min() / d.arc_weights.max())
     return InteriorQuadrature(nodes, w.ravel(), offset, int(n_radial), d.m)
 
 
@@ -450,7 +440,7 @@ def interior_quadrature(d, n_radial=24):
 # ray casting about arbitrary interior points
 # ----------------------------------------------------------------------------
 
-def ray_radii(d, p, psi, newton_iters=3):
+def ray_radii(d, p, psi):
     """Radius of the boundary curve about point p at angles psi.
 
     Requires the curve to be star-shaped about p; raises ShapeError when the
@@ -469,7 +459,7 @@ def ray_radii(d, p, psi, newton_iters=3):
     tgt = np.mod(psi - base, 2.0 * np.pi) + base
     th = np.interp(tgt, np.append(ang, ang[0] + 2 * np.pi), np.append(thq, 2 * np.pi))
     ux, uy = np.cos(psi), np.sin(psi)
-    for _ in range(newton_iters):
+    for _ in range(3):      # Newton on the cross product of gamma - p and the ray
         g, gp, _ = d.curve_jet(th)
         g = g - pc
         f = g.real * uy - g.imag * ux
@@ -749,7 +739,7 @@ class ReflectionReport:
     ball_bound: float
 
 
-def _reflections_pass(d, rho, dirs, nodes, proj, tol=1e-10):
+def _reflections_pass(d, rho, dirs, nodes, proj):
     """All boundary nodes reflect into the closure across every admissible cut.
 
     The cuts s = rho, rho + ds, ... are tested deepest first, each in one
@@ -764,12 +754,12 @@ def _reflections_pass(d, rho, dirs, nodes, proj, tol=1e-10):
         shift = 2.0 * (s - proj[j, i])
         pts = np.column_stack([nodes[j, 0] + shift * dirs[i, 0],
                                nodes[j, 1] + shift * dirs[i, 1]])
-        if not d.contains(pts, tol=tol).all():
+        if not d.contains(pts).all():
             return False
     return True
 
 
-def rho_reflection_min(d, n_directions=None, tol=1e-4):
+def rho_reflection_min(d, tol=1e-4):
     """Smallest rho passing the halfplane-reflection test about the origin.
 
     Bisection over rho: a candidate passes when B_rho(0) fits inside the
@@ -780,8 +770,7 @@ def rho_reflection_min(d, n_directions=None, tol=1e-4):
     """
     if not d.contains(np.zeros((1, 2)))[0]:
         raise ShapeError("reflection radius needs the origin inside the domain")
-    nd = d.m if n_directions is None else int(n_directions)
-    alpha = spectral.angle_grid(nd)
+    alpha = spectral.angle_grid(d.m)
     dirs = np.column_stack([np.cos(alpha), np.sin(alpha)])
     nodes = d.nodes
     proj = nodes @ dirs.T

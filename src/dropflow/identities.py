@@ -239,13 +239,14 @@ def check_identity(sol, name, x0=None, n_radial=24, tolerance=None, **kw):
     raise ValueError(f"unknown identity {name!r}")
 
 
-def identity_suite(sol, names=IDENTITY_NAMES, x0=None, n_radial=24, trace_max_k=4):
-    """Run the full identity battery; trace expands over its function family."""
+def identity_suite(sol, names=IDENTITY_NAMES, x0=None, n_radial=24):
+    """Run the full identity battery; trace expands over its function family
+    (k = 0 and the real and imaginary parts for k = 1..4)."""
     out = []
     for name in names:
         if name == "trace":
             out.append(check_trace(sol, 0, "re", n_radial))
-            for k in range(1, trace_max_k + 1):
+            for k in range(1, 5):
                 out.append(check_trace(sol, k, "re", n_radial))
                 out.append(check_trace(sol, k, "im", n_radial))
         else:

@@ -48,12 +48,12 @@ def ball_closed_forms(n, vol):
 
     J''(r) carries vol^2 (same as J itself), and J* evaluates J at r*
     directly; see ball_consistency_notes for the alternative printed
-    coefficients these were checked against.
+    coefficients these were checked against.  Raises ValueError when r*,
+    J(r*) or J''(r*) leaves the float range.
     """
     n = int(n)
-    if n < 2 or vol <= 0:
-        raise ValueError("need n >= 2 and vol > 0")
-    om = omega_ball(n)
+    if n < 2 or not 0.0 < vol < math.inf:
+        raise ValueError("need n >= 2 and finite vol > 0")
 
     def lam(r):
         return n * (n + 2) * vol / (om * r ** (n + 2))
@@ -65,7 +65,15 @@ def ball_closed_forms(n, vol):
         return (n * (n + 2) ** 2 * (n + 3) * vol**2 / (om * r ** (n + 4))
                 + n * (n - 1) * om * r ** (n - 2))
 
-    r_star = ((n + 2) * vol / om) ** (1.0 / (n + 1))
+    try:
+        om = omega_ball(n)
+        r_star = ((n + 2) * vol / om) ** (1.0 / (n + 1))
+        finite = all(math.isfinite(v) for v in (r_star, jval(r_star), jsec(r_star)))
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise ValueError("ball closed forms leave the float range at "
+                         f"n = {n}, vol = {vol:g}")
     return BallQuantities(n=n, vol=float(vol), r_star=float(r_star),
                           lambda_star=float(n / r_star), j_star=float(jval(r_star)),
                           lambda_of_r=lam, j_of_r=jval, j_second_of_r=jsec)

@@ -143,15 +143,19 @@ class TorsionSolution:
         f = sums[:, :3] / sums[:, 3:]
         return -f[:, 0].real, -f[:, 1], -f[:, 2]
 
-    def eval_interior(self, pts, min_distance=None):
+    def eval_interior(self, pts):
         """u, Du and D^2 u at strictly interior points.
+
+        A point is rejected with EvaluationError when it lies less than
+        1e-9 * out_radius inside the boundary along its ray from the
+        domain's center (`StarDomain.contains` with that negative
+        tolerance): every point outside or on the curve, and inside only
+        points that close to it, since the depth along the ray is never
+        below the distance to the curve.
 
         Parameters
         ----------
         pts : (n, 2) array_like
-        min_distance : float, optional
-            Reject points closer to the boundary than this (default: a
-            machine-scale fraction of the domain size).
 
         Returns
         -------
@@ -159,16 +163,13 @@ class TorsionSolution:
         """
         d = self.domain
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        zt = pts[:, 0] + 1j * pts[:, 1]
-        if min_distance is None:
-            min_distance = 1e-9 * d.out_radius
-        inside = d.contains(pts, tol=0.0)
-        dist = d.boundary_distance(pts)
-        bad = np.nonzero(~inside | (dist < min_distance))[0]
+        depth = 1e-9 * d.out_radius
+        bad = np.nonzero(~d.contains(pts, tol=-depth))[0]
         if bad.size:
             raise EvaluationError(
-                f"{bad.size} evaluation points outside the domain or closer "
-                f"than {min_distance:g} to the boundary", bad_indices=bad)
+                f"{bad.size} evaluation points outside the domain or less "
+                f"than {depth:g} inside its boundary", bad_indices=bad)
+        zt = pts[:, 0] + 1j * pts[:, 1]
         h, p1, p2 = self._harmonic_parts(zt)
         rel = zt - d.zc
         lam = self.lambda_
@@ -221,8 +222,8 @@ def solve_torsion(domain, vol, cond_limit=1e8, check_volume=False, n_radial=24):
     n_radial : int
         Radial order of the interior rule used when check_volume is set.
     """
-    if vol <= 0.0:
-        raise ValueError("vol must be positive")
+    if not 0.0 < vol < np.inf:
+        raise ValueError("vol must be positive and finite")
     d = domain
     rel = d.z - d.zc
     g = np.abs(rel) ** 2 / 4.0
@@ -267,7 +268,3 @@ def solve_torsion(domain, vol, cond_limit=1e8, check_volume=False, n_radial=24):
                 f"for target {vol!r}", condition_estimate=cond)
     return sol
 
-
-def eval_interior(sol, pts, min_distance=None):
-    """Module-level alias for TorsionSolution.eval_interior."""
-    return sol.eval_interior(pts, min_distance=min_distance)

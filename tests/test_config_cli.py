@@ -143,6 +143,13 @@ def test_cli_stability_rejects_nonpositive_vol(tmp_path, capsys):
     (["ball", "--vol", "0"], "--vol must be positive"),
     (["ball", "--n", "1"], "--n must be >= 2"),
     (["stability", "--m", "17"], "--m must be even and >= 16"),
+    (["verify", "--vol", "inf"], "--vol must be positive"),
+    (["verify", "--vol", "1e300"], "--vol must be positive"),
+    (["stability", "--vol", "1e300"], "--vol must be positive"),
+    (["ball", "--vol", "inf"], "--vol must be positive"),
+    (["ball", "--n", "400"], "ball closed forms leave the float range"),
+    (["stability", "--m", "2050", "--modes", "2", "--eps-grid", "0.1:0.1:1"],
+     "--m must be even and >= 16"),
 ])
 def test_cli_rejects_out_of_range_arguments(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)

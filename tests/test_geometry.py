@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ellipe
 
+import dropflow
 from dropflow import (Circle, Ellipse, FourierShape, Samples, ShapeError,
                       StarDomain, asymmetry_to_ball, boundary_geometry,
                       build_star_domain, interior_quadrature,
@@ -140,21 +145,23 @@ def test_spectral_tail_reports_roughness(rng):
 
 # -- membership and rays ------------------------------------------------------
 
-def test_contains_and_boundary_distance():
+def test_contains_inside_and_outside():
     d = build_star_domain("circle(1)", 64)
     inside = np.array([[0.0, 0.0], [0.5, 0.5]])
     outside = np.array([[1.5, 0.0], [0.0, -1.01]])
     assert d.contains(inside).all()
     assert not d.contains(outside).any()
-    assert abs(d.boundary_distance(np.zeros((1, 2)))[0] - 1.0) < 1e-6
 
 
-def test_boundary_distance_is_the_cloud_minimum(rng):
-    d = build_star_domain("fourier(1;3:0.1,5:0.03)", 64, center=(0.2, -0.1))
-    pts = rng.uniform(-1.4, 1.4, size=(500, 2))
-    dense = d.dense_boundary(8)
-    brute = np.abs((pts[:, 0] + 1j * pts[:, 1])[:, None] - dense[None, :]).min(axis=1)
-    assert np.abs(d.boundary_distance(pts) - brute).max() < 1e-15
+def test_import_leaves_scipy_spatial_out():
+    # membership needs no spatial index, so the package must not pull in
+    # scipy.spatial (and the scipy.sparse and scipy.special behind it)
+    src = str(pathlib.Path(dropflow.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, dropflow, dropflow.cli; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert out.stdout.strip() == "False"
 
 
 @settings(max_examples=40, deadline=None)

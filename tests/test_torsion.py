@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dropflow import (EvaluationError, FourierShape, SolverError,
-                      build_star_domain, eval_interior, solve_torsion)
+                      build_star_domain, interior_quadrature, solve_torsion,
+                      spectral)
 
 LAMBDA_DISK = 8.0 / math.pi
 LAMBDA_ELLIPSE = 4.0 * (1.2**2 + 0.8**2) / (math.pi * 1.2**3 * 0.8**3)
@@ -147,12 +148,45 @@ def test_interior_evaluation_rejects_outside(disk_sol):
     assert exc.value.bad_indices == [0]
 
 
-def test_module_level_eval_matches_method(disk_sol):
-    pts = np.array([[0.2, 0.3]])
-    a = disk_sol.eval_interior(pts)
-    b = eval_interior(disk_sol, pts)
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
+@pytest.mark.parametrize("fixture", ["disk_sol", "ellipse_sol", "fourier2_sol",
+                                     "fourier35_sol"])
+def test_interior_evaluation_rejects_points_on_and_just_inside_the_curve(fixture, request):
+    # midway between the nodes of the 8M cloud, where the distance to the
+    # cloud is about 1e-3 however close a point is to the curve
+    sol = request.getfixturevalue(fixture)
+    d = sol.domain
+    psi = spectral.angle_grid(8 * d.m) + np.pi / (8 * d.m)
+    for depth in (0.0, 1e-12, 1e-10):
+        rho = d.radius_at(psi) - depth
+        pts = d.center + np.column_stack([rho * np.cos(psi), rho * np.sin(psi)])
+        with pytest.raises(EvaluationError) as exc:
+            sol.eval_interior(pts)
+        assert np.array_equal(exc.value.bad_indices, np.arange(psi.size))
+    u, _, _ = sol.eval_interior(interior_quadrature(d, 24).nodes)
+    assert np.all(u > 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(modes=st.lists(st.tuples(st.integers(2, 8), st.floats(-0.08, 0.08)),
+                      max_size=3, unique_by=lambda km: km[0]),
+       base=st.floats(0.5, 2.0),
+       center=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_interior_evaluation_guard_is_the_radial_depth(modes, base, center, seed):
+    # a point delta * out_radius inside the curve along its ray from the
+    # center is rejected for delta <= 5e-10 and accepted for delta >= 2e-9
+    shape = FourierShape(base, tuple((k, base * eps) for k, eps in modes))
+    sol = solve_torsion(build_star_domain(shape, 64, center=center), 1.0)
+    d = sol.domain
+    rng = np.random.default_rng(seed)
+    psi = rng.uniform(0.0, 2.0 * np.pi, 200)
+    delta = np.concatenate([[0.0, 5e-10], 10.0 ** rng.uniform(-16.0, np.log10(5e-10), 98),
+                            [2e-9], 10.0 ** rng.uniform(np.log10(2e-9), -1.0, 99)])
+    rho = d.radius_at(psi) - delta * d.out_radius
+    pts = np.column_stack([center[0] + rho * np.cos(psi), center[1] + rho * np.sin(psi)])
+    with pytest.raises(EvaluationError) as exc:
+        sol.eval_interior(pts)
+    assert np.array_equal(exc.value.bad_indices, np.arange(100))
 
 
 def test_phi_integral_disk(disk_sol):

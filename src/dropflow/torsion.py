@@ -24,6 +24,12 @@ aliases the product integrand and loses digits in Phi'') and continued
 inside by the barycentric Cauchy formula
 sum_j w_j F_j / (z_j - z) / sum_j w_j / (z_j - z), which stays accurate
 up to the boundary.
+
+Only the M x M system is ever held whole.  The Cauchy sums over the 4M
+grid, for the boundary values there and for the interior targets, are
+formed in row blocks of about _BLOCK_ENTRIES kernel entries in one buffer
+reused across blocks, so their memory does not grow with M or with the
+number of targets, and the reported values do not depend on the blocking.
 """
 from __future__ import annotations
 
@@ -43,16 +49,50 @@ def _dtheta(f):
 
 def _cauchy_matrix(z, w):
     """C_ij = w_j / (z_j - z_i) off the diagonal, 0 on it."""
-    diff = z[None, :] - z[:, None]
-    np.fill_diagonal(diff, np.inf)
-    return w[None, :] / diff
+    c = z[None, :] - z[:, None]
+    np.fill_diagonal(c, np.inf)
+    return np.divide(w[None, :], c, out=c)
 
 
-def _boundary_values(c, mu):
-    """Interior limit Phi_-(z_i) of the Cauchy integral of mu at the nodes."""
+# A kernel block holds about 2**16 complex entries (1 MB, half of one core's
+# 2 MB L2 cache on the Xeon it was timed on), so it stays cache-resident from
+# the subtraction through the division to the product.  Budgets of 2**15 to
+# 2**20 entries timed within noise of each other at M = 128, 512 and 1024.
+# The buffer is allocated once per call: touching fresh pages for every
+# block cost more than the arithmetic.
+_BLOCK_ENTRIES = 2**16
+
+
+def _difference_blocks(zs, zt):
+    """Yield (rows, k) with k = zs[None, :] - zt[rows, None], in one reused buffer.
+
+    The targets are split into blocks of near-equal size, at most
+    _BLOCK_ENTRIES / zs.size rows each, so no block has a single row unless
+    zt does: numpy sends a one-row product to a dot or gemv kernel whose
+    rounding differs from gemm's, and a row's sums would then depend on how
+    many targets share the call.
+    """
+    n = zt.size
+    step = max(1, _BLOCK_ENTRIES // zs.size)
+    blocks = -(-n // step)
+    buf = np.empty((min(n, step), zs.size), dtype=complex)
+    for b in range(blocks):
+        lo, hi = b * n // blocks, (b + 1) * n // blocks
+        k = buf[: hi - lo]
+        np.subtract(zs[None, :], zt[lo:hi, None], out=k)
+        yield slice(lo, hi), k
+
+
+def _boundary_values(z, w, mu):
+    """Interior limit Phi_-(z_i) of the Cauchy integral of mu at the nodes z."""
+    s = np.empty(z.size, dtype=complex)
     # a complex @ real matmul misses BLAS in numpy, hence the cast
-    s = (c @ mu.astype(complex) - mu * c.sum(axis=1)
-         + spectral.deriv(mu) * (2.0 * np.pi / mu.size))
+    muc = mu.astype(complex)
+    for rows, k in _difference_blocks(z, z):
+        np.fill_diagonal(k[:, rows.start:], np.inf)
+        np.divide(w[None, :], k, out=k)
+        s[rows] = k @ muc - mu[rows] * k.sum(axis=1)
+    s += spectral.deriv(mu) * (2.0 * np.pi / mu.size)
     return mu + s / (2j * np.pi)
 
 
@@ -126,7 +166,7 @@ class TorsionSolution:
             zp = _dtheta(zq)
             w = zp * (2.0 * np.pi / mq)
             muq = spectral.resample(self.density.values, mq)
-            phi = _boundary_values(_cauchy_matrix(zq, w), muq)
+            phi = _boundary_values(zq, w, muq)
             dphi = _dtheta(phi) / zp
             d2phi = _dtheta(dphi) / zp
             cols = np.column_stack([phi, dphi, d2phi, np.ones(mq)])
@@ -137,9 +177,11 @@ class TorsionSolution:
         """Barycentric h = -Re Phi, Psi' = -Phi' and Psi'' = -Phi'' at targets."""
         zq, cols = self._cauchy_sources()
         sums = np.empty((zt.size, 4), dtype=complex)
-        # blocks of 1024 targets bound the kernel temporary to 1024 x 4M
-        for lo in range(0, zt.size, 1024):
-            sums[lo: lo + 1024] = (1.0 / (zq[None, :] - zt[lo: lo + 1024, None])) @ cols
+        # 1/(zeta_j - z) is formed in place in one reused buffer of about
+        # _BLOCK_ENTRIES entries, so memory stays bounded for any M
+        for rows, k in _difference_blocks(zq, zt):
+            np.divide(1.0, k, out=k)
+            np.matmul(k, cols, out=sums[rows])
         f = sums[:, :3] / sums[:, 3:]
         return -f[:, 0].real, -f[:, 1], -f[:, 2]
 
@@ -231,10 +273,11 @@ def solve_torsion(domain, vol, cond_limit=1e8, check_volume=False, n_radial=24):
     # -Im(C)/2pi is the Nystrom double-layer kernel (arc weights included);
     # its diagonal limit is the curvature term.
     c = _cauchy_matrix(d.z, d.arc_weights * d.tangent_c)
-    a = -c.imag / (2.0 * np.pi)
+    # Fortran order lets getrf factor a in place
+    a = np.divide(c.imag, -2.0 * np.pi, out=np.empty(c.shape, order="F"))
     np.fill_diagonal(a, -0.5 - d.curvature * d.arc_weights / (4.0 * np.pi))
     anorm = np.linalg.norm(a, 1)
-    lu, piv = lu_factor(a)
+    lu, piv = lu_factor(a, overwrite_a=True)
     rcond, info = dgecon(lu, anorm, norm="1")
     cond = np.inf if rcond == 0.0 else 1.0 / rcond
     if info != 0 or cond > cond_limit:

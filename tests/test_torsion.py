@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from dropflow import (EvaluationError, FourierShape, SolverError,
                       build_star_domain, interior_quadrature, solve_torsion,
-                      spectral)
+                      spectral, torsion)
 
 LAMBDA_DISK = 8.0 / math.pi
 LAMBDA_ELLIPSE = 4.0 * (1.2**2 + 0.8**2) / (math.pi * 1.2**3 * 0.8**3)
@@ -140,6 +141,64 @@ def test_cauchy_weights_sum_to_two_pi_i_inside(modes, base, center, s, angle):
     z = d.zc + s * d.radius_at(np.array([angle]))[0] * np.exp(1j * angle)
     w = d.arc_weights * d.tangent_c
     assert abs(np.sum(w / (d.z - z)) - 2j * np.pi) < 1e-12
+
+
+def test_interior_evaluation_is_independent_of_the_blocking(fourier35_sol, rng):
+    # targets at and around the block size b must give exactly the one-shot
+    # barycentric sums over the 4M grid
+    sol, d = fourier35_sol, fourier35_sol.domain
+    zq, cols = sol._cauchy_sources()
+    b = torsion._BLOCK_ENTRIES // zq.size
+    assert b > 2
+    for n in (0, 1, b - 1, b, b + 1, 3 * b + 7):
+        ang = rng.uniform(0.0, 2.0 * np.pi, n)
+        rho = np.sqrt(rng.uniform(0.0, 0.9, n)) * d.radius_at(ang)
+        pts = d.center + np.column_stack([rho * np.cos(ang), rho * np.sin(ang)])
+        u, grad, hess = sol.eval_interior(pts)
+        zt = pts[:, 0] + 1j * pts[:, 1]
+        sums = (1.0 / (zq[None, :] - zt[:, None])) @ cols
+        f = sums[:, :3] / sums[:, 3:]
+        h, p1, p2 = -f[:, 0].real, -f[:, 1], -f[:, 2]
+        rel, lam = zt - d.zc, sol.lambda_
+        assert np.array_equal(u, lam * (-np.abs(rel) ** 2 / 4.0 + h))
+        assert np.array_equal(grad, lam * np.column_stack(
+            [-rel.real / 2.0 + p1.real, -rel.imag / 2.0 - p1.imag]))
+        assert np.array_equal(hess[:, 0, 0], lam * (-0.5 + p2.real))
+        assert np.array_equal(hess[:, 0, 1], lam * (-p2.imag))
+        assert np.array_equal(hess[:, 1, 0], lam * (-p2.imag))
+        assert np.array_equal(hess[:, 1, 1], lam * (-0.5 - p2.real))
+
+
+@pytest.mark.parametrize("entries", [torsion._BLOCK_ENTRIES, 100 * 512 + 7, 2 * 512])
+def test_boundary_values_match_the_full_cauchy_matrix(fourier35_sol, monkeypatch, entries):
+    # the blocked sums equal C mu - mu rowsum(C) + mu' 2pi/M with the whole
+    # (4M)^2 matrix C_ij = w_j / (z_j - z_i), 0 on the diagonal, for 4 equal
+    # blocks, 6 uneven ones and blocks of 2 rows
+    monkeypatch.setattr(torsion, "_BLOCK_ENTRIES", entries)
+    d = fourier35_sol.domain
+    mq = 4 * d.m
+    zq = d.dense_boundary(4)
+    w = torsion._dtheta(zq) * (2.0 * np.pi / mq)
+    mu = spectral.resample(fourier35_sol.density.values, mq)
+    diff = zq[None, :] - zq[:, None]
+    np.fill_diagonal(diff, np.inf)
+    c = w[None, :] / diff
+    s = (c @ mu.astype(complex) - mu * c.sum(axis=1)
+         + spectral.deriv(mu) * (2.0 * np.pi / mq))
+    assert np.array_equal(torsion._boundary_values(zq, w, mu), mu + s / (2j * np.pi))
+
+
+def test_quadrature_data_memory_is_bounded():
+    # the interior sources were once formed from the whole (4M)^2 Cauchy
+    # matrix: a 129 MB peak at M = 512, about 2 GB at M = 2048
+    sol = solve_torsion(build_star_domain("fourier(1;3:0.1,5:0.03)", 512), 1.0)
+    tracemalloc.start()
+    try:
+        sol.quadrature_data()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_interior_evaluation_rejects_outside(disk_sol):

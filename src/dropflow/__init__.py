@@ -15,9 +15,8 @@ from .dynamics import (DecayFit, DissipationReport, FlowState, Trajectory,
                        run_flow, save_timeseries_csv)
 from .errors import (ConfigError, ConvergenceError, EvaluationError,
                      FlowHalt, ShapeError, SolverError)
-from .geometry import (BoundaryField, Circle, Ellipse, FourierShape,
-                       InteriorQuadrature, Samples, StarDomain,
-                       asymmetry_to_ball, boundary_geometry,
+from .geometry import (Circle, Ellipse, FourierShape, InteriorQuadrature,
+                       Samples, StarDomain, asymmetry_to_ball,
                        build_star_domain, interior_quadrature,
                        lemma_distance_check, load_domain_csv, parse_shape,
                        ray_radii, rho0_estimate, rho_reflection_min,

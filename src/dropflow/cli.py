@@ -7,8 +7,9 @@ Subcommands:
     stability  stability-metric sweep over perturbed balls (CSV)
     ball       equilibrium-ball closed forms as JSON
 
-Exit codes: 0 success, 1 verification failure, 2 configuration/usage error,
-3 runtime halt (flow stopped early, sweep row failed).
+Exit codes: 0 success, 1 verification failure, 2 configuration/usage error
+(an unwritable output path too), 3 runtime halt (flow stopped early, sweep
+row failed).
 """
 from __future__ import annotations
 
@@ -216,7 +217,13 @@ def main(argv=None):
         if hasattr(args, name) and not ok(getattr(args, name)):
             print(f"--{name.replace('_', '-')} must be {must}", file=sys.stderr)
             return EXIT_CONFIG
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        # a config file that cannot be read is a ConfigError, so what is left
+        # is an output path that cannot be written: a usage error
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

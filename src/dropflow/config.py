@@ -7,7 +7,6 @@ Keys (defaults in parentheses):
     shape            shape spec string, e.g. fourier(1;2:0.1)   (required)
     vol              prescribed torsion mass, (0, 1e6]          (1.0)
     m                boundary samples, even, 16..2048           (128)
-    n_radial         radial quadrature order, 4..64; echo-only  (24)
     law              "quadratic" or "poly:c0,c1,..."            (quadratic)
     dt0              initial step, (0, 10]; 0 = automatic       (0)
     cfl              CFL fraction, (0, 1]                       (0.4)
@@ -16,15 +15,15 @@ Keys (defaults in parentheses):
     snapshot_stride  steps between stored snapshots, >= 1       (50)
     filter_strength  damping strength alpha of the order-8
                      exponential filter, >= 0; 0 = default      (0)
-    seed             nonnegative integer; echo-only             (0)
     outdir           output directory                           (".")
 
-``n_radial`` and ``seed`` are range-checked and echoed into summary.json,
-but ``dropflow run`` uses neither.
+Each key is a field of ScenarioConfig and is parsed by that field's type;
+summary.json echoes them all under "config".
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 from .dynamics import polynomial_law, quadratic_law
 from .errors import ConfigError
@@ -36,7 +35,6 @@ class ScenarioConfig:
     shape: str
     vol: float = 1.0
     m: int = 128
-    n_radial: int = 24
     law: str = "quadratic"
     dt0: float = 0.0
     cfl: float = 0.4
@@ -44,7 +42,6 @@ class ScenarioConfig:
     tol_stationary: float = 1e-7
     snapshot_stride: int = 50
     filter_strength: float = 0.0
-    seed: int = 0
     outdir: str = "."
 
     def velocity_law(self):
@@ -70,34 +67,19 @@ def _parse_law(text):
     raise ConfigError(f"unknown velocity law {text!r}")
 
 
-_PARSERS = {
-    "shape": str,
-    "vol": float,
-    "m": int,
-    "n_radial": int,
-    "law": str,
-    "dt0": float,
-    "cfl": float,
-    "t_end": float,
-    "tol_stationary": float,
-    "snapshot_stride": int,
-    "filter_strength": float,
-    "seed": int,
-    "outdir": str,
-}
+# key: the type that parses its value, one per ScenarioConfig field
+_PARSERS = get_type_hints(ScenarioConfig)
 
 # key: (valid, the range in words); the CLI checks its --vol and --m by these
 RANGES = {
     "vol": (lambda v: 0.0 < v <= 1e6, "positive and <= 1e6"),
     "m": (lambda v: 16 <= v <= 2048 and v % 2 == 0, "even and >= 16 and <= 2048"),
-    "n_radial": (lambda v: 4 <= v <= 64, "in 4..64"),
     "dt0": (lambda v: 0.0 <= v <= 10.0, "in [0, 10]"),
     "cfl": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     "t_end": (lambda v: 0.0 < v <= 1e4, "in (0, 1e4]"),
     "tol_stationary": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     "snapshot_stride": (lambda v: v >= 1, ">= 1"),
     "filter_strength": (lambda v: v >= 0.0, ">= 0"),
-    "seed": (lambda v: v >= 0, ">= 0"),
 }
 
 

@@ -56,7 +56,6 @@ class VelocityLaw:
     """
 
     coeffs: tuple
-    name: str = "polynomial"
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
@@ -74,14 +73,10 @@ class VelocityLaw:
     def deriv(self, s):
         return np.polynomial.polynomial.polyval(s, self._dc)
 
-    @property
-    def is_quadratic(self):
-        return self.name == "quadratic"
-
 
 def quadratic_law():
     """The default law F(s) = s^2 - 1."""
-    return VelocityLaw(coeffs=(-1.0, 0.0, 1.0), name="quadratic")
+    return VelocityLaw(coeffs=(-1.0, 0.0, 1.0))
 
 
 def polynomial_law(coeffs):
@@ -145,7 +140,7 @@ def save_timeseries_csv(traj, path):
 # ----------------------------------------------------------------------------
 
 def _radius_rate(domain, sol, law):
-    vn = law(sol.boundary_grad.values)
+    vn = law(sol.boundary_grad)
     return vn * domain.speed / domain.radii
 
 
@@ -155,7 +150,7 @@ def _damping_slope(sol, law):
     About a ball, radius mode k >= 1 decays at (k - 1) * sigma_2; |Du| is
     taken at its boundary mean.
     """
-    s = float(np.mean(sol.boundary_grad.values))
+    s = float(np.mean(sol.boundary_grad))
     return max(float(law.deriv(s)), 0.0) * 0.5 * abs(sol.lambda_)
 
 
@@ -168,7 +163,7 @@ def _stiff_dt(domain, sol, law):
     only seeds the first step size when no dt0 is given.
     """
     k_max = 0.5 * domain.radii.size
-    s_max = float(sol.boundary_grad.values.max())
+    s_max = float(sol.boundary_grad.max())
     rate = abs(law.deriv(s_max)) * 0.5 * abs(sol.lambda_) * k_max
     rate *= float((domain.speed / domain.radii).max())
     return 2.5 / max(rate, 1e-300)
@@ -231,13 +226,12 @@ def advance_step(domain, vol, law, dt, sol=None, filter_alpha=None, stats=None):
 
 
 def _diagnose(t, domain, sol, law, r_star, asym_center, stats):
-    vn = law(sol.boundary_grad.values)
-    bg = sol.boundary_grad.values
+    bg = sol.boundary_grad
+    vn = law(bg)
     dissipation = float(np.sum((1.0 - bg**2) * vn * domain.arc_weights))
-    tail = spectral.tail_fraction(bg)
+    tail = spectral.mode_tail_fraction(np.fft.rfft(bg))
     stats["grad_tail_max"] = max(stats.get("grad_tail_max", tail), tail)
-    asym, center = asymmetry_to_ball(domain, r_star, center0=asym_center,
-                                     return_center=True, stats=stats)
+    asym, center = asymmetry_to_ball(domain, r_star, center0=asym_center, stats=stats)
     return FlowState(
         t=t, domain=domain, solution=sol, energy=total_energy(sol),
         deficit=serrin_deficit(sol), asymmetry=asym,
@@ -247,7 +241,7 @@ def _diagnose(t, domain, sol, law, r_star, asym_center, stats):
 def _energy_halt_reason(*sols):
     """'energy_increase', plus the |Du| range when it leaves the law's check."""
     lo, hi = _LAW_CHECK_RANGE
-    s = np.concatenate([sol.boundary_grad.values for sol in sols])
+    s = np.concatenate([sol.boundary_grad for sol in sols])
     if lo <= s.min() and s.max() <= hi:
         return "energy_increase"
     return (f"energy_increase: |Du| spans [{s.min():.4g}, {s.max():.4g}], but the "

@@ -28,7 +28,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -120,14 +119,6 @@ def _shape_radii(shape, theta):
 # ----------------------------------------------------------------------------
 # the domain type
 # ----------------------------------------------------------------------------
-
-class BoundaryGeometry(NamedTuple):
-    tangent: np.ndarray
-    normal: np.ndarray
-    speed: np.ndarray
-    curvature: np.ndarray
-    arc_weights: np.ndarray
-
 
 def _jet_rows(c):
     """Rows c_k, i k c_k, -k^2 c_k: the modes of r, r' and r'' from those of
@@ -368,32 +359,6 @@ def build_star_domain(shape, m=128, center=(0.0, 0.0)):
     return StarDomain(center, _shape_radii(shape, spectral.angle_grid(m)))
 
 
-def boundary_geometry(d):
-    """Tangent, outward normal, speed, curvature and arc weights at the nodes."""
-    return BoundaryGeometry(d.tangent, d.normal, d.speed, d.curvature, d.arc_weights)
-
-
-# ----------------------------------------------------------------------------
-# boundary fields
-# ----------------------------------------------------------------------------
-
-@dataclass
-class BoundaryField:
-    """Scalar samples on the boundary nodes of a StarDomain."""
-
-    domain: StarDomain
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.domain.m,):
-            raise ValueError("field size does not match the domain grid")
-
-    def integrate(self):
-        """Line integral over the boundary."""
-        return float(np.sum(self.values * self.domain.arc_weights))
-
-
 # ----------------------------------------------------------------------------
 # interior quadrature
 # ----------------------------------------------------------------------------
@@ -410,8 +375,6 @@ class InteriorQuadrature:
     nodes: np.ndarray
     weights: np.ndarray
     offset: float
-    n_radial: int
-    m: int
 
 
 def interior_quadrature(d, n_radial=24):
@@ -433,7 +396,7 @@ def interior_quadrature(d, n_radial=24):
     # (1 - s) r_j^2/speed_j along the normal to first order
     depth = (1.0 - s[-1]) * d.radii**2 / d.speed
     offset = float(depth.min() / d.arc_weights.max())
-    return InteriorQuadrature(nodes, w.ravel(), offset, int(n_radial), d.m)
+    return InteriorQuadrature(nodes, w.ravel(), offset)
 
 
 # ----------------------------------------------------------------------------
@@ -671,18 +634,18 @@ def _ball_overlap(d, p, radius):
     return _ball_overlap_jet(d, p, radius)[0]
 
 
-def asymmetry_to_ball(d, radius, center0=None, return_center=False, stats=None):
-    """Scaled symmetric difference to the best-matching ball of given radius.
+def asymmetry_to_ball(d, radius, center0=None, stats=None):
+    """(asymmetry, center): the scaled symmetric difference to the
+    best-matching ball of given radius, and that ball's center.
 
     Minimizes |domain DELTA B_radius(x)| / |B_radius| over the ball center
     x, that is, maximizes the exact overlap of `_ball_overlap_jet`, by
     Newton's method with its analytic gradient and Hessian (steepest
     ascent, from steps of radius/4, where the overlap is not concave),
     started at the barycenter (or `center0`, such as the previous center
-    in a flow).  The
-    search stops at a step of 1e-10 radius or a predicted gain of 1e-15
-    ball areas, below which rounding decides.  `stats`, a dict, counts the
-    overlap evaluations under "ball_evals".
+    in a flow).  The search stops at a step of 1e-10 radius or a predicted
+    gain of 1e-15 ball areas, below which rounding decides.  `stats`, a
+    dict, counts the overlap evaluations under "ball_evals".
 
     The value (|domain| + pi radius^2 - 2 overlap) / (pi radius^2) subtracts
     areas of order one, so it carries about 1e-16 absolute rounding: near
@@ -700,10 +663,7 @@ def asymmetry_to_ball(d, radius, center0=None, return_center=False, stats=None):
                                          _NEWTON_GAIN_TOL * ball_area, 0.25 * radius)
     if stats is not None:
         stats["ball_evals"] = stats.get("ball_evals", 0) + evals
-    val = max((d.area + ball_area + 2.0 * neg_area) / ball_area, 0.0)
-    if return_center:
-        return val, center
-    return val
+    return max((d.area + ball_area + 2.0 * neg_area) / ball_area, 0.0), center
 
 
 def lemma_distance_check(d, radius):
@@ -822,7 +782,14 @@ def load_domain_csv(path):
         rows = list(csv.reader(fh))
     if not rows or rows[0] != ["theta", "r"]:
         raise ShapeError(f"{path}: expected 'theta,r' header")
-    data = np.array([[float(a), float(b)] for a, b in rows[1:]])
+    data = []
+    for ln, row in enumerate(rows[1:], start=2):
+        try:
+            theta, r = (float(cell) for cell in row)
+        except ValueError:
+            raise ShapeError(f"{path}: row {ln} is not two numbers: {row!r}") from None
+        data.append((theta, r))
+    data = np.array(data)
     m = len(data)
     if m < _MIN_M or m % 2 != 0:
         raise ShapeError(f"{path}: need an even sample count >= {_MIN_M}")

@@ -2,12 +2,12 @@
 
 Each check evaluates both sides of an identity from quadrature data of one
 TorsionSolution and reports a relative residual.  Boundary-only identities
-(pohozaev, cube, trace) are spectrally exact and carry a tight default
-tolerance; the ones integrating interior Hessians (kappa_cube, fund_est)
-get a looser one.  fund_est is reported in two forms: the signed boundary
-integral from the underlying derivation, which is an exact equality and is
-used as `rhs`, and the absolute-value majorant, kept in the metadata
-together with the one-sided inequality verdict.
+(pohozaev, cube, trace) are spectrally exact and carry a tight tolerance
+in DEFAULT_TOLERANCES; the ones integrating interior Hessians (kappa_cube,
+fund_est) get a looser one.  fund_est is reported in two forms: the signed
+boundary integral from the underlying derivation, which is an exact
+equality and is used as `rhs`, and the absolute-value majorant, kept in
+the metadata together with the one-sided inequality verdict.
 """
 from __future__ import annotations
 
@@ -74,15 +74,17 @@ def _residual(lhs, rhs):
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + floor)
 
 
-def _report(name, lhs, rhs, tolerance, metadata):
+def _report(identity, lhs, rhs, metadata, name=None):
+    """The report of one identity; `name` labels a member of a family."""
     res = _residual(lhs, rhs)
-    return IdentityReport(name, float(lhs), float(rhs), res,
+    tolerance = DEFAULT_TOLERANCES[identity]
+    return IdentityReport(name or identity, float(lhs), float(rhs), res,
                           tolerance, res <= tolerance, metadata)
 
 
 def _boundary(sol):
     d = sol.domain
-    bg = sol.boundary_grad.values
+    bg = sol.boundary_grad
     return d, d.arc_weights, d.nodes, d.normal, bg
 
 
@@ -92,7 +94,7 @@ def _x0(sol, x0):
     return np.asarray(x0, dtype=float).reshape(2)
 
 
-def check_pohozaev(sol, x0=None, tolerance=None):
+def check_pohozaev(sol, x0=None):
     """oint <(lam/2)(x - x0), nu> |Du|^2 dsigma = 2 lam^2 vol."""
     d, w, x, nu, bg = _boundary(sol)
     x0 = _x0(sol, x0)
@@ -100,11 +102,10 @@ def check_pohozaev(sol, x0=None, tolerance=None):
     moment = ((x - x0) * nu).sum(axis=1)
     lhs = float(np.sum(w * (lam / 2.0) * moment * bg**2))
     rhs = 2.0 * lam**2 * sol.vol
-    tol = DEFAULT_TOLERANCES["pohozaev"] if tolerance is None else tolerance
-    return _report("pohozaev", lhs, rhs, tol, {"x0": x0})
+    return _report("pohozaev", lhs, rhs, {"x0": x0})
 
 
-def check_cube(sol, x0=None, tolerance=None):
+def check_cube(sol, x0=None):
     """oint |Du|^3 = 2 lam^2 vol - oint <(lam/2)(x-x0) + Du, nu>(|Du|^2 - 1)."""
     d, w, x, nu, bg = _boundary(sol)
     x0 = _x0(sol, x0)
@@ -113,12 +114,10 @@ def check_cube(sol, x0=None, tolerance=None):
     lhs = float(np.sum(w * bg**3))
     corr = np.sum(w * ((lam / 2.0) * moment - bg) * (bg**2 - 1.0))
     rhs = 2.0 * lam**2 * sol.vol - float(corr)
-    tol = DEFAULT_TOLERANCES["cube"] if tolerance is None else tolerance
-    return _report("cube", lhs, rhs, tol,
-                   {"x0": x0, "main_term": 2.0 * lam**2 * sol.vol})
+    return _report("cube", lhs, rhs, {"x0": x0, "main_term": 2.0 * lam**2 * sol.vol})
 
 
-def check_kappa_cube(sol, n_radial=24, tolerance=None):
+def check_kappa_cube(sol, n_radial=24):
     """int kappa |Du|^3 dx = -(3 lam^2/2) vol + (1/2) oint |Du|^3 dsigma.
 
     kappa is the level-set mean curvature; kappa |Du|^3 is evaluated in the
@@ -133,11 +132,10 @@ def check_kappa_cube(sol, n_radial=24, tolerance=None):
     lhs = float(np.sum(quad.weights * integrand))
     lam = sol.lambda_
     rhs = -1.5 * lam**2 * sol.vol + 0.5 * float(np.sum(w * bg**3))
-    tol = DEFAULT_TOLERANCES["kappa_cube"] if tolerance is None else tolerance
-    return _report("kappa_cube", lhs, rhs, tol, {"n_radial": n_radial})
+    return _report("kappa_cube", lhs, rhs, {"n_radial": n_radial})
 
 
-def check_trace(sol, k=1, part="re", n_radial=24, tolerance=None):
+def check_trace(sol, k=1, part="re", n_radial=24):
     """oint f^2 |Du| dsigma = 2 int |Df|^2 u dx + lam int f^2 dx.
 
     f = Re or Im of ((x1 - a) + i (x2 - b))^k about the domain center.
@@ -157,12 +155,11 @@ def check_trace(sol, k=1, part="re", n_radial=24, tolerance=None):
     lhs = float(np.sum(w * fb**2 * bg))
     rhs = 2.0 * float(np.sum(quad.weights * df2 * u)) \
         + lam * float(np.sum(quad.weights * fq**2))
-    tol = DEFAULT_TOLERANCES["trace"] if tolerance is None else tolerance
-    return _report(f"trace_k{k}_{part}", lhs, rhs, tol,
-                   {"k": k, "part": part, "n_radial": n_radial})
+    return _report("trace", lhs, rhs, {"k": k, "part": part, "n_radial": n_radial},
+                   name=f"trace_k{k}_{part}")
 
 
-def check_fund_est(sol, x0=None, n_radial=24, tolerance=None):
+def check_fund_est(sol, x0=None, n_radial=24):
     """int u ((Tr D^2u / 2)^2 - det D^2u) dx against its boundary form.
 
     rhs is the signed integral -(1/4) oint <(lam/2)(x-x0)+Du, nu>(|Du|^2-1),
@@ -189,8 +186,7 @@ def check_fund_est(sol, x0=None, n_radial=24, tolerance=None):
            + 2.0 * hess[:, 0, 1] ** 2)
     hessian_lhs = float(np.sum(quad.weights * u * dev))
 
-    tol = DEFAULT_TOLERANCES["fund_est"] if tolerance is None else tolerance
-    rep = _report("fund_est", lhs, rhs_signed, tol, {
+    return _report("fund_est", lhs, rhs_signed, {
         "x0": x0,
         "rhs_abs": rhs_abs,
         "inequality_ok": bool(lhs <= rhs_abs + _INEQ_SLACK),
@@ -198,10 +194,9 @@ def check_fund_est(sol, x0=None, n_radial=24, tolerance=None):
         "hessian_inequality_ok": bool(hessian_lhs <= 2.0 * rhs_abs + _INEQ_SLACK),
         "n_radial": n_radial,
     })
-    return rep
 
 
-def check_s2_divfree(sol, n_radial=24, tolerance=None):
+def check_s2_divfree(sol, n_radial=24):
     """int det(D^2u) dx = (1/2) oint (S_2'(D^2u) Du) . nu dsigma.
 
     The boundary side uses the boundary-limit Hessian reconstructed from
@@ -218,24 +213,23 @@ def check_s2_divfree(sol, n_radial=24, tolerance=None):
     grad_s2 = trb[:, None, None] * np.eye(2)[None, :, :] - hb
     q = np.einsum("nij,nj->ni", grad_s2, du_b)
     rhs = 0.5 * float(np.sum(w * (q * nu).sum(axis=1)))
-    tol = DEFAULT_TOLERANCES["s2_divfree"] if tolerance is None else tolerance
-    return _report("s2_divfree", lhs, rhs, tol, {"n_radial": n_radial})
+    return _report("s2_divfree", lhs, rhs, {"n_radial": n_radial})
 
 
-def check_identity(sol, name, x0=None, n_radial=24, tolerance=None, **kw):
+def check_identity(sol, name, x0=None, n_radial=24, **kw):
     """Dispatch a single identity check by name."""
     if name == "pohozaev":
-        return check_pohozaev(sol, x0=x0, tolerance=tolerance)
+        return check_pohozaev(sol, x0=x0)
     if name == "cube":
-        return check_cube(sol, x0=x0, tolerance=tolerance)
+        return check_cube(sol, x0=x0)
     if name == "kappa_cube":
-        return check_kappa_cube(sol, n_radial=n_radial, tolerance=tolerance)
+        return check_kappa_cube(sol, n_radial=n_radial)
     if name == "trace":
-        return check_trace(sol, n_radial=n_radial, tolerance=tolerance, **kw)
+        return check_trace(sol, n_radial=n_radial, **kw)
     if name == "fund_est":
-        return check_fund_est(sol, x0=x0, n_radial=n_radial, tolerance=tolerance)
+        return check_fund_est(sol, x0=x0, n_radial=n_radial)
     if name == "s2_divfree":
-        return check_s2_divfree(sol, n_radial=n_radial, tolerance=tolerance)
+        return check_s2_divfree(sol, n_radial=n_radial)
     raise ValueError(f"unknown identity {name!r}")
 
 

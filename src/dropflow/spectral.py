@@ -61,40 +61,32 @@ def eval_at_angles(f, psi):
             + fh[-1].real * np.cos((m // 2) * psi))
 
 
-def tail_fraction(f, frac=1.0 / 3.0):
-    """Relative l2 weight of the top `frac` of modes (smoothness diagnostic)."""
-    return mode_tail_fraction(np.fft.rfft(np.asarray(f, dtype=float)), frac)
-
-
-def mode_tail_fraction(fh, frac=1.0 / 3.0):
-    """`tail_fraction` of the samples whose real FFT is fh."""
+def mode_tail_fraction(fh):
+    """Relative l2 weight of the top third of the modes fh, the real FFT of
+    periodic samples (a smoothness diagnostic)."""
     power = np.abs(fh) ** 2
     power[1:-1] *= 2.0
-    kmax = len(fh) - 1
-    kcut = int(np.floor((1.0 - frac) * kmax))
+    kcut = 2 * (len(fh) - 1) // 3
     total = power.sum()
     if total == 0.0:
         return 0.0
     return float(np.sqrt(power[kcut + 1:].sum() / total))
 
 
-def exp_filter(f, frac=1.0 / 3.0, alpha=None, order=8):
-    """Exponential low-pass keeping the bottom (1-frac) of modes untouched."""
-    m = np.shape(f)[-1]
-    return np.fft.irfft(np.fft.rfft(f) * exp_filter_factor(m, frac, alpha, order), m)
+def exp_filter_factor(m, alpha=None):
+    """Order-8 exponential low-pass factor on the real FFT of M samples.
 
-
-def exp_filter_factor(m, frac=1.0 / 3.0, alpha=None, order=8):
-    """The factor `exp_filter` applies to the real FFT of M samples; the
-    default alpha damps the top mode to machine epsilon."""
+    The bottom two thirds of the modes are kept untouched; the default
+    alpha damps the top mode to machine epsilon.
+    """
     if alpha is None:
         alpha = -np.log(np.finfo(float).eps)
     kmax = m // 2
     k = np.arange(kmax + 1)
-    kcut = int(np.floor((1.0 - frac) * kmax))
+    kcut = 2 * kmax // 3
     sigma = np.ones(k.size)
     hi = k > kcut
-    sigma[hi] = np.exp(-alpha * ((k[hi] - kcut) / (kmax - kcut)) ** order)
+    sigma[hi] = np.exp(-alpha * ((k[hi] - kcut) / (kmax - kcut)) ** 8)
     return sigma
 
 

@@ -113,7 +113,7 @@ def total_energy(sol):
 
 def serrin_deficit(sol):
     """oint (|Du|^2 - 1)^2 dsigma, zero exactly at the equilibrium ball."""
-    bg = sol.boundary_grad.values
+    bg = sol.boundary_grad
     return float(np.sum((bg**2 - 1.0) ** 2 * sol.domain.arc_weights))
 
 
@@ -186,7 +186,7 @@ def stability_report(sol):
     """
     d = sol.domain
     b = ball_closed_forms(2, sol.vol)
-    asym, center = asymmetry_to_ball(d, b.r_star, return_center=True)
+    asym, center = asymmetry_to_ball(d, b.r_star)
     deficit = serrin_deficit(sol)
     energy = total_energy(sol)
     lhs_l2, _ = l2_distance_lhs(sol)

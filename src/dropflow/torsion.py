@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import dgecon
+from scipy.linalg.lapack import dgecon, dlange
 
 from . import spectral
 from .errors import EvaluationError, SolverError
-from .geometry import BoundaryField, interior_quadrature
+from .geometry import interior_quadrature
 
 
 def _dtheta(f):
@@ -108,10 +108,11 @@ class TorsionSolution:
         Volume-normalized multiplier.
     phi_integral : float
         int phi over the domain (so lambda_ = vol / phi_integral).
-    boundary_grad : BoundaryField
-        |Du| at the boundary nodes (Du = -|Du| nu there).
-    density : BoundaryField
-        Double-layer density of the harmonic part.
+    boundary_grad : (M,) ndarray
+        |Du| at the boundary nodes (Du = -|Du| nu there; the outward normal
+        derivative is -boundary_grad).
+    density : (M,) ndarray
+        Double-layer density of the harmonic part at the boundary nodes.
     condition_estimate : float
         1-norm condition estimate of the boundary system.
     """
@@ -121,21 +122,17 @@ class TorsionSolution:
         self.vol = float(vol)
         self.lambda_ = float(lambda_)
         self.phi_integral = float(phi_integral)
-        self.density = BoundaryField(domain, mu)
+        self.density = mu
         d = domain
         rel = d.z - d.zc
         self._dn_phi = dn_phi = -(rel.real * d.normal_c.real
                                   + rel.imag * d.normal_c.imag) / 2.0 + dn_h
-        self.boundary_grad = BoundaryField(domain, -lambda_ * dn_phi)
+        self.boundary_grad = -lambda_ * dn_phi
         self.condition_estimate = float(cond)
         self._sources = None
         self._quad_cache = {}
 
     # -- boundary quantities --------------------------------------------------
-
-    def normal_derivative(self):
-        """d u/d nu at the nodes (negative of boundary_grad)."""
-        return BoundaryField(self.domain, self.lambda_ * self._dn_phi)
 
     def boundary_hessian(self):
         """Full Hessian of u at the boundary nodes, shape (M, 2, 2).
@@ -165,7 +162,7 @@ class TorsionSolution:
             zq = d.dense_boundary(4)
             zp = _dtheta(zq)
             w = zp * (2.0 * np.pi / mq)
-            muq = spectral.resample(self.density.values, mq)
+            muq = spectral.resample(self.density, mq)
             phi = _boundary_values(zq, w, muq)
             dphi = _dtheta(phi) / zp
             d2phi = _dtheta(dphi) / zp
@@ -247,7 +244,7 @@ def _phi_integral_boundary(d, g, dn_h):
     return float(-int_x2 / 4.0 + int_h)
 
 
-def solve_torsion(domain, vol, cond_limit=1e8, check_volume=False, n_radial=24):
+def solve_torsion(domain, vol, cond_limit=1e8, check_volume=False):
     """Solve the volume-normalized torsion problem on a star domain.
 
     Parameters
@@ -259,10 +256,8 @@ def solve_torsion(domain, vol, cond_limit=1e8, check_volume=False, n_radial=24):
         Raise SolverError when the boundary system's 1-norm condition
         estimate exceeds this.
     check_volume : bool
-        Recompute int u by interior quadrature and require 1e-8 relative
-        agreement (slower; used by verification paths).
-    n_radial : int
-        Radial order of the interior rule used when check_volume is set.
+        Recompute int u by the default interior quadrature and require 1e-8
+        relative agreement (slower; used by verification paths).
     """
     if not 0.0 < vol < np.inf:
         raise ValueError("vol must be positive and finite")
@@ -276,7 +271,9 @@ def solve_torsion(domain, vol, cond_limit=1e8, check_volume=False, n_radial=24):
     # Fortran order lets getrf factor a in place
     a = np.divide(c.imag, -2.0 * np.pi, out=np.empty(c.shape, order="F"))
     np.fill_diagonal(a, -0.5 - d.curvature * d.arc_weights / (4.0 * np.pi))
-    anorm = np.linalg.norm(a, 1)
+    # LAPACK sums the columns in place; np.linalg.norm(a, 1) would form |a|,
+    # one more M x M array
+    anorm = dlange("1", a)
     lu, piv = lu_factor(a, overwrite_a=True)
     rcond, info = dgecon(lu, anorm, norm="1")
     cond = np.inf if rcond == 0.0 else 1.0 / rcond
@@ -299,11 +296,11 @@ def solve_torsion(domain, vol, cond_limit=1e8, check_volume=False, n_radial=24):
     lam = vol / int_phi
     sol = TorsionSolution(d, vol, lam, int_phi, mu, dn_h, cond)
 
-    if np.any(sol.boundary_grad.values <= 0.0):
+    if np.any(sol.boundary_grad <= 0.0):
         raise SolverError("boundary gradient is not strictly positive",
                           condition_estimate=cond)
     if check_volume:
-        quad, u, _, _ = sol.quadrature_data(n_radial)
+        quad, u, _, _ = sol.quadrature_data()
         vol_num = float(np.sum(u * quad.weights))
         if abs(vol_num - vol) > 1e-8 * abs(vol):
             raise SolverError(

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from dropflow import ConfigError, ScenarioConfig, parse_config_text
+from dropflow import ConfigError, ScenarioConfig, parse_config_text, quadratic_law
 from dropflow.cli import main
 from dropflow.config import parse_config
 
@@ -41,11 +41,16 @@ def test_parse_config_text_error_messages():
         parse_config_text("m = 64\n", source="t.cfg")
     with pytest.raises(ConfigError, match=r"expected 'key = value'"):
         parse_config_text("shape circle(1)\n", source="t.cfg")
+    # keys that dropflow run never read
+    for line in ("seed = 0", "n_radial = 24"):
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=rf"t\.cfg:2: unknown key '{key}'"):
+            parse_config_text(f"shape = circle(1)\n{line}\n", source="t.cfg")
 
 
 def test_parse_config_text_range_checks():
     for line in ("m = 15", "m = 4096", "vol = 0", "cfl = 1.5", "t_end = 0",
-                 "tol_stationary = 1", "snapshot_stride = 0", "seed = -1"):
+                 "tol_stationary = 1", "snapshot_stride = 0"):
         with pytest.raises(ConfigError, match="out of range"):
             parse_config_text(f"shape = circle(1)\n{line}\n")
 
@@ -66,17 +71,17 @@ def test_polynomial_law_from_config():
     law = cfg.velocity_law()
     assert abs(law(1.0)) < 1e-15
     assert abs(law(2.0) - 7.0) < 1e-15
-    assert not law.is_quadratic
+    assert law != quadratic_law()
     default = ScenarioConfig(shape="circle(1)").velocity_law()
-    assert default.is_quadratic
+    assert default == quadratic_law()
 
 
 def test_as_dict_covers_every_key():
     cfg = parse_config_text(GOOD_CONFIG)
     d = cfg.as_dict()
-    assert set(d) == {"shape", "vol", "m", "n_radial", "law", "dt0", "cfl",
-                      "t_end", "tol_stationary", "snapshot_stride",
-                      "filter_strength", "seed", "outdir"}
+    assert set(d) == {"shape", "vol", "m", "law", "dt0", "cfl", "t_end",
+                      "tol_stationary", "snapshot_stride", "filter_strength",
+                      "outdir"}
     assert d["shape"] == cfg.shape
 
 
@@ -130,6 +135,26 @@ def test_cli_stability_sweep_and_failures(tmp_path, capsys):
     assert "row failed" in err
 
     assert main(["stability", "--eps-grid", "nonsense"]) == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "stability", "run"])
+def test_cli_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.delenv("DROPFLOW_OUTDIR", raising=False)
+    blocker = tmp_path / "file"         # a regular file as the parent directory
+    blocker.write_text("")
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(GOOD_CONFIG + f"outdir = {blocker / 'out'}\n")
+    argv = {
+        "verify": ["verify", "--shape", "circle(1)", "--m", "16",
+                   "--json", str(blocker / "r.jsonl")],
+        "stability": ["stability", "--modes", "2", "--eps-grid", "0.1:0.1:1",
+                      "--m", "32", "--out", str(blocker / "s.csv")],
+        "run": ["run", str(cfg)],
+    }[command]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("cannot write output:") and err.count("\n") == 1
 
 
 def test_cli_stability_rejects_nonpositive_vol(tmp_path, capsys):

@@ -12,7 +12,7 @@ from scipy.special import ellipe
 
 import dropflow
 from dropflow import (Circle, Ellipse, FourierShape, Samples, ShapeError,
-                      StarDomain, asymmetry_to_ball, boundary_geometry,
+                      StarDomain, asymmetry_to_ball,
                       build_star_domain, interior_quadrature,
                       lemma_distance_check, load_domain_csv, parse_shape,
                       ray_radii, rho0_estimate, rho_reflection_min,
@@ -82,10 +82,9 @@ def test_samples_shape_roundtrips_values():
 def test_circle_curvature_and_perimeter():
     for radius in (1.0, 2.0):
         d = build_star_domain(f"circle({radius})", 64)
-        geo = boundary_geometry(d)
-        assert np.allclose(geo.curvature, 1.0 / radius, atol=1e-13)
-        assert abs(geo.arc_weights.sum() - 2 * np.pi * radius) < 1e-12
-        norms = np.linalg.norm(geo.normal, axis=1)
+        assert np.allclose(d.curvature, 1.0 / radius, atol=1e-13)
+        assert abs(d.arc_weights.sum() - 2 * np.pi * radius) < 1e-12
+        norms = np.linalg.norm(d.normal, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-12)
 
 
@@ -235,14 +234,14 @@ def test_interior_quadrature_weights_and_moment():
 
 def test_asymmetry_translated_disk_is_zero():
     d = build_star_domain("circle(1)", 128).translated((0.3, -0.2))
-    val, center = asymmetry_to_ball(d, 1.0, return_center=True)
+    val, center = asymmetry_to_ball(d, 1.0)
     assert val < 1e-8
     assert np.allclose(center, [0.3, -0.2], atol=1e-6)
 
 
 def test_asymmetry_concentric_disks():
     d = build_star_domain("circle(1.1)", 128)
-    assert abs(asymmetry_to_ball(d, 1.0) - 0.21) < 1e-6
+    assert abs(asymmetry_to_ball(d, 1.0)[0] - 0.21) < 1e-6
 
 
 def test_asymmetry_fourier_matches_quadrature_oracle():
@@ -251,7 +250,7 @@ def test_asymmetry_fourier_matches_quadrature_oracle():
     oracle = 0.12673006190459143
     d = build_star_domain("fourier(1;2:0.1)", 128)
     d = d.scaled(R_STAR / math.sqrt(d.area / math.pi))
-    assert abs(asymmetry_to_ball(d, R_STAR) - oracle) < 1e-5
+    assert abs(asymmetry_to_ball(d, R_STAR)[0] - oracle) < 1e-5
 
 
 def test_dense_boundary_is_the_radius_interpolant():
@@ -290,7 +289,7 @@ def test_domain_from_modes_matches_domain_from_samples(m):
     assert close(a.area, b.area)
     assert close(a.dense_boundary(4), b.dense_boundary(4))
     assert close(a._jet_poly, b._jet_poly)
-    assert a.spectral_tail == spectral.tail_fraction(radii)
+    assert a.spectral_tail == spectral.mode_tail_fraction(np.fft.rfft(radii))
 
 
 def test_domain_from_modes_rejects_bad_modes():
@@ -392,16 +391,15 @@ def test_asymmetry_matches_first_order_closed_form(k):
     eps = 1e-6
     d = build_star_domain(f"fourier(1;{k}:{eps})", 128)
     d_norm = d.scaled(R_STAR / math.sqrt(d.area / math.pi))
-    assert abs(asymmetry_to_ball(d_norm, R_STAR) / (4.0 * eps / math.pi) - 1.0) < 1e-8
+    assert abs(asymmetry_to_ball(d_norm, R_STAR)[0] / (4.0 * eps / math.pi) - 1.0) < 1e-8
 
 
 def test_best_center_follows_translation():
     d = build_star_domain("fourier(1;3:0.1,5:0.03)", 128)
-    val, center = asymmetry_to_ball(d, 1.0, return_center=True)
+    val, center = asymmetry_to_ball(d, 1.0)
     shift = np.array([0.31, -0.17])
     start = center + shift + np.array([0.05, 0.0])
-    moved, center_t = asymmetry_to_ball(d.translated(shift), 1.0, center0=start,
-                                        return_center=True)
+    moved, center_t = asymmetry_to_ball(d.translated(shift), 1.0, center0=start)
     assert np.abs(center_t - center - shift).max() < 1e-9
     assert abs(moved - val) < 1e-12
 
@@ -411,10 +409,10 @@ def test_asymmetry_from_a_start_outside_the_newton_basin(spec):
     # 0.3 off, where the overlap is not concave: steepest descent leads in
     d = build_star_domain(spec, 64)
     d = d.scaled(R_STAR / math.sqrt(d.area / math.pi))
-    ref = asymmetry_to_ball(d, R_STAR)
+    ref = asymmetry_to_ball(d, R_STAR)[0]
     for ang in (0.0, 2.0, 4.0):
         start = d.barycenter + 0.3 * np.array([math.cos(ang), math.sin(ang)])
-        assert abs(asymmetry_to_ball(d, R_STAR, center0=start) / ref - 1.0) < 1e-12
+        assert abs(asymmetry_to_ball(d, R_STAR, center0=start)[0] / ref - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("spec", ["fourier(1;2:0.1)", "fourier(1;3:0.1,5:0.03)",
@@ -424,9 +422,9 @@ def test_asymmetry_does_not_depend_on_the_start(spec):
     # the 3rd-4th digit under a 3e-17 change near stationarity)
     d = build_star_domain(spec, 64)
     d = d.scaled(R_STAR / math.sqrt(d.area / math.pi))
-    ref = asymmetry_to_ball(d, R_STAR)
+    ref = asymmetry_to_ball(d, R_STAR)[0]
     for off in ([1e-12, 0.0], [0.0, -1e-12], [7e-13, 7e-13]):
-        val = asymmetry_to_ball(d, R_STAR, center0=d.barycenter + np.array(off))
+        val = asymmetry_to_ball(d, R_STAR, center0=d.barycenter + np.array(off))[0]
         assert abs(val / ref - 1.0) < 1e-10
 
 
@@ -434,7 +432,7 @@ def test_asymmetry_counts_overlap_evaluations():
     stats = {}
     # no crossings: gradient and Hessian vanish, the search stops at the start
     assert abs(asymmetry_to_ball(build_star_domain("circle(1.1)", 64), 1.0,
-                                 stats=stats) - 0.21) < 1e-12
+                                 stats=stats)[0] - 0.21) < 1e-12
     assert stats == {"ball_evals": 1}
     d = build_star_domain("fourier(1;3:0.1,5:0.03)", 64)
     asymmetry_to_ball(d, 1.0, center0=d.barycenter + 0.05, stats=stats)
@@ -521,3 +519,15 @@ def test_domain_csv_loader_validates(tmp_path):
     skew.write_text("\n".join(rows) + "\n")
     with pytest.raises(ShapeError):
         load_domain_csv(skew)
+
+
+@pytest.mark.parametrize("row", ["0.5,abc", "0.5", "0.5,1.0,2.0"])
+def test_domain_csv_loader_names_a_bad_row(tmp_path, row):
+    d = build_star_domain("circle(1)", 16)
+    path = tmp_path / "shape.csv"
+    save_domain_csv(d, path)
+    lines = path.read_text().splitlines()
+    lines[3] = row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ShapeError, match=r"shape\.csv: row 4 is not two numbers"):
+        load_domain_csv(path)

@@ -41,7 +41,8 @@ EXIT_HALT = 3
 _ARG_CHECKS = (
     ("vol", *RANGES["vol"]),
     ("m", *RANGES["m"]),
-    ("n_radial", lambda v: v >= 2, ">= 2"),
+    # leggauss forms an n x n matrix: n = 24000 takes 4.6 GB
+    ("n_radial", lambda v: 2 <= v <= 256, ">= 2 and <= 256"),
     ("n", lambda v: v >= 2, ">= 2"),
 )
 
@@ -112,6 +113,13 @@ def cmd_run(args):
 
 
 def cmd_verify(args):
+    if args.json:
+        # fail before the solves, not after them; the file is not created
+        parent = Path(args.json).absolute().parent
+        if not (parent.is_dir() and os.access(parent, os.W_OK)):
+            print(f"cannot write output: {parent} is not a writable directory",
+                  file=sys.stderr)
+            return EXIT_CONFIG
     shapes = args.shape or list(_DEFAULT_VERIFY_SHAPES)
     reports = []
     failed = False

@@ -4,11 +4,12 @@ A domain is held by its radius modes, the real FFT of M radius samples on
 the uniform angle grid theta_j = 2*pi*j/M about a center point, and is
 built from either.  The boundary is one curve, the interpolant r(theta)
 swept around the center: gamma(theta) = center + r(theta) e^{i theta}.
-Everything is derived from the modes: r, r', r'' in one batched inverse
-FFT, then the nodes, tangent, normal, speed, curvature and arc weights;
-the area by Parseval; the curve at arbitrary angles, membership, and the
-radii on refined grids (one inverse FFT each, cached) behind the dense
-clouds that ray casting, the ball overlap and the reflection radius read.
+Everything is derived from the modes by `spectral.jet`: r, r', r'' on the
+M grid, then the nodes, tangent, normal, speed, curvature and arc weights;
+the radii on refined grids (cached) behind the dense clouds that ray
+casting, the ball overlap and the reflection radius read.  The area comes
+by Parseval, and the curve at arbitrary angles, membership included, from
+the coefficients of r and of its derivatives (`spectral.jet_modes`).
 Membership is the one test of a point against the curve: the ray from the
 center meets it once, so the radial gap r - |x - center| is exact, and
 interior evaluation takes its depth guard from the same test.
@@ -120,15 +121,6 @@ def _shape_radii(shape, theta):
 # the domain type
 # ----------------------------------------------------------------------------
 
-def _jet_rows(c):
-    """Rows c_k, i k c_k, -k^2 c_k: the modes of r, r' and r'' from those of
-    r; r' drops the Nyquist term, as `spectral.deriv` does."""
-    ik = 1j * np.arange(c.size)
-    cp = ik * c
-    cp[-1] = 0.0
-    return np.stack([c, cp, ik * ik * c])
-
-
 class StarDomain:
     """Star-shaped domain from uniform-angle radius samples or their modes.
 
@@ -151,14 +143,14 @@ class StarDomain:
             raise ShapeError(f"need an even number of samples >= {_MIN_M}, got {m}")
         if not np.all(np.isfinite(given)):
             raise ShapeError("radius samples must be finite and positive")
-        # r', r'' (and r, when built from modes) in one inverse FFT
         if modes is None:
             radii, modes = given, np.fft.rfft(given)
-            rp, rpp = np.fft.irfft(_jet_rows(modes)[1:], m)
         else:
-            modes = given
+            radii, modes = None, given
             modes[[0, -1]] = modes[[0, -1]].real
-            radii, rp, rpp = np.fft.irfft(_jet_rows(modes), m)
+        # r, r', r'' in one inverse FFT; given samples are kept as they are
+        r, rp, rpp = spectral.jet(modes, m, 2)
+        radii = r if radii is None else radii
         if np.any(radii <= 0.0):
             raise ShapeError("radius samples must be finite and positive")
         self.center = center
@@ -190,11 +182,9 @@ class StarDomain:
     normal = cached_property(lambda self: self.normal_c.view(float).reshape(-1, 2))
 
     def refined_radii(self, factor):
-        """Cached r on the factor*M uniform angle grid: one inverse FFT of
-        the modes, the Nyquist one halved (as in `spectral.resample`)."""
+        """Cached r on the factor*M uniform angle grid (`spectral.jet`)."""
         if factor not in self._refined:
-            fh = np.append(self.modes[:-1], 0.5 * self.modes[-1])
-            self._refined[factor] = np.fft.irfft(fh, factor * self.m) * factor
+            self._refined[factor] = spectral.jet(self.modes, factor * self.m, 0)[0]
         return self._refined[factor]
 
     def dense_boundary(self, factor=16):
@@ -251,8 +241,9 @@ class StarDomain:
     # -- curve evaluation at arbitrary parameter angles ----------------------
 
     def radius_at(self, psi):
-        """Trig-interpolated radius at arbitrary angles about the center."""
-        return spectral.eval_at_angles(self.radii, psi)
+        """The radius interpolant at angles psi about the center, in the
+        Horner form that `contains` reads."""
+        return self._radius_toward(np.exp(1j * np.atleast_1d(np.asarray(psi, dtype=float))))
 
     def curve_points(self, th):
         """gamma(theta) = center + r(theta) e^{i theta}, exact interpolant."""
@@ -275,8 +266,8 @@ class StarDomain:
 
     @cached_property
     def _jet_poly(self):
-        """r, r' and r'' as Re sum_k row_k u^k (rows of `_jet_rows`)."""
-        return _jet_rows(self._radius_poly)
+        """r, r' and r'' as Re sum_k row_k u^k (rows of `spectral.jet_modes`)."""
+        return spectral.jet_modes(self._radius_poly, 2)
 
     @cached_property
     def _sector_poly(self):
@@ -686,8 +677,7 @@ def rho0_estimate(d):
     The curvature (r^2 + 2 r'^2 - r r'')/(r^2 + r'^2)^(3/2) is sampled on
     the 4M grid, with r, r', r'' from one inverse FFT of the radius jet.
     """
-    fh = np.append(d.modes[:-1], 0.5 * d.modes[-1])     # as in `refined_radii`
-    r, rp, rpp = 4.0 * np.fft.irfft(_jet_rows(fh), 4 * d.m)
+    r, rp, rpp = spectral.jet(d.modes, 4 * d.m, 2)
     kmax = ((r * r + 2.0 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5).max()
     if kmax <= 0.0:
         return d.in_radius

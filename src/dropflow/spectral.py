@@ -1,7 +1,9 @@
 """Spectral helpers for 2pi-periodic samples on the uniform angle grid.
 
 All routines assume an even number of samples f_j = f(2*pi*j/M) and work
-through the real FFT; odd-order derivatives zero the Nyquist mode.
+through their real FFT, the modes.  `jet` is the one place where modes
+become values; it differentiates every mode, the Nyquist mode
+cos(M theta/2) too (Trefethen, Spectral Methods in MATLAB, ch. 3).
 """
 from functools import lru_cache
 
@@ -20,45 +22,33 @@ def unit_circle(m):
     return e
 
 
-def deriv(f, order=1):
-    """Spectral d^order/dtheta^order of periodic samples."""
-    f = np.asarray(f, dtype=float)
-    m = f.shape[-1]
-    k = np.fft.rfftfreq(m, 1.0 / m)
-    fh = np.fft.rfft(f) * (1j * k) ** order
-    if order % 2 == 1:
-        fh[..., -1] = 0.0
-    return np.fft.irfft(fh, m)
+def jet_modes(modes, order):
+    """Rows (ik)^j c_k, j = 0..order: the modes of f, f', ..., f^(order).
+    An odd derivative's Nyquist row is imaginary: irfft drops it on the M
+    grid, where that term vanishes, but not on a finer one."""
+    c = np.asarray(modes)
+    rows = np.empty((order + 1,) + c.shape, dtype=complex)
+    rows[0] = c
+    ik = p = 1j * np.arange(c.shape[-1])
+    for row in rows[1:]:
+        np.multiply(p, c, out=row)
+        p = p * ik
+    return rows
 
 
-def resample(f, m_new):
-    """Trigonometric interpolation of real samples onto a finer uniform grid.
-
-    The Nyquist bin is halved: on the finer grid it is an ordinary mode that
-    irfft counts twice, and the interpolant carries it as cos(M*theta/2).
+def jet(modes, m_out, order):
+    """f, f', ..., f^(order) of the interpolant on the m_out-point grid,
+    m_out >= M, shape (order + 1, ..., m_out); leading axes of `modes` are
+    batch axes.  On a finer grid the Nyquist bin is halved: irfft would
+    count its term cos(M theta/2) twice.
     """
-    f = np.asarray(f, dtype=float)
-    m = f.shape[-1]
-    if m_new == m:
-        return f.copy()
-    if m_new < m:
-        raise ValueError("resample only refines")
-    fh = np.fft.rfft(f)
-    fh[..., -1] *= 0.5
-    return np.fft.irfft(fh, m_new) * (m_new / m)
-
-
-def eval_at_angles(f, psi):
-    """Evaluate the trigonometric interpolant of samples f at arbitrary angles."""
-    f = np.asarray(f, dtype=float)
-    psi = np.atleast_1d(np.asarray(psi, dtype=float))
-    m = f.shape[-1]
-    fh = np.fft.rfft(f) / m
-    kp = np.arange(1, m // 2) * psi[:, None]
-    return (fh[0].real
-            + np.cos(kp) @ (2.0 * fh[1:-1].real)
-            - np.sin(kp) @ (2.0 * fh[1:-1].imag)
-            + fh[-1].real * np.cos((m // 2) * psi))
+    m = 2 * np.shape(modes)[-1] - 2
+    if m_out < m:
+        raise ValueError(f"jet only refines: m_out = {m_out} < M = {m}")
+    rows = jet_modes(modes, order)
+    if m_out > m:
+        rows[..., -1] *= 0.5
+    return np.fft.irfft(rows, m_out) * (m_out / m)
 
 
 def mode_tail_fraction(fh):
@@ -88,12 +78,3 @@ def exp_filter_factor(m, alpha=None):
     hi = k > kcut
     sigma[hi] = np.exp(-alpha * ((k[hi] - kcut) / (kmax - kcut)) ** 8)
     return sigma
-
-
-def dealiased_power_sum(f, power):
-    """(2pi/M)*sum of f(theta)^power with the product de-aliased by upsampling."""
-    f = np.asarray(f, dtype=float)
-    m = f.shape[-1]
-    mq = int(power) * m
-    fq = resample(f, mq)
-    return (2.0 * np.pi / mq) * float(np.sum(fq ** power))

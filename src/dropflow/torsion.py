@@ -19,9 +19,10 @@ whose integrand is smooth.  The boundary normal derivative of h is the
 tangential derivative of the conjugate, d_n h = -d_s Im Phi_-, one real
 FFT pair for both terms of Im Phi_- (the sum and mu').  Interior
 values, gradients and Hessians of h come from Phi, Phi' and Phi'': their
-boundary values are formed once on a 4M-point resampled grid (the M grid
-aliases the product integrand and loses digits in Phi'') and continued
-inside by the barycentric Cauchy formula
+boundary values are formed once on the 4M-point grid, from the radius and
+density interpolants of `spectral.jet` (the M grid aliases the product
+integrand and loses digits in Phi''), and continued inside by the
+barycentric Cauchy formula
 sum_j w_j F_j / (z_j - z) / sum_j w_j / (z_j - z), which stays accurate
 up to the boundary.
 
@@ -40,11 +41,6 @@ from scipy.linalg.lapack import dgecon, dlange
 from . import spectral
 from .errors import EvaluationError, SolverError
 from .geometry import interior_quadrature
-
-
-def _dtheta(f):
-    """Spectral d/dtheta of complex periodic samples."""
-    return spectral.deriv(f.real) + 1j * spectral.deriv(f.imag)
 
 
 def _cauchy_matrix(z, w):
@@ -83,8 +79,9 @@ def _difference_blocks(zs, zt):
         yield slice(lo, hi), k
 
 
-def _boundary_values(z, w, mu):
-    """Interior limit Phi_-(z_i) of the Cauchy integral of mu at the nodes z."""
+def _boundary_values(z, w, mu, dmu):
+    """Interior limit Phi_-(z_i) of the Cauchy integral of mu at the nodes z,
+    from the density mu and its derivative dmu = mu'(theta) there."""
     s = np.empty(z.size, dtype=complex)
     # a complex @ real matmul misses BLAS in numpy, hence the cast
     muc = mu.astype(complex)
@@ -92,7 +89,7 @@ def _boundary_values(z, w, mu):
         np.fill_diagonal(k[:, rows.start:], np.inf)
         np.divide(w[None, :], k, out=k)
         s[rows] = k @ muc - mu[rows] * k.sum(axis=1)
-    s += spectral.deriv(mu) * (2.0 * np.pi / mu.size)
+    s += dmu * (2.0 * np.pi / mu.size)
     return mu + s / (2j * np.pi)
 
 
@@ -143,7 +140,7 @@ class TorsionSolution:
         d = self.domain
         un = self.lambda_ * self._dn_phi
         u_tt = d.curvature * un
-        u_tn = spectral.deriv(un) / d.speed
+        u_tn = spectral.jet(np.fft.rfft(un), d.m, 1)[1] / d.speed
         u_nn = -self.lambda_ - u_tt
         t, n = d.tangent, d.normal
         tt = t[:, :, None] * t[:, None, :]
@@ -159,14 +156,18 @@ class TorsionSolution:
         if self._sources is None:
             d = self.domain
             mq = 4 * d.m
-            zq = d.dense_boundary(4)
-            zp = _dtheta(zq)
+            e = spectral.unit_circle(mq)
+            r, rp = spectral.jet(d.modes, mq, 1)
+            zq = d.zc + r * e
+            zp = (rp + 1j * r) * e
             w = zp * (2.0 * np.pi / mq)
-            muq = spectral.resample(self.density, mq)
-            phi = _boundary_values(zq, w, muq)
-            dphi = _dtheta(phi) / zp
-            d2phi = _dtheta(dphi) / zp
-            cols = np.column_stack([phi, dphi, d2phi, np.ones(mq)])
+            phi = _boundary_values(zq, w, *spectral.jet(np.fft.rfft(self.density), mq, 1))
+            cols = [phi]
+            for _ in range(2):      # Phi_-' and Phi_-'': d/dtheta over z'
+                f = cols[-1]
+                dre, dim = spectral.jet(np.fft.rfft(np.stack([f.real, f.imag])), mq, 1)[1]
+                cols.append((dre + 1j * dim) / zp)
+            cols = np.column_stack(cols + [np.ones(mq)])
             self._sources = (zq, w[:, None] * cols)
         return self._sources
 

@@ -3,6 +3,9 @@
 The torsion solves are the expensive step, so the standard shape family is
 solved once per session and reused across modules.  All fixtures use the
 default discretization (M = 128, vol = 1) unless a test needs otherwise.
+The plain functions below are reference implementations that tests compare
+the package against: they take the trigonometric interpolant of samples by
+their own route, not through `spectral.jet`.
 """
 import numpy as np
 import pytest
@@ -33,3 +36,38 @@ def fourier35_sol():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260815)
+
+
+def eval_at_angles(f, psi):
+    """Trigonometric interpolant of samples f at arbitrary angles, summed in
+    cosines and sines."""
+    f = np.asarray(f, dtype=float)
+    psi = np.atleast_1d(np.asarray(psi, dtype=float))
+    m = f.shape[-1]
+    fh = np.fft.rfft(f) / m
+    kp = np.arange(1, m // 2) * psi[:, None]
+    return (fh[0].real
+            + np.cos(kp) @ (2.0 * fh[1:-1].real)
+            - np.sin(kp) @ (2.0 * fh[1:-1].imag)
+            + fh[-1].real * np.cos((m // 2) * psi))
+
+
+def resample(f, m_new):
+    """Trigonometric interpolation of real samples onto a finer uniform grid.
+
+    The Nyquist bin is halved: on the finer grid it is an ordinary mode that
+    irfft counts twice, and the interpolant carries it as cos(M*theta/2).
+    """
+    f = np.asarray(f, dtype=float)
+    m = f.shape[-1]
+    fh = np.fft.rfft(f)
+    fh[..., -1] *= 0.5
+    return np.fft.irfft(fh, m_new) * (m_new / m)
+
+
+def dealiased_power_sum(f, power):
+    """(2pi/M)*sum of f(theta)^power with the product de-aliased by upsampling."""
+    m = np.shape(f)[-1]
+    mq = int(power) * m
+    fq = resample(f, mq)
+    return (2.0 * np.pi / mq) * float(np.sum(fq ** power))

@@ -157,6 +157,21 @@ def test_cli_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, command):
     assert err.startswith("cannot write output:") and err.count("\n") == 1
 
 
+def test_cli_verify_json_checks_its_directory_before_solving(tmp_path, capsys, monkeypatch):
+    from dropflow import cli
+
+    def no_solve(*args, **kw):
+        raise AssertionError("solve_torsion ran before the --json path was checked")
+    monkeypatch.setattr(cli, "solve_torsion", no_solve)
+    for parent in (tmp_path / "missing", tmp_path / "file"):
+        (tmp_path / "file").write_text("")
+        code = main(["verify", "--m", "512", "--json", str(parent / "r.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("cannot write output:") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
 def test_cli_stability_rejects_nonpositive_vol(tmp_path, capsys):
     assert main(["stability", "--vol", "0", "--out", str(tmp_path / "s.csv")]) == 2
     assert "--vol must be positive" in capsys.readouterr().err
@@ -175,6 +190,7 @@ def test_cli_stability_rejects_nonpositive_vol(tmp_path, capsys):
     (["ball", "--n", "400"], "ball closed forms leave the float range"),
     (["stability", "--m", "2050", "--modes", "2", "--eps-grid", "0.1:0.1:1"],
      "--m must be even and >= 16"),
+    (["verify", "--n-radial", "257"], "--n-radial must be >= 2 and <= 256"),
 ])
 def test_cli_rejects_out_of_range_arguments(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)

@@ -74,15 +74,20 @@ def test_advance_step_halts_on_radius_collapse():
 
 def test_advance_step_stays_in_mode_space(monkeypatch):
     # the stages, the step and the filter never go back to samples to
-    # differentiate, resample or integrate them
-    from dropflow import spectral
-
-    def forbidden(*args, **kw):
-        raise AssertionError("sample-space spectral helper called")
-    for name in ("deriv", "resample", "dealiased_power_sum"):
-        monkeypatch.setattr(spectral, name, forbidden)
+    # differentiate, resample or integrate them: a step makes exactly the
+    # transforms of its four solves (the DtN pair and the 4M radii each)
+    # and four domains built from modes (one inverse each), plus one
+    # forward transform of each of the four radius rates
+    calls = {}
+    for name in ("rfft", "irfft", "fft", "ifft"):
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kw):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(np.fft, name, counted)
     d = build_star_domain("fourier(1;2:0.1)", 64)
+    calls.clear()
     d2 = advance_step(d, 1.0, quadratic_law(), 0.01)
+    assert calls == {"rfft": 4 + 4, "irfft": 4 * 2 + 4}
     assert d2.m == 64 and 0.0 < np.abs(d2.radii - d.radii).max() < 0.01
 
 

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import dealiased_power_sum, eval_at_angles, resample
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ellipe
@@ -181,16 +182,17 @@ def test_contains_matches_trig_radius(modes, nyquist, base, m, center, seed):
     rng = np.random.default_rng(seed)
     psi = rng.uniform(-np.pi, np.pi, 400)
     u = np.exp(1j * psi)
-    assert np.abs(d._radius_toward(u) - d.radius_at(psi)).max() <= 1e-14
+    assert np.abs(d._radius_toward(u) - eval_at_angles(radii, psi)).max() <= 1e-14
+    assert np.array_equal(d.radius_at(psi), d._radius_toward(u))
     # points at random and within 1e-9..1e-15 of the boundary, both sides
     near = rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(-15, -9, 200)
     scale = np.concatenate([rng.uniform(0.0, 1.5, 200), 1.0 + near])
-    rel = scale * d.radius_at(psi) * u
+    rel = scale * eval_at_angles(radii, psi) * u
     pts = np.column_stack([center[0] + rel.real, center[1] + rel.imag])
     pts = np.vstack([pts, [center]])
     rel = (pts[:, 0] - center[0]) + 1j * (pts[:, 1] - center[1])
     for tol in (1e-10, 0.0):
-        margin = np.abs(rel) - (d.radius_at(np.angle(rel)) + tol)
+        margin = np.abs(rel) - (eval_at_angles(radii, np.angle(rel)) + tol)
         got = d.contains(pts, tol=tol)
         far = np.abs(margin) > 1e-12
         assert np.array_equal(got[far], margin[far] <= 0.0)
@@ -212,6 +214,70 @@ def test_ray_radii_off_center_disk_closed_form():
     rr = ray_radii(d, np.array([c, 0.0]), psi)
     exact = -c * np.cos(psi) + np.sqrt(1 - (c * np.sin(psi)) ** 2)
     assert np.allclose(rr, exact, atol=1e-10)
+
+
+# -- the Nyquist mode between the nodes ----------------------------------------
+# r = 1 + 0.05 cos 3 theta + a (-1)^j at M = 64: the (-1)^j samples are the
+# Nyquist mode a cos(32 theta), whose derivative -32 a sin(32 theta) vanishes
+# at the nodes only
+
+def _nyquist_domain(a, m=64):
+    th = spectral.angle_grid(m)
+    return StarDomain((0.0, 0.0), 1.0 + 0.05 * np.cos(3 * th) + a * (-1.0) ** np.arange(m))
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.02])
+def test_curve_jet_matches_central_differences(a):
+    d = _nyquist_domain(a)
+    t = np.linspace(0.0, 2.0 * np.pi, 997, endpoint=False) + 0.123
+    h = 1e-6
+    _, gp, gpp = d.curve_jet(t)
+    fd1 = (d.curve_points(t + h) - d.curve_points(t - h)) / (2.0 * h)
+    fd2 = (d.curve_jet(t + h)[1] - d.curve_jet(t - h)[1]) / (2.0 * h)
+    assert np.abs(gp - fd1).max() <= 1e-6 * np.abs(gp).max()
+    assert np.abs(gpp - fd2).max() <= 1e-6 * np.abs(gpp).max()
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.02])
+def test_in_and_out_radius_bracket_a_fine_cloud(a):
+    d = _nyquist_domain(a)
+    pc = d.barycenter[0] + 1j * d.barycenter[1]
+    dist = np.abs(d.dense_boundary(64) - pc)
+    assert d.in_radius <= dist.min()
+    assert d.out_radius >= dist.max() - 1e-15
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.02])
+def test_ray_radii_lands_on_the_curve(a):
+    d = _nyquist_domain(a)
+    p = np.array([0.05, -0.03])
+    psi = np.linspace(0.0, 2.0 * np.pi, 101, endpoint=False)
+    q = (p[0] + 1j * p[1]) + ray_radii(d, p, psi) * np.exp(1j * psi)
+    assert np.abs(np.abs(q) - d.radius_at(np.angle(q))).max() <= 1e-14
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.02])
+def test_rho0_estimate_radius_derivative_matches_central_differences(a, monkeypatch):
+    # the r' that the curvature bound reads, against a fourth-order central
+    # difference of r on a 16 times finer grid
+    d = _nyquist_domain(a)
+    seen = []
+    jet = spectral.jet
+
+    def spy(modes, m_out, order):
+        out = jet(modes, m_out, order)
+        seen.append(out)
+        return out
+    monkeypatch.setattr(spectral, "jet", spy)
+    rho0 = rho0_estimate(d)
+    (r, rp, rpp), = [out for out in seen if out.shape == (3, 4 * d.m)]
+    fine = d.refined_radii(64)
+    h = 2.0 * np.pi / fine.size
+    fd = (8.0 * (np.roll(fine, -1) - np.roll(fine, 1))
+          - (np.roll(fine, -2) - np.roll(fine, 2))) / (12.0 * h)
+    assert np.abs(rp - fd[::16]).max() <= 1e-6 * np.abs(rp).max()
+    kappa = (r * r + 2.0 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5
+    assert rho0 == min(d.in_radius, 1.0 / kappa.max())
 
 
 # -- interior quadrature ------------------------------------------------------
@@ -307,14 +373,14 @@ def test_domain_from_modes_rejects_bad_modes():
 def test_parseval_area_matches_dealiased_quadrature(m):
     radii = _rough_radii(m, 3)
     d = StarDomain((0.0, 0.0), radii)
-    ref = 0.5 * spectral.dealiased_power_sum(radii, 2)
+    ref = 0.5 * dealiased_power_sum(radii, 2)
     assert abs(d.area / ref - 1.0) <= 1e-15
 
 
 def test_refined_radii_is_the_resampled_interpolant():
     radii = _rough_radii(64, 5)
     d = StarDomain((0.0, 0.0), radii)
-    assert np.array_equal(d.refined_radii(4), spectral.resample(radii, 256))
+    assert np.array_equal(d.refined_radii(4), resample(radii, 256))
     assert d.refined_radii(4) is d.refined_radii(4)
 
 

@@ -54,6 +54,14 @@ _DEFAULT_VERIFY_SHAPES = (
 )
 
 
+def _check_writable(path):
+    """Raise OSError, which `main` reports, when `path`'s directory cannot
+    take the file: checked before any solve, and the file is not created."""
+    parent = Path(path).absolute().parent
+    if not (parent.is_dir() and os.access(parent, os.W_OK)):
+        raise NotADirectoryError(f"{parent} is not a writable directory")
+
+
 def _outdir(cfg_outdir):
     out = os.environ.get("DROPFLOW_OUTDIR", cfg_outdir)
     path = Path(out)
@@ -71,11 +79,9 @@ def cmd_run(args):
     try:
         domain = build_star_domain(cfg.shape, m=cfg.m)
         law = cfg.velocity_law()
-        traj = run_flow(domain, cfg.vol, law=law, t_end=cfg.t_end,
-                        dt0=cfg.dt0 or None, cfl=cfg.cfl,
+        traj = run_flow(domain, cfg.vol, law=law, t_end=cfg.t_end, cfl=cfg.cfl,
                         tol_stationary=cfg.tol_stationary,
-                        snapshot_stride=cfg.snapshot_stride,
-                        filter_alpha=cfg.filter_strength or None)
+                        snapshot_stride=cfg.snapshot_stride)
     except (ShapeError, SolverError) as exc:
         print(f"runtime halt: {exc}", file=sys.stderr)
         return EXIT_HALT
@@ -114,12 +120,7 @@ def cmd_run(args):
 
 def cmd_verify(args):
     if args.json:
-        # fail before the solves, not after them; the file is not created
-        parent = Path(args.json).absolute().parent
-        if not (parent.is_dir() and os.access(parent, os.W_OK)):
-            print(f"cannot write output: {parent} is not a writable directory",
-                  file=sys.stderr)
-            return EXIT_CONFIG
+        _check_writable(args.json)
     shapes = args.shape or list(_DEFAULT_VERIFY_SHAPES)
     reports = []
     failed = False
@@ -146,6 +147,7 @@ def cmd_verify(args):
 
 
 def cmd_stability(args):
+    _check_writable(args.out)
     try:
         modes = tuple(int(k) for k in args.modes.split(","))
         lo, hi, n = args.eps_grid.split(":")

@@ -38,6 +38,9 @@ _ACCURACY = 0.2             # step cap, in units of the mode-2 damping time
 _LAW_CHECK_RANGE = (0.1, 10.0)
 _DT_MIN_FRACTION = 1e-12
 _CLEAN_STEPS_TO_GROW = 10
+_RECENTER_FRACTION = 0.1    # barycenter drift, in in-radii, that recenters
+_MAX_REJECTS = 40           # consecutive rejected steps before a halt
+_FIT_WINDOW = (1e-4, 1e-1)  # asymmetry range of the decay fit
 
 
 # ----------------------------------------------------------------------------
@@ -160,7 +163,7 @@ def _stiff_dt(domain, sol, law):
     Linearized about a near-ball state, a radius mode k decays at a rate
     close to F'(|Du|) * (lambda/2) * k, so an explicit step must shrink
     like 1/M.  The integrating-factor step does not need this bound; it
-    only seeds the first step size when no dt0 is given.
+    only seeds the first step size.
     """
     k_max = 0.5 * domain.radii.size
     s_max = float(sol.boundary_grad.max())
@@ -179,7 +182,9 @@ def _stage_domain(center, modes):
 
 
 def _solve(domain, vol, stats=None):
-    """`solve_torsion`, widening the stats' condition-estimate range."""
+    """`solve_torsion`, counted in the stats with its condition estimate."""
+    if stats is not None:
+        stats["solves"] += 1
     sol = solve_torsion(domain, vol)
     if stats is not None:
         cond = sol.condition_estimate
@@ -188,7 +193,7 @@ def _solve(domain, vol, stats=None):
     return sol
 
 
-def advance_step(domain, vol, law, dt, sol=None, filter_alpha=None, stats=None):
+def advance_step(domain, vol, law, dt, sol=None, stats=None):
     """One integrating-factor RK4 step of the radius law; returns the new
     domain, its top third of modes damped by the exponential filter.
 
@@ -197,8 +202,8 @@ def advance_step(domain, vol, law, dt, sol=None, filter_alpha=None, stats=None):
     exactly by the factors exp(-sigma_k dt/2), and RK4 treats only the
     remainder rate(r) + sigma * r.  `sol` may pass in the already-solved
     state at `domain` to avoid one of the four stage solves; `stats`, a
-    dict, counts them ("stage_solves") and their range of condition
-    estimates ("cond_min", "cond_max").
+    Counter, counts them ("solves", "stage_solves") and their range of
+    condition estimates ("cond_min", "cond_max").
     """
     c = domain.center
     m = domain.m
@@ -222,7 +227,7 @@ def advance_step(domain, vol, law, dt, sol=None, filter_alpha=None, stats=None):
     k3 = stage(e * r0 + 0.5 * dt * k2)
     k4 = stage(e * e * r0 + dt * e * k3)
     r_new = e * e * (r0 + (dt / 6.0) * k1) + (dt / 6.0) * (2.0 * e * (k2 + k3) + k4)
-    return _stage_domain(c, r_new * spectral.exp_filter_factor(m, alpha=filter_alpha))
+    return _stage_domain(c, r_new * spectral.exp_filter_factor(m))
 
 
 def _diagnose(t, domain, sol, law, r_star, asym_center, stats):
@@ -238,6 +243,12 @@ def _diagnose(t, domain, sol, law, r_star, asym_center, stats):
         max_vn=float(np.abs(vn).max()), dissipation=dissipation), center
 
 
+def _row(state, dt):
+    """The dense diagnostics of one accepted state, in Trajectory's order."""
+    return (state.t, state.energy, state.solution.lambda_, state.deficit,
+            state.asymmetry, state.max_vn, dt, state.dissipation)
+
+
 def _energy_halt_reason(*sols):
     """'energy_increase', plus the |Du| range when it leaves the law's check."""
     lo, hi = _LAW_CHECK_RANGE
@@ -248,48 +259,41 @@ def _energy_halt_reason(*sols):
             f"law is checked to increase only on [{lo:g}, {hi:g}]")
 
 
-def run_flow(domain, vol, law=None, t_end=10.0, dt0=None, dt_max=np.inf,
-             cfl=0.4, tol_stationary=1e-7, snapshot_stride=50,
-             filter_alpha=None, recenter_fraction=0.1, max_rejects=40):
+def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf, cfl=0.4,
+             tol_stationary=1e-7, snapshot_stride=50):
     """Evolve a star domain under the normal-velocity law.
 
     Step size: the smallest of the advective CFL bound cfl * min node
     spacing / max |V|, the accuracy bound of a fixed fraction of the mode-2
     damping time 1/sigma_2, dt_max, the time left to t_end, and the running
-    step ("growth").  The running step starts at dt0 (default: the
-    explicit-RK4 bound of `_stiff_dt`, a conservative first step), is
-    halved on a rejected step (an energy increase under any law, or a
-    degenerate stage) and doubled after 10 clean accepted steps.  There is
-    no stiffness cap: the integrating-factor step damps the high modes
-    exactly, so the step count to stationarity hardly depends on M.
+    step ("growth").  The running step starts at the explicit-RK4 bound of
+    `_stiff_dt` (a conservative first step), is halved on a rejected step
+    (an energy increase under any law, or a degenerate stage) and doubled
+    after 10 clean accepted steps.  There is no stiffness cap: the
+    integrating-factor step damps the high modes exactly, so the step count
+    to stationarity hardly depends on M.  The domain is recentered when its
+    barycenter drifts a tenth of its in-radius from the center.
     The run ends at t_end, at stationarity (max |V| below tol_stationary),
-    or with a halted trajectory recording the reason; a failed recentering
-    halts after keeping the accepted step it followed.  `Trajectory.stats`
-    counts the solves (all of them) and stage solves, the attempted and
-    accepted steps, rejects by reason, recenters, the ball-overlap
-    evaluations of the asymmetry searches ("ball_evals"), and per attempted
-    step the bound that set dt, the condition-estimate range of all solves
-    ("cond_min", "cond_max") and the largest top-third |Du| tail of the
-    accepted states ("grad_tail_max").
+    or with a halted trajectory recording the reason (41 rejects in a row,
+    say); a failed recentering halts after keeping the accepted step it
+    followed.  `Trajectory.stats` counts the solves (all of them) and stage
+    solves, the attempted and accepted steps, rejects by reason, recenters,
+    the ball-overlap evaluations of the asymmetry searches ("ball_evals"),
+    and per attempted step the bound that set dt, the condition-estimate
+    range of all solves ("cond_min", "cond_max") and the largest top-third
+    |Du| tail of the accepted states ("grad_tail_max").
     """
     law = quadratic_law() if law is None else law
     b = ball_closed_forms(2, vol)
-    counts = Counter(solves=1, stage_solves=0, attempted_steps=0,
+    counts = Counter(solves=0, stage_solves=0, attempted_steps=0,
                      accepted_steps=0, recenters=0, ball_evals=0)
     sol = _solve(domain, vol, counts)
     reject_reasons, dt_bound = Counter(), Counter()
     state, asym_center = _diagnose(0.0, domain, sol, law, b.r_star,
                                    domain.barycenter, counts)
-    dense = {k: [getattr(state, k)] for k in
-             ("t", "energy", "deficit", "asymmetry", "max_vn", "dissipation")}
-    dense["lambda"] = [sol.lambda_]
-    dense["dt"] = [0.0]
-    states = [state]
+    rows, states = [_row(state, 0.0)], [state]
     status, halt_reason = "t_end", None
-    t = 0.0
-    dt = dt0
-    clean = 0
-    rejects = 0
+    t, dt, clean, rejects = 0.0, None, 0, 0
     while t < t_end * (1.0 - 1e-12):
         if state.max_vn < tol_stationary:
             status = "stationary"
@@ -311,9 +315,7 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt0=None, dt_max=np.inf,
         counts["attempted_steps"] += 1
         dt_bound[bound] += 1
         try:
-            new_domain = advance_step(domain, vol, law, dt_try, sol=sol,
-                                      filter_alpha=filter_alpha, stats=counts)
-            counts["solves"] += 1
+            new_domain = advance_step(domain, vol, law, dt_try, sol=sol, stats=counts)
             new_sol = _solve(new_domain, vol, counts)
             slack = _J_SLACK * max(1.0, abs(state.energy))
             if total_energy(new_sol) > state.energy + slack:
@@ -325,7 +327,7 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt0=None, dt_max=np.inf,
             clean = 0
             dt = dt_try / 2.0
             log.debug("step rejected at t=%.6g (%s); dt -> %.3g", t, exc, dt)
-            if rejects > max_rejects:
+            if rejects > _MAX_REJECTS:
                 status = "halted"
                 halt_reason = (_energy_halt_reason(sol, new_sol)
                                if reason == "energy_increase" else
@@ -338,10 +340,9 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt0=None, dt_max=np.inf,
         clean += 1
         domain, sol = new_domain, new_sol
         drift = np.linalg.norm(domain.barycenter - domain.center)
-        if drift > recenter_fraction * domain.in_radius:
+        if drift > _RECENTER_FRACTION * domain.in_radius:
             try:
                 moved = domain.recentered()
-                counts["solves"] += 1
                 domain, sol = moved, _solve(moved, vol, counts)
                 counts["recenters"] += 1
             except (ShapeError, SolverError) as exc:
@@ -350,10 +351,7 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt0=None, dt_max=np.inf,
         state, asym_center = _diagnose(t, domain, sol, law, b.r_star, asym_center,
                                        counts)
         counts["accepted_steps"] += 1
-        for key in ("t", "energy", "deficit", "asymmetry", "max_vn", "dissipation"):
-            dense[key].append(getattr(state, key))
-        dense["lambda"].append(sol.lambda_)
-        dense["dt"].append(dt_try)
+        rows.append(_row(state, dt_try))
         if counts["accepted_steps"] % snapshot_stride == 0:
             states.append(state)
         if status == "halted":
@@ -363,14 +361,9 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt0=None, dt_max=np.inf,
             clean = 0
     if states[-1] is not state:
         states.append(state)
-    counts["solves"] += counts["stage_solves"]
     return Trajectory(
-        times=np.array(dense["t"]), energy=np.array(dense["energy"]),
-        lambdas=np.array(dense["lambda"]), deficits=np.array(dense["deficit"]),
-        asymmetries=np.array(dense["asymmetry"]),
-        max_vns=np.array(dense["max_vn"]), dts=np.array(dense["dt"]),
-        dissipations=np.array(dense["dissipation"]), states=states,
-        status=status, halt_reason=halt_reason, vol=vol,
+        *map(np.array, zip(*rows)), states=states, status=status,
+        halt_reason=halt_reason, vol=vol,
         stats=dict(counts, rejects=dict(reject_reasons), dt_bound=dict(dt_bound)))
 
 
@@ -418,13 +411,13 @@ class DecayFit:
     signal: bool
 
 
-def fit_decay_rate(traj, window=(1e-4, 1e-1)):
-    """Fit log(asymmetry) = log(amplitude) - rate * t inside the window.
+def fit_decay_rate(traj):
+    """Fit log(asymmetry) = log(amplitude) - rate * t inside _FIT_WINDOW.
 
     Returns a no-signal fit when the asymmetry never enters the window;
     raises ValueError when it does but with fewer than 5 samples.
     """
-    lo, hi = window
+    lo, hi = _FIT_WINDOW
     a = traj.asymmetries
     mask = (a >= lo) & (a <= hi)
     n = int(mask.sum())

@@ -24,10 +24,9 @@ class EvaluationError(ValueError):
 class ConvergenceError(RuntimeError):
     """An iterative search failed to converge; carries the best value seen."""
 
-    def __init__(self, message, best_value=None, best_point=None):
+    def __init__(self, message, best_value=None):
         super().__init__(message)
         self.best_value = best_value
-        self.best_point = best_point
 
 
 class ConfigError(ValueError):

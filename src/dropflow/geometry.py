@@ -187,7 +187,7 @@ class StarDomain:
             self._refined[factor] = spectral.jet(self.modes, factor * self.m, 0)[0]
         return self._refined[factor]
 
-    def dense_boundary(self, factor=16):
+    def dense_boundary(self, factor):
         """Curve points (complex) on the factor*M uniform angle grid."""
         u = spectral.unit_circle(factor * self.m)
         return self.zc + self.refined_radii(factor) * u
@@ -684,6 +684,9 @@ def rho0_estimate(d):
     return float(min(d.in_radius, 1.0 / kmax))
 
 
+_REFLECTION_TOL = 1e-4      # bisection width of the reflection radius
+
+
 @dataclass
 class ReflectionReport:
     """Minimal reflection radius with oscillation diagnostics."""
@@ -714,7 +717,7 @@ def _reflections_pass(d, rho, dirs, nodes, proj):
     return True
 
 
-def rho_reflection_min(d, tol=1e-4):
+def rho_reflection_min(d):
     """Smallest rho passing the halfplane-reflection test about the origin.
 
     Bisection over rho: a candidate passes when B_rho(0) fits inside the
@@ -739,7 +742,7 @@ def rho_reflection_min(d, tol=1e-4):
     lo = 0.0
     if _reflections_pass(d, lo, dirs, nodes, proj):
         hi = lo
-    while hi - lo > tol:
+    while hi - lo > _REFLECTION_TOL:
         mid = 0.5 * (lo + hi)
         if _reflections_pass(d, mid, dirs, nodes, proj):
             hi = mid

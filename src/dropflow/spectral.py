@@ -63,14 +63,13 @@ def mode_tail_fraction(fh):
     return float(np.sqrt(power[kcut + 1:].sum() / total))
 
 
-def exp_filter_factor(m, alpha=None):
+def exp_filter_factor(m):
     """Order-8 exponential low-pass factor on the real FFT of M samples.
 
-    The bottom two thirds of the modes are kept untouched; the default
-    alpha damps the top mode to machine epsilon.
+    The bottom two thirds of the modes are kept untouched; the top mode is
+    damped to machine epsilon.
     """
-    if alpha is None:
-        alpha = -np.log(np.finfo(float).eps)
+    alpha = -np.log(np.finfo(float).eps)
     kmax = m // 2
     k = np.arange(kmax + 1)
     kcut = 2 * kmax // 3

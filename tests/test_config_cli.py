@@ -41,8 +41,9 @@ def test_parse_config_text_error_messages():
         parse_config_text("m = 64\n", source="t.cfg")
     with pytest.raises(ConfigError, match=r"expected 'key = value'"):
         parse_config_text("shape circle(1)\n", source="t.cfg")
-    # keys that dropflow run never read
-    for line in ("seed = 0", "n_radial = 24"):
+    # keys that dropflow run never read, and the first step and filter
+    # strength, which are fixed
+    for line in ("seed = 0", "n_radial = 24", "dt0 = 0.1", "filter_strength = 1"):
         key = line.split()[0]
         with pytest.raises(ConfigError, match=rf"t\.cfg:2: unknown key '{key}'"):
             parse_config_text(f"shape = circle(1)\n{line}\n", source="t.cfg")
@@ -79,9 +80,8 @@ def test_polynomial_law_from_config():
 def test_as_dict_covers_every_key():
     cfg = parse_config_text(GOOD_CONFIG)
     d = cfg.as_dict()
-    assert set(d) == {"shape", "vol", "m", "law", "dt0", "cfl", "t_end",
-                      "tol_stationary", "snapshot_stride", "filter_strength",
-                      "outdir"}
+    assert set(d) == {"shape", "vol", "m", "law", "cfl", "t_end",
+                      "tol_stationary", "snapshot_stride", "outdir"}
     assert d["shape"] == cfg.shape
 
 
@@ -166,6 +166,21 @@ def test_cli_verify_json_checks_its_directory_before_solving(tmp_path, capsys, m
     for parent in (tmp_path / "missing", tmp_path / "file"):
         (tmp_path / "file").write_text("")
         code = main(["verify", "--m", "512", "--json", str(parent / "r.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("cannot write output:") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_cli_stability_checks_its_directory_before_sweeping(tmp_path, capsys, monkeypatch):
+    from dropflow import cli
+
+    def no_sweep(*args, **kw):
+        raise AssertionError("sweep_stability ran before the --out path was checked")
+    monkeypatch.setattr(cli, "sweep_stability", no_sweep)
+    for parent in (tmp_path / "missing", tmp_path / "file"):
+        (tmp_path / "file").write_text("")
+        code = main(["stability", "--m", "1024", "--out", str(parent / "s.csv")])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("cannot write output:") and err.count("\n") == 1

@@ -190,7 +190,8 @@ def test_flow_halts_with_data_when_recentering_fails(monkeypatch, fail):
         def recentered(self, point=None, m=None):
             raise ShapeError("forced recentering failure")
         monkeypatch.setattr(StarDomain, "recentered", recentered)
-    traj = run_flow(d, 1.0, t_end=1.0, recenter_fraction=0.0)
+    monkeypatch.setattr(dynamics, "_RECENTER_FRACTION", 0.0)
+    traj = run_flow(d, 1.0, t_end=1.0)
     assert traj.status == "halted"
     assert traj.halt_reason.startswith("recenter_failed")
     assert "forced recentering failure" in traj.halt_reason
@@ -210,8 +211,9 @@ def test_energy_guard_rejects_steps_for_every_law(monkeypatch, law):
         return StarDomain(domain.center,
                           domain.radii * (1.0 + 0.05 * np.cos(3 * domain.theta)))
     monkeypatch.setattr(dynamics, "advance_step", deform)
+    monkeypatch.setattr(dynamics, "_MAX_REJECTS", 3)
     traj = run_flow(build_star_domain("fourier(1;2:0.1)", 32), 1.0, law=law,
-                    t_end=1.0, max_rejects=3)
+                    t_end=1.0)
     assert traj.status == "halted"
     assert traj.halt_reason == "energy_increase"
     assert len(traj.times) == 1
@@ -386,8 +388,8 @@ def test_energy_halt_names_du_outside_the_checked_range(monkeypatch):
     def shrink(domain, vol, law, dt, **kw):
         return StarDomain(domain.center, 0.9 * domain.radii)
     monkeypatch.setattr(dynamics, "advance_step", shrink)
-    traj = run_flow(build_star_domain("circle(0.4)", 32), 1.0, t_end=1.0,
-                    max_rejects=3)
+    monkeypatch.setattr(dynamics, "_MAX_REJECTS", 3)
+    traj = run_flow(build_star_domain("circle(0.4)", 32), 1.0, t_end=1.0)
     assert traj.status == "halted"
     assert traj.halt_reason.startswith("energy_increase: |Du| spans [")
     assert "[0.1, 10]" in traj.halt_reason

@@ -272,17 +272,22 @@ def test_phi_integral_disk(disk_sol):
     assert abs(disk_sol.phi_integral - math.pi / 8) < 1e-12
 
 
-def test_condition_estimate_and_limit():
+def test_condition_estimate_and_limit(monkeypatch):
+    from dropflow import torsion
     d = build_star_domain("ellipse(1.2,0.8)", 64)
     sol = solve_torsion(d, 1.0)
     assert 1.0 <= sol.condition_estimate < 1e4
+    monkeypatch.setattr(torsion, "_COND_LIMIT", 1.0)
     with pytest.raises(SolverError):
-        solve_torsion(d, 1.0, cond_limit=1.0)
+        solve_torsion(d, 1.0)
 
 
 def test_volume_recheck_passes():
+    # int u by the default interior quadrature meets the prescribed volume
     d = build_star_domain("fourier(1;2:0.1)", 128)
-    sol = solve_torsion(d, 1.0, check_volume=True)
+    sol = solve_torsion(d, 1.0)
+    quad, u, _, _ = sol.quadrature_data()
+    assert abs(float(np.sum(u * quad.weights)) - 1.0) <= 1e-8
     assert sol.lambda_ > 0
 
 

@@ -181,7 +181,7 @@ def _stage_domain(center, modes):
         raise
 
 
-def _solve(domain, vol, stats=None):
+def _solve(domain, vol, stats):
     """`solve_torsion`, counted in the stats with its condition estimate."""
     if stats is not None:
         stats["solves"] += 1

@@ -22,11 +22,7 @@ class EvaluationError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative search failed to converge; carries the best value seen."""
-
-    def __init__(self, message, best_value=None):
-        super().__init__(message)
-        self.best_value = best_value
+    """An iterative search failed to converge."""
 
 
 class ConfigError(ValueError):

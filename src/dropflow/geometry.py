@@ -356,16 +356,10 @@ def build_star_domain(shape, m=128, center=(0.0, 0.0)):
 
 @dataclass
 class InteriorQuadrature:
-    """Tensor product rule: Gauss-Legendre radial x trapezoid angular.
-
-    `offset` is the least depth of the outer ring below the boundary, along
-    the normal to first order, in units of the largest boundary node
-    spacing.
-    """
+    """Tensor product rule: Gauss-Legendre radial x trapezoid angular."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    offset: float
 
 
 def interior_quadrature(d, n_radial=24):
@@ -383,11 +377,7 @@ def interior_quadrature(d, n_radial=24):
     zn = d.zc + np.outer(s, d.radii * u)
     nodes = np.column_stack([zn.real.ravel(), zn.imag.ravel()])
     w = (2.0 * np.pi / d.m) * np.outer(s * v, d.radii**2)
-    # the outer ring lies (1 - s) r_j inside along each ray, which is
-    # (1 - s) r_j^2/speed_j along the normal to first order
-    depth = (1.0 - s[-1]) * d.radii**2 / d.speed
-    offset = float(depth.min() / d.arc_weights.max())
-    return InteriorQuadrature(nodes, w.ravel(), offset)
+    return InteriorQuadrature(nodes, w.ravel())
 
 
 # ----------------------------------------------------------------------------
@@ -737,8 +727,7 @@ def rho_reflection_min(d):
     hi = ball
     if not _reflections_pass(d, hi, dirs, nodes, proj):
         raise ConvergenceError(
-            "no admissible reflection radius up to the inscribed-ball bound",
-            best_value=hi)
+            "no admissible reflection radius up to the inscribed-ball bound")
     lo = 0.0
     if _reflections_pass(d, lo, dirs, nodes, proj):
         hi = lo

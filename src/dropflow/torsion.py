@@ -10,27 +10,27 @@ g = |x - c|^2/4.  Written as a Cauchy integral, h = -Re Phi with
 
 and a single matrix w_j / (z_j - z_i), w_j = z'_j 2 pi/M, serves both the
 Nystrom system (its imaginary part is the double-layer kernel) and the
-interior boundary values
+interior boundary values, summed once, in the solve:
 
-    Phi_-(z_i) = mu_i + (1/2 pi i) [sum_{j != i} (mu_j - mu_i) w_j/(z_j - z_i)
-                                    + mu'(theta_i) 2 pi/M],
+    Phi_-(z_i) = mu_i + (1/2 pi i) [S_i + mu'(theta_i) 2 pi/M],
+    S_i = sum_{j != i} (mu_j - mu_i) w_j/(z_j - z_i),
 
-whose integrand is smooth.  The boundary normal derivative of h is the
-tangential derivative of the conjugate, d_n h = -d_s Im Phi_-, one real
-FFT pair for both terms of Im Phi_- (the sum and mu').  Interior
-values, gradients and Hessians of h come from Phi, Phi' and Phi'': their
-boundary values are formed once on the 4M-point grid, from the radius and
-density interpolants of `spectral.jet` (the M grid aliases the product
-integrand and loses digits in Phi''), and continued inside by the
-barycentric Cauchy formula
-sum_j w_j F_j / (z_j - z) / sum_j w_j / (z_j - z), which stays accurate
-up to the boundary.
+whose integrand is smooth, so that Re Phi_- = mu + Im S/2 pi and
+Im Phi_- = -Re S/2 pi - mu'/M are spectrally accurate on the M grid.  The
+boundary normal derivative of h is the tangential derivative of the
+conjugate, d_n h = -d_s Im Phi_-, one real FFT pair.  Interior values,
+gradients and Hessians of h come from Phi, Phi' and Phi''.  The 4M-point
+grid carries only the interpolant of Phi_-: one `spectral.jet` of its
+modes gives Phi_- and its theta-derivatives, and the chain rule through z'
+and z'' turns them into Phi_-' and Phi_-''.  The barycentric Cauchy formula
+sum_j w_j F_j / (z_j - z) / sum_j w_j / (z_j - z) continues them inside
+and stays accurate up to the boundary.
 
-Only the M x M system is ever held whole.  The Cauchy sums over the 4M
-grid, for the boundary values there and for the interior targets, are
-formed in row blocks of about _BLOCK_ENTRIES kernel entries in one buffer
-reused across blocks, so their memory does not grow with M or with the
-number of targets, and the reported values do not depend on the blocking.
+Only the M x M system is ever held whole.  The barycentric sums from the
+4M grid to the interior targets are formed in row blocks of about
+_BLOCK_ENTRIES kernel entries in one buffer reused across blocks, so their
+memory does not grow with M or with the number of targets, and the
+reported values do not depend on the blocking.
 """
 from __future__ import annotations
 
@@ -81,20 +81,6 @@ def _difference_blocks(zs, zt):
         yield slice(lo, hi), k
 
 
-def _boundary_values(z, w, mu, dmu):
-    """Interior limit Phi_-(z_i) of the Cauchy integral of mu at the nodes z,
-    from the density mu and its derivative dmu = mu'(theta) there."""
-    s = np.empty(z.size, dtype=complex)
-    # a complex @ real matmul misses BLAS in numpy, hence the cast
-    muc = mu.astype(complex)
-    for rows, k in _difference_blocks(z, z):
-        np.fill_diagonal(k[:, rows.start:], np.inf)
-        np.divide(w[None, :], k, out=k)
-        s[rows] = k @ muc - mu[rows] * k.sum(axis=1)
-    s += dmu * (2.0 * np.pi / mu.size)
-    return mu + s / (2j * np.pi)
-
-
 class TorsionSolution:
     """Solved torsion problem; exposes boundary fields and interior evaluation.
 
@@ -116,12 +102,13 @@ class TorsionSolution:
         1-norm condition estimate of the boundary system.
     """
 
-    def __init__(self, domain, vol, lambda_, phi_integral, mu, dn_h, cond):
+    def __init__(self, domain, vol, lambda_, phi_integral, mu, s, im_phi, dn_h, cond):
         self.domain = domain
         self.vol = float(vol)
         self.lambda_ = float(lambda_)
         self.phi_integral = float(phi_integral)
         self.density = mu
+        self._s, self._im_phi = s, im_phi
         d = domain
         rel = d.z - d.zc
         self._dn_phi = dn_phi = -(rel.real * d.normal_c.real
@@ -159,17 +146,18 @@ class TorsionSolution:
             d = self.domain
             mq = 4 * d.m
             e = spectral.unit_circle(mq)
-            r, rp = spectral.jet(d.modes, mq, 1)
+            r, rp, rpp = spectral.jet(d.modes, mq, 2)
             zq = d.zc + r * e
             zp = (rp + 1j * r) * e
+            zpp = (rpp - r + 2j * rp) * e
+            # Re Phi_- from the kept S; the solve kept the modes of Im Phi_-
+            re_phi = np.fft.rfft(self.density) + np.fft.rfft(self._s.imag) / (2.0 * np.pi)
+            f = spectral.jet(np.stack([re_phi, self._im_phi]), mq, 2)
+            phi, phi_t, phi_tt = f[:, 0] + 1j * f[:, 1]
+            d1 = phi_t / zp
+            d2 = (phi_tt - d1 * zpp) / zp**2
             w = zp * (2.0 * np.pi / mq)
-            phi = _boundary_values(zq, w, *spectral.jet(np.fft.rfft(self.density), mq, 1))
-            cols = [phi]
-            for _ in range(2):      # Phi_-' and Phi_-'': d/dtheta over z'
-                f = cols[-1]
-                dre, dim = spectral.jet(np.fft.rfft(np.stack([f.real, f.imag])), mq, 1)[1]
-                cols.append((dre + 1j * dim) / zp)
-            cols = np.column_stack(cols + [np.ones(mq)])
+            cols = np.column_stack([phi, d1, d2, np.ones(mq)])
             self._sources = (zq, w[:, None] * cols)
         return self._sources
 
@@ -282,10 +270,12 @@ def solve_torsion(domain, vol):
             f"boundary system condition estimate {cond:.3e} exceeds "
             f"limit {_COND_LIMIT:.3e}", condition_estimate=cond)
     mu = lu_solve((lu, piv), g)
-    # d_n h = -d_theta Im Phi_-/speed, Im Phi_- = -Re(C mu - mu rowsum C)/2pi - mu'/M
-    fh = np.fft.rfft(np.stack([(c @ mu.astype(complex) - mu * c.sum(axis=1)).real, mu]))
+    # d_n h = -d_theta Im Phi_-/speed, from the modes of Im Phi_- (module docstring)
+    s = c @ mu.astype(complex) - mu * c.sum(axis=1)
+    fh = np.fft.rfft(np.stack([s.real, mu]))
     ik = 1j * np.arange(d.m // 2 + 1)
-    dim = ik * (-fh[0] / (2.0 * np.pi) - ik * fh[1] / d.m)
+    im_phi = -fh[0] / (2.0 * np.pi) - ik * fh[1] / d.m
+    dim = ik * im_phi
     dim[-1] = 0.0
     dn_h = -np.fft.irfft(dim, d.m) / d.speed
 
@@ -294,7 +284,7 @@ def solve_torsion(domain, vol):
         raise SolverError("nonpositive torsion integral; domain too degenerate",
                           condition_estimate=cond)
     lam = vol / int_phi
-    sol = TorsionSolution(d, vol, lam, int_phi, mu, dn_h, cond)
+    sol = TorsionSolution(d, vol, lam, int_phi, mu, s, im_phi, dn_h, cond)
 
     if np.any(sol.boundary_grad <= 0.0):
         raise SolverError("boundary gradient is not strictly positive",

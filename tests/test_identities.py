@@ -19,11 +19,16 @@ def test_pohozaev_disk_closed_form(disk_sol):
     assert rep.passed
 
 
-def test_pohozaev_is_base_point_independent(fourier2_sol):
-    a = check_identity(fourier2_sol, "pohozaev", x0=(0.0, 0.0))
-    b = check_identity(fourier2_sol, "pohozaev", x0=(0.4, -0.3))
-    assert abs(a.lhs - b.lhs) < 1e-10
-    assert a.passed and b.passed
+@pytest.mark.parametrize("fixture", ["fourier2_sol", "ellipse_sol"])
+def test_pohozaev_and_cube_are_base_point_free(fixture, request):
+    # moving x0 by a changes the Pohozaev lhs by -(lam/2) a . oint |Du|^2 nu
+    # and the cube rhs by (lam/2) a . oint (|Du|^2 - 1) nu; both vanish
+    sol = request.getfixturevalue(fixture)
+    d = sol.domain
+    wnu = d.arc_weights[:, None] * d.normal
+    bg2 = sol.boundary_grad[:, None] ** 2
+    assert np.abs((wnu * bg2).sum(axis=0)).max() < 1e-12
+    assert np.abs((wnu * (bg2 - 1.0)).sum(axis=0)).max() < 1e-12
 
 
 def test_cube_equilibrium_disk_closed_form():
@@ -33,14 +38,6 @@ def test_cube_equilibrium_disk_closed_form():
     assert abs(rep.lhs - expect) < 1e-8
     assert abs(rep.rhs - expect) < 1e-8
     assert rep.residual < 1e-8
-
-
-def test_cube_base_point_independent(ellipse_sol):
-    a = check_identity(ellipse_sol, "cube", x0=(0.0, 0.0))
-    b = check_identity(ellipse_sol, "cube", x0=(-0.2, 0.1))
-    assert abs(a.lhs - b.lhs) < 1e-12
-    assert abs(a.rhs - b.rhs) < 1e-9
-    assert a.passed and b.passed
 
 
 def test_kappa_cube_disk_sign_convention(disk_sol):
@@ -70,6 +67,12 @@ def test_fund_est_signed_equality_and_inequality(fourier35_sol):
     # Frobenius-deviation form carries the factor-2 relation exactly
     assert abs(rep.metadata["hessian_lhs"] - 2 * rep.lhs) < 1e-9
     assert rep.metadata["hessian_inequality_ok"]
+
+
+def test_fund_est_verdicts_are_json_booleans(fourier35_sol):
+    meta = json.loads(check_identity(fourier35_sol, "fund_est").to_json())["metadata"]
+    assert meta["inequality_ok"] is True
+    assert meta["hessian_inequality_ok"] is True
 
 
 def test_fund_est_vanishes_on_equilibrium_ball():

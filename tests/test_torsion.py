@@ -107,14 +107,17 @@ def ellipse_closed_form(lam, pts, a=1.2, b=0.8):
     return u, grad, hess
 
 
-@pytest.mark.parametrize("m, tol_u, tol_grad, tol_hess",
-                         [(64, 3e-11, 1e-9, 5e-8), (128, 2e-14, 6e-13, 6e-11)])
-def test_interior_evaluation_ellipse_at_quadrature_nodes(m, tol_u, tol_grad, tol_hess):
+# the ids of the first two cases predate the a and b parameters
+@pytest.mark.parametrize("a, b, m, tol_u, tol_grad, tol_hess", [
+    pytest.param(1.2, 0.8, 64, 3e-11, 1e-9, 5e-8, id="64-3e-11-1e-09-5e-08"),
+    pytest.param(1.2, 0.8, 128, 2e-14, 6e-13, 6e-11, id="128-2e-14-6e-13-6e-11"),
+    (2.0, 0.5, 1024, 3e-13, 5e-11, 3e-8)])
+def test_interior_evaluation_ellipse_at_quadrature_nodes(a, b, m, tol_u, tol_grad, tol_hess):
     # every node of the 24-point radial rule, the outermost Gauss ring
     # (about a fifth of a node spacing off the wall) included
-    sol = solve_torsion(build_star_domain("ellipse(1.2,0.8)", m), 1.0)
+    sol = solve_torsion(build_star_domain(f"ellipse({a},{b})", m), 1.0)
     quad, u, grad, hess = sol.quadrature_data(24)
-    u0, g0, h0 = ellipse_closed_form(sol.lambda_, quad.nodes)
+    u0, g0, h0 = ellipse_closed_form(sol.lambda_, quad.nodes, a, b)
     assert np.abs(u - u0).max() < tol_u
     assert np.abs(grad - g0).max() < tol_grad
     assert np.abs(hess - h0).max() < tol_hess
@@ -172,25 +175,46 @@ def test_interior_evaluation_is_independent_of_the_blocking(fourier35_sol, rng):
         assert np.array_equal(hess[:, 1, 1], lam * (-0.5 - p2.real))
 
 
-@pytest.mark.parametrize("entries", [torsion._BLOCK_ENTRIES, 100 * 512 + 7, 2 * 512])
-def test_boundary_values_match_the_full_cauchy_matrix(fourier35_sol, monkeypatch, entries):
-    # the blocked sums equal C mu - mu rowsum(C) + mu' 2pi/M with the whole
-    # (4M)^2 matrix C_ij = w_j / (z_j - z_i), 0 on the diagonal, for 4 equal
-    # blocks, 6 uneven ones and blocks of 2 rows
-    monkeypatch.setattr(torsion, "_BLOCK_ENTRIES", entries)
-    d = fourier35_sol.domain
+@pytest.mark.parametrize("fixture", ["disk_sol", "ellipse_sol", "fourier2_sol",
+                                     "fourier35_sol"])
+def test_boundary_values_match_the_full_cauchy_matrix(fixture, request):
+    # the Phi_- column, interpolated from the M-grid sum of the solve, equals
+    # mu + (C mu - mu rowsum(C) + mu' 2pi/M) / 2pi i summed on the 4M grid
+    # with the whole (4M)^2 matrix C_ij = w_j / (z_j - z_i), 0 on the diagonal
+    sol = request.getfixturevalue(fixture)
+    d = sol.domain
     mq = 4 * d.m
     zq = d.dense_boundary(4)
     r, rp = spectral.jet(d.modes, mq, 1)
     w = (rp + 1j * r) * spectral.unit_circle(mq) * (2.0 * np.pi / mq)
-    mu, dmu = spectral.jet(np.fft.rfft(fourier35_sol.density), mq, 1)
+    mu, dmu = spectral.jet(np.fft.rfft(sol.density), mq, 1)
     diff = zq[None, :] - zq[:, None]
     np.fill_diagonal(diff, np.inf)
     c = w[None, :] / diff
     s = (c @ mu.astype(complex) - mu * c.sum(axis=1)
          + dmu * (2.0 * np.pi / mq))
-    assert np.array_equal(torsion._boundary_values(zq, w, mu, dmu),
-                          mu + s / (2j * np.pi))
+    ref = mu + s / (2j * np.pi)
+    zs, cols = sol._cauchy_sources()
+    assert np.array_equal(zs, zq)
+    assert np.abs(cols[:, 0] / w - ref).max() < 1e-13 * np.abs(ref).max()
+
+
+def test_interior_sources_make_no_cauchy_sum(monkeypatch):
+    # the boundary values are summed once, in the solve; only the interior
+    # targets go through the blocked Cauchy sums
+    calls = []
+    blocks = torsion._difference_blocks
+
+    def spy(zs, zt):
+        calls.append(zt.size)
+        return blocks(zs, zt)
+
+    monkeypatch.setattr(torsion, "_difference_blocks", spy)
+    sol = solve_torsion(build_star_domain("fourier(1;3:0.1,5:0.03)", 64), 1.0)
+    sol._cauchy_sources()
+    assert calls == []
+    sol.eval_interior(np.zeros((3, 2)))
+    assert calls == [3]
 
 
 def test_quadrature_data_memory_is_bounded():

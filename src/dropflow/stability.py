@@ -117,11 +117,11 @@ def serrin_deficit(sol):
     return float(np.sum((bg**2 - 1.0) ** 2 * sol.domain.arc_weights))
 
 
-def l2_distance_lhs(sol, x0=None):
+def l2_distance_lhs(sol):
     """min over centers of oint ((lam/2)|x - x0| - 1)^2 dsigma.
 
     Returns (value, minimizing center).  Newton's method from the
-    barycenter (or `x0`) with the closed-form gradient and Hessian; where
+    barycenter with the closed-form gradient and Hessian; where
     the Hessian is not positive definite its Gauss-Newton part
     2 sum w (lam/2)^2 e e^T, e = (x - x0)/|x - x0|, is used instead.  The
     search stops at a step of 1e-10 times 2/lam, the radius the distance is
@@ -144,8 +144,7 @@ def l2_distance_lhs(sol, x0=None):
             hess = gauss
         return float(np.sum(w * res**2)), grad, hess
 
-    p0 = d.barycenter if x0 is None else np.asarray(x0, dtype=float)
-    center, val, _ = _newton_2d(evaluate, p0, _NEWTON_STEP_TOL / a,
+    center, val, _ = _newton_2d(evaluate, d.barycenter, _NEWTON_STEP_TOL / a,
                                 _NEWTON_GAIN_TOL * w.sum(), 0.25 / a)
     return max(val, 0.0), center
 

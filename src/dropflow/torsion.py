@@ -26,13 +26,20 @@ and z'' turns them into Phi_-' and Phi_-''.  The barycentric Cauchy formula
 sum_j w_j F_j / (z_j - z) / sum_j w_j / (z_j - z) continues them inside
 and stays accurate up to the boundary.
 
-Only the M x M system is ever held whole.  The barycentric sums from the
-4M grid to the interior targets are formed in row blocks of about
-_BLOCK_ENTRIES kernel entries in one buffer reused across blocks, so their
-memory does not grow with M or with the number of targets, and the
-reported values do not depend on the blocking.
+Only the real M x M system and Re C are ever held whole.  The complex
+Cauchy matrix is formed in row blocks of about _BLOCK_ENTRIES entries in
+one buffer reused across blocks, each block writing its rows of the system,
+of Re C and of the row sums of C; S comes afterwards from Re C mu and from
+the system's own equation.  Below _KRYLOV_M nodes the system is factored by
+LU, from _KRYLOV_M up it is solved by GMRES, whose iteration count the
+second-kind system keeps independent of M, so the solve costs O(M^2) there.
+The barycentric sums from the 4M grid to the interior targets run through
+the same blocks, so their memory does not grow with M or with the number of
+targets, and the reported values do not depend on the blocking.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -42,14 +49,18 @@ from . import spectral
 from .errors import EvaluationError, SolverError
 from .geometry import interior_quadrature
 
-_COND_LIMIT = 1e8   # largest accepted 1-norm condition estimate of the system
+_COND_LIMIT = 1e8   # largest accepted condition estimate of the boundary system
 
-
-def _cauchy_matrix(z, w):
-    """C_ij = w_j / (z_j - z_i) off the diagonal, 0 on it."""
-    c = z[None, :] - z[:, None]
-    np.fill_diagonal(c, np.inf)
-    return np.divide(w[None, :], c, out=c)
+# From _KRYLOV_M nodes on, GMRES solves the system instead of LU.  256 is the
+# first measured M at which GMRES beat LU + dgecon on the standard shapes and
+# ellipse(2,0.5) with one BLAS thread (0.22-0.89 ms against 1.01-1.32 ms; at
+# M = 192 the two ranges overlap, and at M = 32 or 64 LU is cheaper).  At
+# M = 256...2048 GMRES took 2-26 iterations on fourier(1;k:eps), k <= 8,
+# eps <= 0.3, and on ellipse(a,1/a), a <= 3, and 31 on ellipse(4,0.25) at
+# M = 2048 (lambda 3.5e-6 off); every shape that took more than 34 had
+# lambda more than 10 % off, so _KRYLOV_ITERATIONS leaves a margin of two.
+_KRYLOV_M = 256
+_KRYLOV_ITERATIONS = 64
 
 
 # A kernel block holds about 2**16 complex entries (1 MB, half of one core's
@@ -99,7 +110,10 @@ class TorsionSolution:
     density : (M,) ndarray
         Double-layer density of the harmonic part at the boundary nodes.
     condition_estimate : float
-        1-norm condition estimate of the boundary system.
+        Condition estimate of the boundary system: LAPACK's 1-norm estimate
+        below _KRYLOV_M nodes, and from _KRYLOV_M up the 2-norm estimate
+        sigma_max / sigma_min of the GMRES Hessenberg matrix, a lower bound
+        on the 2-norm condition number.
     """
 
     def __init__(self, domain, vol, lambda_, phi_integral, mu, s, im_phi, dn_h, cond):
@@ -235,8 +249,74 @@ def _phi_integral_boundary(d, g, dn_h):
     return float(-int_x2 / 4.0 + int_h)
 
 
+def _gmres(a, g):
+    """Solve a x = g by unrestarted GMRES; return x and the condition estimate.
+
+    The start x0 is a fixed pseudo-random vector of norm about |g|, so the
+    Krylov space holds every direction of the spectrum, the odd-symmetric
+    ones that a symmetric g lacks included, and the singular values of the
+    Arnoldi Hessenberg matrix H approach the extreme ones of a:
+    sigma_max(H) / sigma_min(H) estimates the 2-norm condition number from
+    below.  Classical Gram-Schmidt runs twice per step, and the residual
+    norm comes from Givens rotations of the columns of H in Python floats.
+    """
+    m = g.size
+    gnorm = float(np.linalg.norm(g))
+    tol = 4.0 * float(np.spacing(gnorm))
+    x0 = np.random.default_rng(0).standard_normal(m) * (gnorm / np.sqrt(m))
+    r = g - a @ x0
+    beta = float(np.linalg.norm(r))
+    v = np.empty((_KRYLOV_ITERATIONS + 1, m))
+    h = np.zeros((_KRYLOV_ITERATIONS + 1, _KRYLOV_ITERATIONS))
+    np.divide(r, beta, out=v[0])
+    rotations, res = [], beta
+    for k in range(_KRYLOV_ITERATIONS):
+        w = a @ v[k]
+        basis = v[: k + 1]
+        hk = basis @ w
+        w -= hk @ basis
+        dh = basis @ w
+        w -= dh @ basis
+        hk += dh
+        h[: k + 1, k] = hk
+        h[k + 1, k] = hnext = float(np.linalg.norm(w))
+        col = hk.tolist()
+        for i, (c, s) in enumerate(rotations):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        rho = math.hypot(col[k], hnext)
+        c, s = (col[k] / rho, hnext / rho) if rho else (1.0, 0.0)
+        rotations.append((c, s))
+        res *= abs(s)
+        if res <= tol:
+            break
+        np.divide(w, hnext, out=v[k + 1])
+    else:
+        raise SolverError(
+            f"GMRES reached relative residual {res / gnorm:.3e} in "
+            f"{_KRYLOV_ITERATIONS} iterations")
+    n = k + 1
+    u, sv, vt = np.linalg.svd(h[: n + 1, :n], full_matrices=False)
+    cond = _checked(sv[0] / sv[-1] if sv[-1] else np.inf)
+    return x0 + (vt.T @ (beta * u[0] / sv)) @ v[:n], cond
+
+
+def _checked(cond):
+    """cond, or SolverError when it exceeds _COND_LIMIT or is NaN."""
+    if not cond <= _COND_LIMIT:
+        raise SolverError(
+            f"boundary system condition estimate {cond:.3e} exceeds "
+            f"limit {_COND_LIMIT:.3e}", condition_estimate=cond)
+    return cond
+
+
 def solve_torsion(domain, vol):
     """Solve the volume-normalized torsion problem on a star domain.
+
+    Below _KRYLOV_M nodes the boundary system is factored by LU and its
+    condition estimate is LAPACK's 1-norm estimate (dgecon); from _KRYLOV_M
+    up it is solved by GMRES and the estimate is the 2-norm one of the
+    Krylov Hessenberg matrix, a lower bound that was within 0.25 % of the
+    exact value on the standard shapes.
 
     Parameters
     ----------
@@ -244,34 +324,49 @@ def solve_torsion(domain, vol):
     vol : float
         Target value of int u (positive).
 
-    Raises SolverError when the boundary system's 1-norm condition estimate
-    exceeds _COND_LIMIT, or when int phi or |Du| is not positive.
+    Raises SolverError when the boundary system's condition estimate exceeds
+    _COND_LIMIT, when GMRES does not reach its residual within
+    _KRYLOV_ITERATIONS steps, or when int phi or |Du| is not positive.
     """
     if not 0.0 < vol < np.inf:
         raise ValueError("vol must be positive and finite")
     d = domain
+    m = d.m
     rel = d.z - d.zc
     g = np.abs(rel) ** 2 / 4.0
 
-    # -Im(C)/2pi is the Nystrom double-layer kernel (arc weights included);
-    # its diagonal limit is the curvature term.
-    c = _cauchy_matrix(d.z, d.arc_weights * d.tangent_c)
-    # Fortran order lets getrf factor a in place
-    a = np.divide(c.imag, -2.0 * np.pi, out=np.empty(c.shape, order="F"))
-    np.fill_diagonal(a, -0.5 - d.curvature * d.arc_weights / (4.0 * np.pi))
-    # LAPACK sums the columns in place; np.linalg.norm(a, 1) would form |a|,
-    # one more M x M array
-    anorm = dlange("1", a)
-    lu, piv = lu_factor(a, overwrite_a=True)
-    rcond, info = dgecon(lu, anorm, norm="1")
-    cond = np.inf if rcond == 0.0 else 1.0 / rcond
-    if info != 0 or cond > _COND_LIMIT:
-        raise SolverError(
-            f"boundary system condition estimate {cond:.3e} exceeds "
-            f"limit {_COND_LIMIT:.3e}", condition_estimate=cond)
-    mu = lu_solve((lu, piv), g)
+    # Row blocks of C_ij = w_j / (z_j - z_i), 0 on the diagonal, write the
+    # system a = -Im C/2pi (the Nystrom double-layer kernel, arc weights
+    # included), Re C and the row sums of C; C itself is never held whole.
+    w = d.arc_weights * d.tangent_c
+    a = np.empty((m, m))
+    re_c = np.empty((m, m))
+    rowsum = np.empty(m, dtype=complex)
+    for rows, k in _difference_blocks(d.z, d.z):
+        k.reshape(-1)[rows.start::m + 1] = np.inf
+        np.divide(w, k, out=k)
+        np.divide(k.imag, -2.0 * np.pi, out=a[rows])
+        re_c[rows] = k.real
+        k.sum(axis=1, out=rowsum[rows])
+    # the diagonal limit of the kernel is the curvature term
+    diag = -0.5 - d.curvature * d.arc_weights / (4.0 * np.pi)
+    np.fill_diagonal(a, diag)
+    if m < _KRYLOV_M:
+        # a.T is the Fortran-ordered A^T, which getrf factors in place; the
+        # infinity norm of A^T is the 1-norm of A.  The system is finite
+        # because StarDomain checks its radii.
+        anorm = dlange("I", a.T)
+        lu = lu_factor(a.T, overwrite_a=True, check_finite=False)
+        rcond, info = dgecon(lu[0], anorm, norm="I")
+        cond = _checked(np.inf if info != 0 or rcond == 0.0 else 1.0 / rcond)
+        mu = lu_solve(lu, g, trans=1, check_finite=False)
+    else:
+        mu, cond = _gmres(a, g)
+    # S = C mu - mu rowsum(C); a mu = g gives Im(C mu) = -2pi (g - diag mu)
+    s = np.empty(m, dtype=complex)
+    s.real = re_c @ mu - mu * rowsum.real
+    s.imag = -2.0 * np.pi * (g - diag * mu) - mu * rowsum.imag
     # d_n h = -d_theta Im Phi_-/speed, from the modes of Im Phi_- (module docstring)
-    s = c @ mu.astype(complex) - mu * c.sum(axis=1)
     fh = np.fft.rfft(np.stack([s.real, mu]))
     ik = 1j * np.arange(d.m // 2 + 1)
     im_phi = -fh[0] / (2.0 * np.pi) - ik * fh[1] / d.m
@@ -290,4 +385,3 @@ def solve_torsion(domain, vol):
         raise SolverError("boundary gradient is not strictly positive",
                           condition_estimate=cond)
     return sol
-

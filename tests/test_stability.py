@@ -110,9 +110,6 @@ def test_l2_distance_lhs_offset_disk(a):
     exact = 2.0 * math.pi * a * (0.5 * sol.lambda_ * a - 1.0) ** 2
     assert abs(val / exact - 1.0) < 1e-12
     assert np.abs(center - [0.3, -0.2]).max() < 1e-12
-    val2, center2 = l2_distance_lhs(sol, x0=(0.35, -0.1))
-    assert abs(val2 / exact - 1.0) < 1e-12
-    assert np.abs(center2 - [0.3, -0.2]).max() < 1e-9
 
 
 def test_faber_krahn_gap_zero_on_disks():

@@ -38,7 +38,7 @@ _ACCURACY = 0.2             # step cap, in units of the mode-2 damping time
 _LAW_CHECK_RANGE = (0.1, 10.0)
 _DT_MIN_FRACTION = 1e-12
 _CLEAN_STEPS_TO_GROW = 10
-_RECENTER_FRACTION = 0.1    # barycenter drift, in in-radii, that recenters
+_RECENTER_FRACTION = 0.1    # barycenter drift, in least radius samples, to recenter
 _MAX_REJECTS = 40           # consecutive rejected steps before a halt
 _FIT_WINDOW = (1e-4, 1e-1)  # asymmetry range of the decay fit
 
@@ -272,7 +272,8 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf, cfl=0.4,
     after 10 clean accepted steps.  There is no stiffness cap: the
     integrating-factor step damps the high modes exactly, so the step count
     to stationarity hardly depends on M.  The domain is recentered when its
-    barycenter drifts a tenth of its in-radius from the center.
+    barycenter drifts from the center by a tenth of its smallest radius
+    sample about that center.
     The run ends at t_end, at stationarity (max |V| below tol_stationary),
     or with a halted trajectory recording the reason (41 rejects in a row,
     say); a failed recentering halts after keeping the accepted step it
@@ -340,7 +341,7 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf, cfl=0.4,
         clean += 1
         domain, sol = new_domain, new_sol
         drift = np.linalg.norm(domain.barycenter - domain.center)
-        if drift > _RECENTER_FRACTION * domain.in_radius:
+        if drift > _RECENTER_FRACTION * domain.radii.min():
             try:
                 moved = domain.recentered()
                 domain, sol = moved, _solve(moved, vol, counts)

@@ -207,36 +207,33 @@ class StarDomain:
         return self.center + np.array([mom.real, mom.imag]) / self.area
 
     @cached_property
-    def _extremes(self):
-        """(min, max) distance from the barycenter to the boundary curve.
+    def _in_radius(self):
+        """Least distance from the barycenter to the boundary curve.
 
-        Newton on d|gamma - p|^2/dtheta = 0, seeded at the nearest and the
-        farthest point of the 8M cloud and iterated on both together.
+        Newton on d|gamma - p|^2/dtheta = 0, seeded at the nearest point of
+        the 8M cloud.
         """
         pc = self.barycenter[0] + 1j * self.barycenter[1]
-        seed = np.abs(self.dense_boundary(8) - pc)
-        th = spectral.angle_grid(8 * self.m)[[seed.argmin(), seed.argmax()]]
+        th = spectral.angle_grid(8 * self.m)[np.abs(self.dense_boundary(8) - pc).argmin()]
         for _ in range(4):
             g, gp, gpp = self.curve_jet(th)
             gme = g - pc
             f1 = (np.conj(gme) * gp).real
             f2 = (np.abs(gp) ** 2 + (np.conj(gme) * gpp).real)
             th = th - np.divide(f1, f2, out=np.zeros_like(f1), where=f2 != 0.0)
-        dist = np.abs(self.curve_points(th) - pc)
-        return float(dist[0]), float(dist[1])
+        return float(np.abs(self.curve_points(th) - pc)[0])
 
     @property
     def in_radius(self):
-        return self._extremes[0]
-
-    @property
-    def out_radius(self):
-        return self._extremes[1]
+        return self._in_radius
 
     @cached_property
     def diameter(self):
-        d = self.nodes[:, None, :] - self.nodes[None, :, :]
-        return float(np.sqrt((d**2).sum(-1)).max())
+        # sqrt is monotone: the root of the largest square is the diameter
+        dz = self.z[:, None] - self.z
+        sq = dz.real**2
+        sq += dz.imag**2
+        return float(np.sqrt(sq.max()))
 
     # -- curve evaluation at arbitrary parameter angles ----------------------
 

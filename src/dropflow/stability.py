@@ -15,9 +15,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, ShapeError, SolverError
-from .geometry import (_NEWTON_GAIN_TOL, _NEWTON_STEP_TOL, StarDomain, _newton_2d,
-                       asymmetry_to_ball, build_star_domain, parse_shape,
-                       rho0_estimate)
+from .geometry import (_NEWTON_GAIN_TOL, _NEWTON_STEP_TOL, FourierShape, StarDomain,
+                       _newton_2d, asymmetry_to_ball, build_star_domain,
+                       parse_shape, rho0_estimate)
 from .torsion import solve_torsion
 
 _DEGENERATE_DEFICIT = 1e-12
@@ -238,10 +238,10 @@ def sweep_stability(modes=(2, 3, 4), amplitudes=None, vol=1.0, m=128,
             label = s if isinstance(s, str) else repr(s)
             jobs.append((label, spec, 0, 0.0))
     else:
-        for k in modes:
-            for eps in amplitudes:
-                label = f"fourier(1;{k}:{eps:g})"
-                jobs.append((label, label, int(k), float(eps)))
+        # the label rounds eps to 6 digits; the shape solved keeps it exact
+        for k in map(int, modes):
+            for eps in map(float, amplitudes):
+                jobs.append((f"fourier(1;{k}:{eps:g})", FourierShape(1.0, ((k, eps),)), k, eps))
     rows = []
     for label, spec, k, eps in jobs:
         row = {"shape": label, "k": k, "eps": eps, "failed": False}

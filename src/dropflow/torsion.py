@@ -191,8 +191,8 @@ class TorsionSolution:
         """u, Du and D^2 u at strictly interior points.
 
         A point is rejected with EvaluationError when it lies less than
-        1e-9 * out_radius inside the boundary along its ray from the
-        domain's center (`StarDomain.contains` with that negative
+        1e-9 times the largest radius sample inside the boundary along its
+        ray from the domain's center (`StarDomain.contains` with that negative
         tolerance): every point outside or on the curve, and inside only
         points that close to it, since the depth along the ray is never
         below the distance to the curve.
@@ -207,7 +207,7 @@ class TorsionSolution:
         """
         d = self.domain
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        depth = 1e-9 * d.out_radius
+        depth = 1e-9 * d.radii.max()
         bad = np.nonzero(~d.contains(pts, tol=-depth))[0]
         if bad.size:
             raise EvaluationError(

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dropflow import (FlowHalt, Trajectory, VelocityLaw, advance_step,
+from dropflow import (FlowHalt, Samples, Trajectory, VelocityLaw, advance_step,
                       ball_closed_forms, build_star_domain,
                       dissipation_residuals, fit_decay_rate, normalized_domain,
                       polynomial_law, quadratic_law, run_flow,
@@ -159,18 +159,47 @@ def test_dt_max_is_respected():
     assert traj.dts[1:].max() <= 0.004 + 1e-15
 
 
+def _offset_disk(dist, m):
+    """Unit disk about (dist, 0), sampled about the origin."""
+    psi = 2 * np.pi * np.arange(m) / m
+    r = dist * np.cos(psi) + np.sqrt(1.0 - dist**2 * np.sin(psi) ** 2)
+    return build_star_domain(Samples(tuple(r)), m)
+
+
 def test_flow_recenters_drifting_domain():
-    # disk of radius 1 about (0.3, 0) sampled from the origin: the
-    # parameterization center starts far from the barycenter
-    psi = 2 * np.pi * np.arange(64) / 64
-    r = 0.3 * np.cos(psi) + np.sqrt(1.0 - 0.09 * np.sin(psi) ** 2)
-    from dropflow import Samples
-    d = build_star_domain(Samples(tuple(r)), 64)
-    assert np.linalg.norm(d.barycenter - d.center) > 0.1 * d.in_radius
+    # the parameterization center starts far from the barycenter
+    d = _offset_disk(0.3, 64)
+    assert np.linalg.norm(d.barycenter - d.center) > 0.1 * d.radii.min()
     traj = run_flow(d, 1.0, t_end=0.2)
     final = traj.final_state.domain
     assert np.linalg.norm(final.center) > 0.1
-    assert np.linalg.norm(final.barycenter - final.center) <= 0.1 * final.in_radius + 1e-9
+    assert np.linalg.norm(final.barycenter - final.center) <= 0.1 * final.radii.min() + 1e-9
+
+
+def test_flow_does_not_search_for_the_in_radius(monkeypatch):
+    # the recentering test reads the radius samples, not the curve's in-radius
+    from dropflow import StarDomain
+
+    def in_radius(self):
+        raise AssertionError("the flow searched the curve for its in-radius")
+    monkeypatch.setattr(StarDomain, "in_radius", property(in_radius))
+    traj = run_flow(normalized_domain("fourier(1;2:0.1)", m=32), 1.0, t_end=1.0)
+    assert traj.status == "t_end" and len(traj.times) > 1
+
+
+@pytest.mark.parametrize("start, m, t_end, status, recenters, steps", [
+    (0.3, 64, 0.2, "t_end", 1, 9),
+    (0.5, 64, 0.2, "t_end", 1, 10),
+    ("fourier(1;1:0.05,2:0.1)", 32, 20.0, "stationary", 0, 80),
+    ("fourier(1;1:0.1,3:0.15)", 32, 20.0, "stationary", 1, 79),
+])
+def test_pinned_recenter_and_step_counts(start, m, t_end, status, recenters, steps):
+    # offset disks and mode-1 starts; a drift threshold scaled by the
+    # in-radius instead of the least radius sample gives the same counts
+    d = build_star_domain(start, m) if isinstance(start, str) else _offset_disk(start, m)
+    traj = run_flow(d, 1.0, t_end=t_end)
+    assert traj.status == status
+    assert (traj.stats["recenters"], traj.stats["accepted_steps"]) == (recenters, steps)
 
 
 @pytest.mark.parametrize("fail", ["solve", "recenter"])
@@ -329,10 +358,7 @@ def test_step_beyond_the_explicit_bound_damps_high_modes():
 
 def test_flow_stats_add_up():
     # the drifting disk of test_flow_recenters_drifting_domain recenters
-    psi = 2 * np.pi * np.arange(64) / 64
-    r = 0.3 * np.cos(psi) + np.sqrt(1.0 - 0.09 * np.sin(psi) ** 2)
-    from dropflow import Samples
-    traj = run_flow(build_star_domain(Samples(tuple(r)), 64), 1.0, t_end=0.2)
+    traj = run_flow(_offset_disk(0.3, 64), 1.0, t_end=0.2)
     st = traj.stats
     assert st["accepted_steps"] == len(traj.times) - 1
     assert st["attempted_steps"] == st["accepted_steps"] + sum(st["rejects"].values())

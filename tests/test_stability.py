@@ -180,6 +180,18 @@ def test_sweep_rows_and_failure_isolation(tmp_path):
     assert float(parsed[2]["ratio_thm1"]) == rows[2]["ratio_thm1"]
 
 
+def test_sweep_solves_the_exact_amplitude_not_its_label():
+    # the label keeps 6 significant digits of eps; the row is the exact shape's
+    from dropflow import FourierShape
+    eps = 0.0123456789
+    row, = sweep_stability(modes=(2,), amplitudes=[eps], m=64)
+    assert row["shape"] == "fourier(1;2:0.0123457)" and row["eps"] == eps
+    rep = stability_report(solve_torsion(
+        normalized_domain(FourierShape(1.0, ((2, eps),)), m=64), 1.0))
+    keys = ("asymmetry", "deficit", "ratio_thm1", "fk_gap", "fk_cor_ratio", "lhs_l2dist")
+    assert [row[k] for k in keys] == [getattr(rep, k) for k in keys]
+
+
 def test_sweep_isolates_solver_errors_only(monkeypatch):
     from dropflow import SolverError, stability
 

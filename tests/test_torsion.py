@@ -4,10 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dropflow import (EvaluationError, FourierShape, SolverError,
+from dropflow import (EvaluationError, FourierShape, SolverError, StarDomain,
                       build_star_domain, interior_quadrature, solve_torsion,
                       spectral, torsion)
 
@@ -37,6 +37,51 @@ def test_lambda_scales_with_volume():
     s1 = solve_torsion(d, 1.0)
     s2 = solve_torsion(d, 2.5)
     assert abs(s2.lambda_ - 2.5 * s1.lambda_) < 1e-12 * s2.lambda_
+
+
+# random smooth shapes: modes 2...8 of relative amplitude up to 0.08 about a
+# base radius 0.5...2, at M = 64; the examples at M = 256 take the GMRES path
+_SMOOTH = dict(modes=st.lists(st.tuples(st.integers(2, 8), st.floats(-0.08, 0.08)),
+                              max_size=3, unique_by=lambda km: km[0]),
+               base=st.floats(0.5, 2.0), m=st.just(64))
+_GMRES_SHAPES = ({"modes": [(3, 0.08), (7, -0.05)], "base": 1.3, "m": 256},
+                 {"modes": [(2, -0.06), (5, 0.04), (8, 0.02)], "base": 0.6, "m": 256})
+
+
+def _smooth_lambda(modes, base, m, center=(0.0, 0.0), roll=0, scale=1.0):
+    shape = FourierShape(base, tuple((k, base * eps) for k, eps in modes))
+    d = build_star_domain(shape, m, center=center)
+    return solve_torsion(StarDomain(d.center, scale * np.roll(d.radii, roll)), 1.0).lambda_
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_SMOOTH, center=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+@example(**_GMRES_SHAPES[0], center=(1.5, -0.7))
+@example(**_GMRES_SHAPES[1], center=(-0.3, 1.9))
+def test_lambda_is_invariant_under_translation(modes, base, m, center):
+    lam = _smooth_lambda(modes, base, m)
+    assert abs(_smooth_lambda(modes, base, m, center=center) - lam) <= 1e-13 * lam
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_SMOOTH, steps=st.integers(1, 63))
+@example(**_GMRES_SHAPES[0], steps=37)
+@example(**_GMRES_SHAPES[1], steps=200)
+def test_lambda_is_invariant_under_grid_rotation(modes, base, m, steps):
+    # rotation through a whole number of grid steps permutes the samples;
+    # other angles change the discretization (5e-10 at M = 64)
+    lam = _smooth_lambda(modes, base, m)
+    assert abs(_smooth_lambda(modes, base, m, roll=steps) - lam) <= 1e-13 * lam
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_SMOOTH, t=st.floats(0.5, 2.0))
+@example(**_GMRES_SHAPES[0], t=1.7)
+@example(**_GMRES_SHAPES[1], t=0.55)
+def test_lambda_scales_as_the_inverse_fourth_power(modes, base, m, t):
+    # at fixed vol, u scales as t^2 on t Omega, so int u = vol needs t^-4 lambda
+    lam = _smooth_lambda(modes, base, m)
+    assert abs(_smooth_lambda(modes, base, m, scale=t) * t**4 - lam) <= 1e-13 * lam
 
 
 def test_lambda_converges_in_m():
@@ -276,7 +321,7 @@ def test_interior_evaluation_rejects_points_on_and_just_inside_the_curve(fixture
        center=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
        seed=st.integers(0, 2**32 - 1))
 def test_interior_evaluation_guard_is_the_radial_depth(modes, base, center, seed):
-    # a point delta * out_radius inside the curve along its ray from the
+    # a point delta * max(radii) inside the curve along its ray from the
     # center is rejected for delta <= 5e-10 and accepted for delta >= 2e-9
     shape = FourierShape(base, tuple((k, base * eps) for k, eps in modes))
     sol = solve_torsion(build_star_domain(shape, 64, center=center), 1.0)
@@ -285,7 +330,7 @@ def test_interior_evaluation_guard_is_the_radial_depth(modes, base, center, seed
     psi = rng.uniform(0.0, 2.0 * np.pi, 200)
     delta = np.concatenate([[0.0, 5e-10], 10.0 ** rng.uniform(-16.0, np.log10(5e-10), 98),
                             [2e-9], 10.0 ** rng.uniform(np.log10(2e-9), -1.0, 99)])
-    rho = d.radius_at(psi) - delta * d.out_radius
+    rho = d.radius_at(psi) - delta * d.radii.max()
     pts = np.column_stack([center[0] + rho * np.cos(psi), center[1] + rho * np.sin(psi)])
     with pytest.raises(EvaluationError) as exc:
         sol.eval_interior(pts)

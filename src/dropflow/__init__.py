@@ -19,8 +19,7 @@ from .geometry import (Circle, Ellipse, FourierShape, InteriorQuadrature,
                        Samples, StarDomain, asymmetry_to_ball,
                        build_star_domain, interior_quadrature,
                        lemma_distance_check, load_domain_csv, parse_shape,
-                       ray_radii, rho0_estimate, rho_reflection_min,
-                       save_domain_csv)
+                       ray_radii, rho_reflection_min, save_domain_csv)
 from .identities import (IDENTITY_NAMES, IdentityReport, check_identity,
                          identity_suite)
 from .matcalc import (growth_constant, maclaurin_chain, quadratic_growth_gap,

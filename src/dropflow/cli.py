@@ -151,10 +151,15 @@ def cmd_stability(args):
     try:
         modes = tuple(int(k) for k in args.modes.split(","))
         lo, hi, n = args.eps_grid.split(":")
-        amplitudes = np.linspace(float(lo), float(hi), int(n))
+        lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         print("bad --modes/--eps-grid", file=sys.stderr)
         return EXIT_CONFIG
+    # each amplitude is a sweep row: N = 1e11 would allocate 745 GiB
+    if not 1 <= n <= 10_000:
+        print("--eps-grid N must be >= 1 and <= 10000", file=sys.stderr)
+        return EXIT_CONFIG
+    amplitudes = np.linspace(lo, hi, n)
     shapes = [args.shape] if args.shape else None
     rows = sweep_stability(modes=modes, amplitudes=amplitudes, vol=args.vol,
                            m=args.m, shapes=shapes)

@@ -206,41 +206,7 @@ class StarDomain:
         mom = np.sum(np.abs(g) ** 2 * g) * (2.0 * np.pi / (3.0 * g.size))
         return self.center + np.array([mom.real, mom.imag]) / self.area
 
-    @cached_property
-    def _in_radius(self):
-        """Least distance from the barycenter to the boundary curve.
-
-        Newton on d|gamma - p|^2/dtheta = 0, seeded at the nearest point of
-        the 8M cloud.
-        """
-        pc = self.barycenter[0] + 1j * self.barycenter[1]
-        th = spectral.angle_grid(8 * self.m)[np.abs(self.dense_boundary(8) - pc).argmin()]
-        for _ in range(4):
-            g, gp, gpp = self.curve_jet(th)
-            gme = g - pc
-            f1 = (np.conj(gme) * gp).real
-            f2 = (np.abs(gp) ** 2 + (np.conj(gme) * gpp).real)
-            th = th - np.divide(f1, f2, out=np.zeros_like(f1), where=f2 != 0.0)
-        return float(np.abs(self.curve_points(th) - pc)[0])
-
-    @property
-    def in_radius(self):
-        return self._in_radius
-
-    @cached_property
-    def diameter(self):
-        # sqrt is monotone: the root of the largest square is the diameter
-        dz = self.z[:, None] - self.z
-        sq = dz.real**2
-        sq += dz.imag**2
-        return float(np.sqrt(sq.max()))
-
     # -- curve evaluation at arbitrary parameter angles ----------------------
-
-    def radius_at(self, psi):
-        """The radius interpolant at angles psi about the center, in the
-        Horner form that `contains` reads."""
-        return self._radius_toward(np.exp(1j * np.atleast_1d(np.asarray(psi, dtype=float))))
 
     def curve_points(self, th):
         """gamma(theta) = center + r(theta) e^{i theta}, exact interpolant."""
@@ -320,9 +286,6 @@ class StarDomain:
         return rho <= self._radius_toward(u) + tol
 
     # -- derived domains -----------------------------------------------------
-
-    def translated(self, vec):
-        return StarDomain(self.center + np.asarray(vec, dtype=float), self.radii)
 
     def scaled(self, factor):
         """Dilation about the center by `factor` (> 0)."""
@@ -658,19 +621,6 @@ def lemma_distance_check(d, radius):
     return float(lhs), float(rhs)
 
 
-def rho0_estimate(d):
-    """Interior-ball scale: min(inscribed radius, 1/max positive curvature).
-
-    The curvature (r^2 + 2 r'^2 - r r'')/(r^2 + r'^2)^(3/2) is sampled on
-    the 4M grid, with r, r', r'' from one inverse FFT of the radius jet.
-    """
-    r, rp, rpp = spectral.jet(d.modes, 4 * d.m, 2)
-    kmax = ((r * r + 2.0 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5).max()
-    if kmax <= 0.0:
-        return d.in_radius
-    return float(min(d.in_radius, 1.0 / kmax))
-
-
 _REFLECTION_TOL = 1e-4      # bisection width of the reflection radius
 
 
@@ -680,8 +630,6 @@ class ReflectionReport:
 
     rho: float
     oscillation: float
-    star_radius: float
-    ball_bound: float
 
 
 def _reflections_pass(d, rho, dirs, nodes, proj):
@@ -720,8 +668,7 @@ def rho_reflection_min(d):
     nodes = d.nodes
     proj = nodes @ dirs.T
     rr = np.abs(d.dense_boundary(8))        # cloud distances to the origin
-    ball = float(rr.min())
-    hi = ball
+    hi = float(rr.min())
     if not _reflections_pass(d, hi, dirs, nodes, proj):
         raise ConvergenceError(
             "no admissible reflection radius up to the inscribed-ball bound")
@@ -734,11 +681,7 @@ def rho_reflection_min(d):
             hi = mid
         else:
             lo = mid
-    rho = hi
-    osc = float(rr.max() - rr.min())
-    star = float(np.sqrt(max(rr.min() ** 2 - rho**2, 0.0)))
-    return ReflectionReport(rho=float(rho), oscillation=osc, star_radius=star,
-                            ball_bound=ball)
+    return ReflectionReport(rho=float(hi), oscillation=float(rr.max() - rr.min()))
 
 
 # ----------------------------------------------------------------------------

@@ -3,13 +3,14 @@
 Closed forms for the equilibrium ball (optimal radius, multiplier, energy
 and its radial derivatives) plus a report comparing a solved domain to the
 best-matching ball: symmetric-difference asymmetry, the boundary gradient
-deficit, their quotient, the scale-invariant base-energy gap and the
-centered L2 boundary distance.
+deficit, their quotient, the scale-invariant base-energy gap, the energy
+gap over the asymmetry and the centered L2 boundary distance.  The
+report's fields are the columns of the stability sweep.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import ConvergenceError, ShapeError, SolverError
 from .geometry import (_NEWTON_GAIN_TOL, _NEWTON_STEP_TOL, FourierShape, StarDomain,
                        _newton_2d, asymmetry_to_ball, build_star_domain,
-                       parse_shape, rho0_estimate)
+                       parse_shape)
 from .torsion import solve_torsion
 
 _DEGENERATE_DEFICIT = 1e-12
@@ -160,53 +161,38 @@ def faber_krahn_gap(sol):
 
 @dataclass
 class StabilityReport:
+    """One sweep row's metrics, in `SWEEP_HEADER` order after the labels."""
+
     asymmetry: float
     deficit: float
     ratio_thm1: float
     fk_gap: float
     fk_cor_ratio: float
     lhs_l2dist: float
-    rhs_l2dist: float
-    r_star: float
-    lambda_: float
-    energy: float
-    j_star: float
-    diam_over_rho0: float
-    diam_over_rstar: float
-    degenerate: bool
-    best_center: np.ndarray
 
 
 def stability_report(sol):
     """Compare a solved domain to the equilibrium ball of the same mass.
 
-    Near-equilibrium inputs (both asymmetry and deficit at noise level) are
-    flagged degenerate and the indeterminate ratios are reported as zero.
+    The report's fields are the sweep's metric columns.  Near-equilibrium
+    inputs (both asymmetry and deficit at noise level) make the ratios
+    indeterminate, and they are reported as zero.
     """
-    d = sol.domain
     b = ball_closed_forms(2, sol.vol)
-    asym, center = asymmetry_to_ball(d, b.r_star)
+    asym, _ = asymmetry_to_ball(sol.domain, b.r_star)
     deficit = serrin_deficit(sol)
-    energy = total_energy(sol)
     lhs_l2, _ = l2_distance_lhs(sol)
-    fk = faber_krahn_gap(sol)
-    degenerate = deficit < _DEGENERATE_DEFICIT and asym < _DEGENERATE_ASYM
-    if degenerate:
+    if deficit < _DEGENERATE_DEFICIT and asym < _DEGENERATE_ASYM:
         ratio = 0.0
         cor_ratio = 0.0
     else:
         ratio = asym / math.sqrt(deficit / b.r_star)
-        gap_j = max(energy - b.j_star, 0.0)
+        gap_j = max(total_energy(sol) - b.j_star, 0.0)
         cor_ratio = math.sqrt(gap_j) / (math.sqrt(b.j_star) * asym) if asym > 0 else 0.0
-    rho0 = rho0_estimate(d)
     return StabilityReport(
         asymmetry=float(asym), deficit=float(deficit), ratio_thm1=float(ratio),
-        fk_gap=float(fk), fk_cor_ratio=float(cor_ratio),
-        lhs_l2dist=float(lhs_l2), rhs_l2dist=float(deficit),
-        r_star=b.r_star, lambda_=sol.lambda_, energy=float(energy),
-        j_star=b.j_star, diam_over_rho0=float(d.diameter / rho0),
-        diam_over_rstar=float(d.diameter / b.r_star),
-        degenerate=degenerate, best_center=center)
+        fk_gap=faber_krahn_gap(sol), fk_cor_ratio=float(cor_ratio),
+        lhs_l2dist=float(lhs_l2))
 
 
 def normalized_domain(shape, vol=1.0, m=128):
@@ -248,14 +234,10 @@ def sweep_stability(modes=(2, 3, 4), amplitudes=None, vol=1.0, m=128,
         try:
             d = normalized_domain(spec, vol=vol, m=m)
             sol = solve_torsion(d, vol)
-            rep = stability_report(sol)
-            row.update(asymmetry=rep.asymmetry, deficit=rep.deficit,
-                       ratio_thm1=rep.ratio_thm1, fk_gap=rep.fk_gap,
-                       fk_cor_ratio=rep.fk_cor_ratio, lhs_l2dist=rep.lhs_l2dist)
+            row.update(asdict(stability_report(sol)))
         except (ShapeError, SolverError, ConvergenceError) as exc:
-            row.update(asymmetry=math.nan, deficit=math.nan, ratio_thm1=math.nan,
-                       fk_gap=math.nan, fk_cor_ratio=math.nan,
-                       lhs_l2dist=math.nan, failed=True, error=str(exc))
+            row.update(dict.fromkeys(SWEEP_HEADER[3:], math.nan),
+                       failed=True, error=str(exc))
         rows.append(row)
     return rows
 

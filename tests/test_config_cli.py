@@ -206,6 +206,9 @@ def test_cli_stability_rejects_nonpositive_vol(tmp_path, capsys):
     (["stability", "--m", "2050", "--modes", "2", "--eps-grid", "0.1:0.1:1"],
      "--m must be even and >= 16"),
     (["verify", "--n-radial", "257"], "--n-radial must be >= 2 and <= 256"),
+    (["stability", "--eps-grid", "0.1:0.2:0"], "--eps-grid N must be >= 1 and <= 10000"),
+    (["stability", "--eps-grid", "0.1:0.2:100000000000"],
+     "--eps-grid N must be >= 1 and <= 10000"),
 ])
 def test_cli_rejects_out_of_range_arguments(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)

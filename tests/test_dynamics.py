@@ -176,17 +176,6 @@ def test_flow_recenters_drifting_domain():
     assert np.linalg.norm(final.barycenter - final.center) <= 0.1 * final.radii.min() + 1e-9
 
 
-def test_flow_does_not_search_for_the_in_radius(monkeypatch):
-    # the recentering test reads the radius samples, not the curve's in-radius
-    from dropflow import StarDomain
-
-    def in_radius(self):
-        raise AssertionError("the flow searched the curve for its in-radius")
-    monkeypatch.setattr(StarDomain, "in_radius", property(in_radius))
-    traj = run_flow(normalized_domain("fourier(1;2:0.1)", m=32), 1.0, t_end=1.0)
-    assert traj.status == "t_end" and len(traj.times) > 1
-
-
 @pytest.mark.parametrize("start, m, t_end, status, recenters, steps", [
     (0.3, 64, 0.2, "t_end", 1, 9),
     (0.5, 64, 0.2, "t_end", 1, 10),

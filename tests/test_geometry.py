@@ -3,7 +3,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +16,8 @@ from dropflow import (Circle, Ellipse, FourierShape, Samples, ShapeError,
                       StarDomain, asymmetry_to_ball,
                       build_star_domain, interior_quadrature,
                       lemma_distance_check, load_domain_csv, parse_shape,
-                      ray_radii, rho0_estimate, rho_reflection_min,
-                      save_domain_csv, spectral)
+                      ray_radii, rho_reflection_min, save_domain_csv,
+                      spectral)
 from dropflow.geometry import _ball_overlap
 
 R_STAR = (4.0 / math.pi) ** (1.0 / 3.0)
@@ -55,12 +54,12 @@ def test_build_examples_trivial_radii():
     assert np.allclose(d.radii, 1.0, atol=1e-15)
 
     e = build_star_domain("ellipse(1.2,0.8)", 128)
-    assert abs(e.radius_at(0.0) - 1.2) < 1e-12
-    assert abs(e.radius_at(np.pi / 2) - 0.8) < 1e-12
+    assert abs(eval_at_angles(e.radii, 0.0) - 1.2) < 1e-12
+    assert abs(eval_at_angles(e.radii, np.pi / 2) - 0.8) < 1e-12
 
     f = build_star_domain("fourier(1;3:0.1)", 128)
-    assert abs(f.radius_at(0.0) - 1.1) < 1e-12
-    assert abs(f.radius_at(np.pi / 3) - 0.9) < 1e-12
+    assert abs(eval_at_angles(f.radii, 0.0) - 1.1) < 1e-12
+    assert abs(eval_at_angles(f.radii, np.pi / 3) - 0.9) < 1e-12
 
 
 def test_build_rejects_bad_discretizations():
@@ -107,34 +106,17 @@ def test_ellipse_perimeter_matches_elliptic_integral():
 def test_area_and_moments_closed_forms():
     d = build_star_domain("circle(1)", 64)
     assert abs(d.area - np.pi) < 1e-13
-    assert abs(d.in_radius - 1.0) < 1e-12
-    assert abs(d.diameter - 2.0) < 1e-10
 
     f = build_star_domain("fourier(1;3:0.1)", 128)
     assert abs(f.area - np.pi * (1 + 0.1**2 / 2)) < 1e-12
 
     e = build_star_domain("ellipse(1.2,0.8)", 128)
     assert abs(e.area - 0.96 * np.pi) < 1e-10
-    assert abs(e.diameter - 2.4) < 1e-10
-    assert abs(e.in_radius - 0.8) < 1e-10
-
-
-def test_diameter_memory_is_one_real_distance_matrix():
-    # the (M, M, 2) node differences with their squares and roots once
-    # peaked at 40 MiB at M = 1024; the complex differences and the squared
-    # distances take 32 MiB
-    d = build_star_domain("fourier(1;3:0.1,5:0.03)", 1024)
-    tracemalloc.start()
-    try:
-        d.diameter
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 36 * 2**20
 
 
 def test_barycenter_tracks_translation():
-    d = build_star_domain("fourier(1;3:0.1)", 128).translated((0.7, -0.4))
+    f = build_star_domain("fourier(1;3:0.1)", 128)
+    d = StarDomain(f.center + (0.7, -0.4), f.radii)
     assert np.allclose(d.barycenter, [0.7, -0.4], atol=1e-12)
     r = d.recentered()
     assert np.allclose(r.center, d.barycenter, atol=1e-12)
@@ -196,7 +178,6 @@ def test_contains_matches_trig_radius(modes, nyquist, base, m, center, seed):
     psi = rng.uniform(-np.pi, np.pi, 400)
     u = np.exp(1j * psi)
     assert np.abs(d._radius_toward(u) - eval_at_angles(radii, psi)).max() <= 1e-14
-    assert np.array_equal(d.radius_at(psi), d._radius_toward(u))
     # points at random and within 1e-9..1e-15 of the boundary, both sides
     near = rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(-15, -9, 200)
     scale = np.concatenate([rng.uniform(0.0, 1.5, 200), 1.0 + near])
@@ -216,7 +197,7 @@ def test_ray_radii_from_center_matches_radius():
     d = build_star_domain("ellipse(1.2,0.8)", 128)
     psi = np.linspace(0, 2 * np.pi, 17, endpoint=False)
     rr = ray_radii(d, np.zeros(2), psi)
-    assert np.allclose(rr, d.radius_at(psi), atol=1e-10)
+    assert np.allclose(rr, eval_at_angles(d.radii, psi), atol=1e-10)
 
 
 def test_ray_radii_off_center_disk_closed_form():
@@ -252,44 +233,25 @@ def test_curve_jet_matches_central_differences(a):
 
 
 @pytest.mark.parametrize("a", [1e-3, 0.02])
-def test_in_and_out_radius_bracket_a_fine_cloud(a):
-    d = _nyquist_domain(a)
-    pc = d.barycenter[0] + 1j * d.barycenter[1]
-    dist = np.abs(d.dense_boundary(64) - pc)
-    assert d.in_radius <= dist.min()
-
-
-@pytest.mark.parametrize("a", [1e-3, 0.02])
 def test_ray_radii_lands_on_the_curve(a):
     d = _nyquist_domain(a)
     p = np.array([0.05, -0.03])
     psi = np.linspace(0.0, 2.0 * np.pi, 101, endpoint=False)
     q = (p[0] + 1j * p[1]) + ray_radii(d, p, psi) * np.exp(1j * psi)
-    assert np.abs(np.abs(q) - d.radius_at(np.angle(q))).max() <= 1e-14
+    assert np.abs(np.abs(q) - eval_at_angles(d.radii, np.angle(q))).max() <= 1e-14
 
 
 @pytest.mark.parametrize("a", [1e-3, 0.02])
-def test_rho0_estimate_radius_derivative_matches_central_differences(a, monkeypatch):
-    # the r' that the curvature bound reads, against a fourth-order central
+def test_rho0_estimate_radius_derivative_matches_central_differences(a):
+    # r' of the radius jet on the 4M grid against a fourth-order central
     # difference of r on a 16 times finer grid
     d = _nyquist_domain(a)
-    seen = []
-    jet = spectral.jet
-
-    def spy(modes, m_out, order):
-        out = jet(modes, m_out, order)
-        seen.append(out)
-        return out
-    monkeypatch.setattr(spectral, "jet", spy)
-    rho0 = rho0_estimate(d)
-    (r, rp, rpp), = [out for out in seen if out.shape == (3, 4 * d.m)]
+    rp = spectral.jet(d.modes, 4 * d.m, 2)[1]
     fine = d.refined_radii(64)
     h = 2.0 * np.pi / fine.size
     fd = (8.0 * (np.roll(fine, -1) - np.roll(fine, 1))
           - (np.roll(fine, -2) - np.roll(fine, 2))) / (12.0 * h)
     assert np.abs(rp - fd[::16]).max() <= 1e-6 * np.abs(rp).max()
-    kappa = (r * r + 2.0 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5
-    assert rho0 == min(d.in_radius, 1.0 / kappa.max())
 
 
 # -- interior quadrature ------------------------------------------------------
@@ -310,7 +272,7 @@ def test_interior_quadrature_weights_and_moment():
 # -- ball-distance functionals ------------------------------------------------
 
 def test_asymmetry_translated_disk_is_zero():
-    d = build_star_domain("circle(1)", 128).translated((0.3, -0.2))
+    d = StarDomain((0.3, -0.2), build_star_domain("circle(1)", 128).radii)
     val, center = asymmetry_to_ball(d, 1.0)
     assert val < 1e-8
     assert np.allclose(center, [0.3, -0.2], atol=1e-6)
@@ -476,7 +438,8 @@ def test_best_center_follows_translation():
     val, center = asymmetry_to_ball(d, 1.0)
     shift = np.array([0.31, -0.17])
     start = center + shift + np.array([0.05, 0.0])
-    moved, center_t = asymmetry_to_ball(d.translated(shift), 1.0, center0=start)
+    moved, center_t = asymmetry_to_ball(StarDomain(d.center + shift, d.radii), 1.0,
+                                        center0=start)
     assert np.abs(center_t - center - shift).max() < 1e-9
     assert abs(moved - val) < 1e-12
 
@@ -533,12 +496,11 @@ def test_lemma_distance_on_exact_ball_vanishes():
 # -- reflection diagnostics ---------------------------------------------------
 
 def test_rho_reflection_off_center_disk():
-    d = build_star_domain("circle(1)", 64).translated((0.2, 0.0))
+    d = StarDomain((0.2, 0.0), build_star_domain("circle(1)", 64).radii)
     rep = rho_reflection_min(d)
     assert abs(rep.rho - 0.2) < 0.01
     assert abs(rep.oscillation - 0.4) < 1e-10
     assert rep.oscillation <= 4 * rep.rho + 4e-4
-    assert abs(rep.star_radius - math.sqrt(0.8**2 - rep.rho**2)) < 1e-3
 
 
 def test_rho_reflection_centered_disk_is_zero():
@@ -562,16 +524,6 @@ def _offcenter_disk_samples(dist, alpha, m):
 ], ids=["fourier2", "fourier35", "ellipse", "offcenter-disk"])
 def test_rho_reflection_pinned_values(spec, m, rho):
     assert rho_reflection_min(build_star_domain(spec, m)).rho == rho
-
-
-def test_rho0_estimate_disk():
-    assert abs(rho0_estimate(build_star_domain("circle(1)", 64)) - 1.0) < 1e-10
-
-
-def test_rho0_estimate_ellipse_curvature_radius():
-    # 1/max curvature of the ellipse is b^2/a, below its in-radius b
-    d = build_star_domain("ellipse(1.2,0.8)", 128)
-    assert abs(rho0_estimate(d) - 0.8**2 / 1.2) < 1e-12
 
 
 # -- snapshot I/O -------------------------------------------------------------

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import eval_at_angles
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -189,7 +190,7 @@ def test_cauchy_weights_sum_to_two_pi_i_inside(modes, base, center, s, angle):
     # oint dzeta / (zeta - z) = 2 pi i, the barycentric denominator
     shape = FourierShape(base, tuple((k, base * eps) for k, eps in modes))
     d = build_star_domain(shape, 128, center=center)
-    z = d.zc + s * d.radius_at(np.array([angle]))[0] * np.exp(1j * angle)
+    z = d.zc + s * eval_at_angles(d.radii, angle)[0] * np.exp(1j * angle)
     w = d.arc_weights * d.tangent_c
     assert abs(np.sum(w / (d.z - z)) - 2j * np.pi) < 1e-12
 
@@ -203,7 +204,7 @@ def test_interior_evaluation_is_independent_of_the_blocking(fourier35_sol, rng):
     assert b > 2
     for n in (0, 1, b - 1, b, b + 1, 3 * b + 7):
         ang = rng.uniform(0.0, 2.0 * np.pi, n)
-        rho = np.sqrt(rng.uniform(0.0, 0.9, n)) * d.radius_at(ang)
+        rho = np.sqrt(rng.uniform(0.0, 0.9, n)) * eval_at_angles(d.radii, ang)
         pts = d.center + np.column_stack([rho * np.cos(ang), rho * np.sin(ang)])
         u, grad, hess = sol.eval_interior(pts)
         zt = pts[:, 0] + 1j * pts[:, 1]
@@ -305,7 +306,7 @@ def test_interior_evaluation_rejects_points_on_and_just_inside_the_curve(fixture
     d = sol.domain
     psi = spectral.angle_grid(8 * d.m) + np.pi / (8 * d.m)
     for depth in (0.0, 1e-12, 1e-10):
-        rho = d.radius_at(psi) - depth
+        rho = d._radius_toward(np.exp(1j * psi)) - depth
         pts = d.center + np.column_stack([rho * np.cos(psi), rho * np.sin(psi)])
         with pytest.raises(EvaluationError) as exc:
             sol.eval_interior(pts)
@@ -330,7 +331,7 @@ def test_interior_evaluation_guard_is_the_radial_depth(modes, base, center, seed
     psi = rng.uniform(0.0, 2.0 * np.pi, 200)
     delta = np.concatenate([[0.0, 5e-10], 10.0 ** rng.uniform(-16.0, np.log10(5e-10), 98),
                             [2e-9], 10.0 ** rng.uniform(np.log10(2e-9), -1.0, 99)])
-    rho = d.radius_at(psi) - delta * d.radii.max()
+    rho = d._radius_toward(np.exp(1j * psi)) - delta * d.radii.max()
     pts = np.column_stack([center[0] + rho * np.cos(psi), center[1] + rho * np.sin(psi)])
     with pytest.raises(EvaluationError) as exc:
         sol.eval_interior(pts)

@@ -20,10 +20,9 @@ from .geometry import (Circle, Ellipse, FourierShape, InteriorQuadrature,
                        build_star_domain, interior_quadrature,
                        lemma_distance_check, load_domain_csv, parse_shape,
                        ray_radii, rho_reflection_min, save_domain_csv)
-from .identities import (IDENTITY_NAMES, IdentityReport, check_identity,
-                         identity_suite)
+from .identities import IdentityReport, identity_suite
 from .matcalc import (growth_constant, maclaurin_chain, quadratic_growth_gap,
-                      s2_gradient, sym_funcs)
+                      sym_funcs)
 from .stability import (BallQuantities, StabilityReport, ball_closed_forms,
                         ball_consistency_notes, faber_krahn_gap,
                         l2_distance_lhs, normalized_domain, serrin_deficit,

@@ -64,6 +64,8 @@ class VelocityLaw:
         c = np.asarray(self.coeffs, dtype=float)
         if c.size < 2:
             raise ValueError("law needs degree >= 1")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coefficients must be finite")
         if abs(np.polynomial.polynomial.polyval(1.0, c)) > 1e-12:
             raise ValueError("velocity law must vanish at s = 1")
         object.__setattr__(self, "_dc", np.polynomial.polynomial.polyder(c))

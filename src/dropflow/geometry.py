@@ -143,6 +143,8 @@ class StarDomain:
             raise ShapeError(f"need an even number of samples >= {_MIN_M}, got {m}")
         if not np.all(np.isfinite(given)):
             raise ShapeError("radius samples must be finite and positive")
+        if not np.all(np.isfinite(center)):
+            raise ShapeError("center must be finite")
         if modes is None:
             radii, modes = given, np.fft.rfft(given)
         else:
@@ -176,9 +178,8 @@ class StarDomain:
         self.area = float(np.pi * (p[0] + 2.0 * p[1:-1].sum() + 0.5 * p[-1]) / m**2)
         self._refined = {}
 
-    # (M, 2) real views of the complex z, tangent_c and normal_c
+    # (M, 2) real views of the complex z and normal_c
     nodes = cached_property(lambda self: self.z.view(float).reshape(-1, 2))
-    tangent = cached_property(lambda self: self.tangent_c.view(float).reshape(-1, 2))
     normal = cached_property(lambda self: self.normal_c.view(float).reshape(-1, 2))
 
     def refined_radii(self, factor):
@@ -322,7 +323,7 @@ class InteriorQuadrature:
     weights: np.ndarray
 
 
-def interior_quadrature(d, n_radial=24):
+def interior_quadrature(d, n_radial):
     """Quadrature for integrals over the domain interior.
 
     Nodes are x = center + s*r(theta_j)*u(theta_j) with s at Gauss-Legendre
@@ -570,11 +571,6 @@ def _ball_overlap_jet(d, p, radius):
     return float(area), np.array([grad.real, grad.imag]), 0.5 * (hess + hess.T)
 
 
-def _ball_overlap(d, p, radius):
-    """|domain  intersect  B_radius(p)|, exact for any p (see `_ball_overlap_jet`)."""
-    return _ball_overlap_jet(d, p, radius)[0]
-
-
 def asymmetry_to_ball(d, radius, center0=None, stats=None):
     """(asymmetry, center): the scaled symmetric difference to the
     best-matching ball of given radius, and that ball's center.
@@ -613,7 +609,7 @@ def lemma_distance_check(d, radius):
     lhs = |domain DELTA B_radius(0)| / |B_radius|, from the exact overlap,
     rhs = sqrt(radius^{-1} * oint (|x|/radius - 1)^2 dsigma).
     """
-    ov = _ball_overlap(d, np.zeros(2), radius)
+    ov = _ball_overlap_jet(d, np.zeros(2), radius)[0]
     ball_area = np.pi * radius**2
     lhs = (d.area + ball_area - 2.0 * ov) / ball_area
     rr = np.abs(d.z)

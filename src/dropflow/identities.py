@@ -7,7 +7,9 @@ in DEFAULT_TOLERANCES; the ones integrating interior Hessians (kappa_cube,
 fund_est) get a looser one.  fund_est is reported in two forms: the signed
 boundary integral from the underlying derivation, which is an exact
 equality and is used as `rhs`, and the absolute-value majorant, kept in
-the metadata together with the one-sided inequality verdict.  The base
+the metadata together with the one-sided inequality verdict.  s2_divfree's
+boundary side is (1/2) oint kappa |Du|^2: u = 0 on the boundary, so
+Du = -|Du| nu and S_2'(D^2u) Du . nu = -|Du| u_tt = kappa |Du|^2.  The base
 point x0 of pohozaev, cube and fund_est is the barycenter, kept in their
 metadata.
 """
@@ -18,8 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-IDENTITY_NAMES = ("pohozaev", "cube", "kappa_cube", "trace", "fund_est", "s2_divfree")
 
 DEFAULT_TOLERANCES = {
     "pohozaev": 1e-5,
@@ -101,7 +101,7 @@ def check_cube(sol):
     return _report("cube", lhs, rhs, {"x0": x0, "main_term": 2.0 * lam**2 * sol.vol})
 
 
-def check_kappa_cube(sol, n_radial=24):
+def check_kappa_cube(sol, n_radial):
     """int kappa |Du|^3 dx = -(3 lam^2/2) vol + (1/2) oint |Du|^3 dsigma.
 
     kappa is the level-set mean curvature; kappa |Du|^3 is evaluated in the
@@ -119,7 +119,7 @@ def check_kappa_cube(sol, n_radial=24):
     return _report("kappa_cube", lhs, rhs, {"n_radial": n_radial})
 
 
-def check_trace(sol, k=1, part="re", n_radial=24):
+def check_trace(sol, k, part, n_radial):
     """oint f^2 |Du| dsigma = 2 int |Df|^2 u dx + lam int f^2 dx.
 
     f = Re or Im of ((x1 - a) + i (x2 - b))^k about the domain center.
@@ -143,7 +143,7 @@ def check_trace(sol, k=1, part="re", n_radial=24):
                    name=f"trace_k{k}_{part}")
 
 
-def check_fund_est(sol, n_radial=24):
+def check_fund_est(sol, n_radial):
     """int u ((Tr D^2u / 2)^2 - det D^2u) dx against its boundary form.
 
     rhs is the signed integral -(1/4) oint <(lam/2)(x-x0)+Du, nu>(|Du|^2-1),
@@ -180,53 +180,27 @@ def check_fund_est(sol, n_radial=24):
     })
 
 
-def check_s2_divfree(sol, n_radial=24):
-    """int det(D^2u) dx = (1/2) oint (S_2'(D^2u) Du) . nu dsigma.
+def check_s2_divfree(sol, n_radial):
+    """int det(D^2u) dx = (1/2) oint kappa |Du|^2 dsigma.
 
-    The boundary side uses the boundary-limit Hessian reconstructed from
-    curvature and the normal derivative, an independent path from the
-    interior layer-potential Hessians on the lhs.
+    The boundary side, (1/2) oint (S_2'(D^2u) Du) . nu in closed form, reads
+    only the curvature and |Du|: it is independent of the interior
+    layer-potential Hessians on the lhs.
     """
     d, w, x, nu, bg = _boundary(sol)
     quad, u, grad, hess = sol.quadrature_data(n_radial)
     s2 = hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] ** 2
     lhs = float(np.sum(quad.weights * s2))
-    hb = sol.boundary_hessian()
-    trb = hb[:, 0, 0] + hb[:, 1, 1]
-    du_b = -bg[:, None] * nu
-    grad_s2 = trb[:, None, None] * np.eye(2)[None, :, :] - hb
-    q = np.einsum("nij,nj->ni", grad_s2, du_b)
-    rhs = 0.5 * float(np.sum(w * (q * nu).sum(axis=1)))
+    rhs = 0.5 * float(np.sum(w * d.curvature * bg**2))
     return _report("s2_divfree", lhs, rhs, {"n_radial": n_radial})
-
-
-def check_identity(sol, name, n_radial=24, **kw):
-    """Dispatch a single identity check by name."""
-    if name == "pohozaev":
-        return check_pohozaev(sol)
-    if name == "cube":
-        return check_cube(sol)
-    if name == "kappa_cube":
-        return check_kappa_cube(sol, n_radial=n_radial)
-    if name == "trace":
-        return check_trace(sol, n_radial=n_radial, **kw)
-    if name == "fund_est":
-        return check_fund_est(sol, n_radial=n_radial)
-    if name == "s2_divfree":
-        return check_s2_divfree(sol, n_radial=n_radial)
-    raise ValueError(f"unknown identity {name!r}")
 
 
 def identity_suite(sol, n_radial=24):
     """Run the full identity battery about the barycenter; trace expands over
     its function family (k = 0 and the real and imaginary parts for k = 1..4)."""
-    out = []
-    for name in IDENTITY_NAMES:
-        if name == "trace":
-            out.append(check_trace(sol, 0, "re", n_radial))
-            for k in range(1, 5):
-                out.append(check_trace(sol, k, "re", n_radial))
-                out.append(check_trace(sol, k, "im", n_radial))
-        else:
-            out.append(check_identity(sol, name, n_radial=n_radial))
-    return out
+    out = [check_pohozaev(sol), check_cube(sol), check_kappa_cube(sol, n_radial),
+           check_trace(sol, 0, "re", n_radial)]
+    for k in range(1, 5):
+        out.append(check_trace(sol, k, "re", n_radial))
+        out.append(check_trace(sol, k, "im", n_radial))
+    return out + [check_fund_est(sol, n_radial), check_s2_divfree(sol, n_radial)]

@@ -1,9 +1,9 @@
 """Normalized elementary symmetric functions of symmetric matrices.
 
 S_k(M) is the k-th elementary symmetric function of the eigenvalues divided
-by binomial(n, k), so S_1 = trace/n and S_n = det.  For the second function
-the gradient matrix, the quadratic growth gap against the trace deviation,
-and the AM-GM (Maclaurin) chain for positive matrices are provided.
+by binomial(n, k), so S_1 = trace/n and S_n = det.  The quadratic growth
+gap S_1^2 - S_2 against the trace deviation and the AM-GM (Maclaurin) chain
+for positive matrices are provided.
 """
 import math
 
@@ -33,18 +33,6 @@ def sym_funcs(mat):
     for lam in eig:
         e[1:] = e[1:] + lam * e[:-1]
     return np.array([e[k] / math.comb(n, k) for k in range(1, n + 1)])
-
-
-def s2_gradient(mat):
-    """Gradient of S_2 with respect to the matrix entries.
-
-    d S_2 / d m_ij = (trace(M) delta_ij - m_ij) / binomial(n, 2).
-    """
-    mat = _check_symmetric(mat)
-    n = mat.shape[0]
-    if n < 2:
-        raise ValueError("S_2 needs n >= 2")
-    return (np.trace(mat) * np.eye(n) - mat) / math.comb(n, 2)
 
 
 def quadratic_growth_gap(mat):

@@ -125,32 +125,12 @@ class TorsionSolution:
         self._s, self._im_phi = s, im_phi
         d = domain
         rel = d.z - d.zc
-        self._dn_phi = dn_phi = -(rel.real * d.normal_c.real
-                                  + rel.imag * d.normal_c.imag) / 2.0 + dn_h
+        dn_phi = -(rel.real * d.normal_c.real
+                   + rel.imag * d.normal_c.imag) / 2.0 + dn_h
         self.boundary_grad = -lambda_ * dn_phi
         self.condition_estimate = float(cond)
         self._sources = None
         self._quad_cache = {}
-
-    # -- boundary quantities --------------------------------------------------
-
-    def boundary_hessian(self):
-        """Full Hessian of u at the boundary nodes, shape (M, 2, 2).
-
-        Uses u_tt = kappa u_n, u_tn = d(u_n)/ds and u_nn = -lambda - kappa u_n,
-        which pin the Hessian of a function vanishing on the boundary.
-        """
-        d = self.domain
-        un = self.lambda_ * self._dn_phi
-        u_tt = d.curvature * un
-        u_tn = spectral.jet(np.fft.rfft(un), d.m, 1)[1] / d.speed
-        u_nn = -self.lambda_ - u_tt
-        t, n = d.tangent, d.normal
-        tt = t[:, :, None] * t[:, None, :]
-        nn = n[:, :, None] * n[:, None, :]
-        tn = t[:, :, None] * n[:, None, :] + n[:, :, None] * t[:, None, :]
-        return (u_tt[:, None, None] * tt + u_tn[:, None, None] * tn
-                + u_nn[:, None, None] * nn)
 
     # -- interior evaluation ---------------------------------------------------
 
@@ -226,7 +206,7 @@ class TorsionSolution:
         hess[:, 1, 1] = lam * (-0.5 - p2.real)
         return u, grad, hess
 
-    def quadrature_data(self, n_radial=24):
+    def quadrature_data(self, n_radial):
         """(quadrature, u, grad, hess) at a tensor interior rule, memoized."""
         key = int(n_radial)
         if key not in self._quad_cache:

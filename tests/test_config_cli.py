@@ -65,6 +65,8 @@ def test_parse_config_text_shape_and_law_validation():
         parse_config_text("shape = circle(1)\nlaw = poly:1,x\n")
     with pytest.raises(ConfigError, match="vanish"):
         parse_config_text("shape = circle(1)\nlaw = poly:0,1\n")
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config_text("shape = circle(1)\nlaw = poly:nan,1\n")
 
 
 def test_polynomial_law_from_config():

@@ -18,7 +18,7 @@ from dropflow import (Circle, Ellipse, FourierShape, Samples, ShapeError,
                       lemma_distance_check, load_domain_csv, parse_shape,
                       ray_radii, rho_reflection_min, save_domain_csv,
                       spectral)
-from dropflow.geometry import _ball_overlap
+from dropflow.geometry import _ball_overlap_jet
 
 R_STAR = (4.0 / math.pi) ** (1.0 / 3.0)
 
@@ -340,6 +340,8 @@ def test_domain_from_modes_rejects_bad_modes():
         StarDomain((0.0, 0.0), modes=bad)
     with pytest.raises(ShapeError, match="positive"):
         StarDomain((0.0, 0.0), modes=np.fft.rfft(np.full(32, -1.0)))
+    with pytest.raises(ShapeError, match="center must be finite"):
+        StarDomain((np.nan, 0.0), np.ones(32))
 
 
 @pytest.mark.parametrize("m", [16, 64, 256])
@@ -369,14 +371,14 @@ def _lens_area(c, r):
 def test_ball_overlap_matches_lens_area(c, r):
     # centres outside the disk (not star-shaped about them) and one inside
     d = build_star_domain("circle(1)", 128)
-    assert abs(_ball_overlap(d, np.array([c, 0.0]), r) - _lens_area(c, r)) < 1e-5
+    assert abs(_ball_overlap_jet(d, np.array([c, 0.0]), r)[0] - _lens_area(c, r)) < 1e-5
 
 
 @pytest.mark.parametrize("c, r", [(1.2, 0.5), (1.5, 1.0), (2.0, 1.5), (0.6, 0.7)])
 def test_ball_overlap_is_exact_lens_area(c, r):
     # the crossing-point formula has no quadrature error
     d = build_star_domain("circle(1)", 128)
-    assert abs(_ball_overlap(d, np.array([c, 0.0]), r) - _lens_area(c, r)) < 1e-13
+    assert abs(_ball_overlap_jet(d, np.array([c, 0.0]), r)[0] - _lens_area(c, r)) < 1e-13
 
 
 @pytest.mark.parametrize("c, r", [(1.5 - 1e-5, 0.5), (0.5 + 1e-5, 0.5),
@@ -388,7 +390,7 @@ def test_ball_overlap_finds_crossings_between_nodes(c, r, node):
     d = build_star_domain("circle(1)", 128)
     ang = 2.0 * np.pi * node / 512
     p = np.array([c * math.cos(ang), c * math.sin(ang)])
-    assert abs(_ball_overlap(d, p, r) - _lens_area(c, r)) < 1e-13
+    assert abs(_ball_overlap_jet(d, p, r)[0] - _lens_area(c, r)) < 1e-13
 
 
 @pytest.mark.parametrize("r", [1.0, 0.5])
@@ -401,7 +403,7 @@ def test_ball_overlap_crossings_near_an_extremum(r):
         c = math.cos(half) + math.sqrt(math.cos(half) ** 2 - 1.0 + r * r)
         for ang in (np.linspace(0.0, 1.0, 9) + 0.3) * h:
             p = np.array([c * math.cos(ang), c * math.sin(ang)])
-            assert abs(_ball_overlap(d, p, r) - _lens_area(c, r)) < 1e-13
+            assert abs(_ball_overlap_jet(d, p, r)[0] - _lens_area(c, r)) < 1e-13
 
 
 def test_ball_overlap_matches_fine_quadrature():
@@ -421,7 +423,7 @@ def test_ball_overlap_matches_fine_quadrature():
                               center=tuple(rng.uniform(-0.5, 0.5, 2)))
         p, r = rng.uniform(-1.5, 1.5, 2), rng.uniform(0.1, 2.0)
         fine = (4.0 * trapezoid(d, p, r, 2048) - trapezoid(d, p, r, 1024)) / 3.0
-        assert abs(_ball_overlap(d, p, r) - fine) < 1e-8
+        assert abs(_ball_overlap_jet(d, p, r)[0] - fine) < 1e-8
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])

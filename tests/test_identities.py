@@ -4,15 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from dropflow import (build_star_domain, check_identity, identity_suite,
-                      solve_torsion)
+from dropflow import build_star_domain, identity_suite, solve_torsion
+from dropflow.identities import (check_cube, check_fund_est, check_kappa_cube,
+                                 check_pohozaev, check_s2_divfree, check_trace)
 
 R_STAR = (4.0 / math.pi) ** (1.0 / 3.0)
 
 
 def test_pohozaev_disk_closed_form(disk_sol):
     # both sides equal 2 lambda^2 vol = 128 / pi^2 on the unit disk
-    rep = check_identity(disk_sol, "pohozaev")
+    rep = check_pohozaev(disk_sol)
     expect = 128.0 / math.pi**2
     assert abs(rep.lhs - expect) < 1e-10
     assert abs(rep.rhs - expect) < 1e-12
@@ -33,7 +34,7 @@ def test_pohozaev_and_cube_are_base_point_free(fixture, request):
 
 def test_cube_equilibrium_disk_closed_form():
     sol = solve_torsion(build_star_domain(f"circle({R_STAR!r})", 128), 1.0)
-    rep = check_identity(sol, "cube")
+    rep = check_cube(sol)
     expect = 2 * math.pi * R_STAR  # oint |Du|^3 with |Du| = 1
     assert abs(rep.lhs - expect) < 1e-8
     assert abs(rep.rhs - expect) < 1e-8
@@ -44,7 +45,7 @@ def test_kappa_cube_disk_sign_convention(disk_sol):
     # on the unit disk u is radial, kappa |Du|^3 = -(lam/2)^3 r^2 * 2/r * ...
     # collapsing to the division-free integrand -(lam^3/8) r^2; integrating
     # over the disk gives -pi lam^3 / 16 = -32 / pi^2 at vol = 1
-    rep = check_identity(disk_sol, "kappa_cube")
+    rep = check_kappa_cube(disk_sol, 24)
     expect = -math.pi * disk_sol.lambda_**3 / 16
     assert abs(expect + 32.0 / math.pi**2) < 1e-12
     assert abs(rep.lhs - expect) < 1e-9
@@ -55,12 +56,12 @@ def test_trace_identity_all_orders(ellipse_sol):
     for k in range(5):
         parts = ("re",) if k == 0 else ("re", "im")
         for part in parts:
-            rep = check_identity(ellipse_sol, "trace", k=k, part=part)
+            rep = check_trace(ellipse_sol, k, part, 24)
             assert rep.passed, (k, part, rep.residual)
 
 
 def test_fund_est_signed_equality_and_inequality(fourier35_sol):
-    rep = check_identity(fourier35_sol, "fund_est")
+    rep = check_fund_est(fourier35_sol, 24)
     assert rep.passed
     assert rep.metadata["inequality_ok"]
     assert rep.lhs <= rep.metadata["rhs_abs"] + 1e-6
@@ -70,25 +71,32 @@ def test_fund_est_signed_equality_and_inequality(fourier35_sol):
 
 
 def test_fund_est_verdicts_are_json_booleans(fourier35_sol):
-    meta = json.loads(check_identity(fourier35_sol, "fund_est").to_json())["metadata"]
+    meta = json.loads(check_fund_est(fourier35_sol, 24).to_json())["metadata"]
     assert meta["inequality_ok"] is True
     assert meta["hessian_inequality_ok"] is True
 
 
 def test_fund_est_vanishes_on_equilibrium_ball():
     sol = solve_torsion(build_star_domain(f"circle({R_STAR!r})", 128), 1.0)
-    rep = check_identity(sol, "fund_est")
+    rep = check_fund_est(sol, 24)
     assert abs(rep.lhs) < 1e-12
     assert abs(rep.rhs) < 1e-12
     assert rep.passed
 
 
-def test_s2_divfree_disk_closed_form(disk_sol):
-    # det D^2 u = (lam/2)^2, integrated over the unit disk
-    rep = check_identity(disk_sol, "s2_divfree")
-    expect = math.pi * (disk_sol.lambda_ / 2) ** 2
-    assert abs(rep.lhs - expect) < 1e-9
-    assert abs(rep.rhs - expect) < 1e-9
+@pytest.mark.parametrize("fixture, a, b", [("disk_sol", 1.0, 1.0),
+                                            ("ellipse_sol", 1.2, 0.8)],
+                         ids=["disk_sol", "ellipse_sol"])
+def test_s2_divfree_disk_closed_form(fixture, a, b, request):
+    # u = C (1 - x^2/a^2 - y^2/b^2) with C = lam / (2 (a^-2 + b^-2)), so
+    # det D^2 u = 4 C^2 / (a b)^2, integrated over the ellipse 4 pi C^2/(a b);
+    # on the unit disk that is pi (lam/2)^2
+    sol = request.getfixturevalue(fixture)
+    rep = check_s2_divfree(sol, 24)
+    c = sol.lambda_ / (2.0 * (a**-2 + b**-2))
+    expect = 4.0 * math.pi * c**2 / (a * b)
+    assert abs(rep.lhs - expect) <= 1e-13 * expect
+    assert abs(rep.rhs - expect) <= 1e-13 * expect
 
 
 def test_identity_suite_names_and_verdicts(fourier2_sol):
@@ -103,16 +111,11 @@ def test_identity_suite_names_and_verdicts(fourier2_sol):
 
 
 def test_report_json_roundtrip(disk_sol):
-    rep = check_identity(disk_sol, "pohozaev")
+    rep = check_pohozaev(disk_sol)
     payload = json.loads(rep.to_json())
     assert payload["identity"] == "pohozaev"
     assert payload["pass"] is True
     assert isinstance(payload["lhs"], float)
-
-
-def test_unknown_identity_rejected(disk_sol):
-    with pytest.raises(ValueError):
-        check_identity(disk_sol, "nonsense")
 
 
 def test_rotation_invariance_of_scalar_identities(rng):
@@ -125,7 +128,7 @@ def test_rotation_invariance_of_scalar_identities(rng):
     rot = build_star_domain(Samples(tuple(1.0 + 0.1 * np.cos(3 * (theta + shift)))), 128)
     sa = solve_torsion(base, 1.0)
     sb = solve_torsion(rot, 1.0)
-    for name in ("pohozaev", "cube", "fund_est"):
-        ra = check_identity(sa, name)
-        rb = check_identity(sb, name)
+    for check in (check_pohozaev, check_cube, lambda sol: check_fund_est(sol, 24)):
+        ra = check(sa)
+        rb = check(sb)
         assert abs(ra.lhs - rb.lhs) < 1e-9 * max(1.0, abs(ra.lhs))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dropflow import (growth_constant, maclaurin_chain, quadratic_growth_gap,
-                      s2_gradient, sym_funcs)
+                      sym_funcs)
 
 
 def random_symmetric(rng, n):
@@ -37,18 +37,6 @@ def test_sym_funcs_rejects_nonsymmetric():
         sym_funcs(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         sym_funcs(np.zeros((2, 3)))
-
-
-def test_s2_gradient_matches_directional_derivative(rng):
-    h = 1e-5
-    for n in (2, 3, 4):
-        m = random_symmetric(rng, n)
-        d = random_symmetric(rng, n)
-        g = s2_gradient(m)
-        fwd = sym_funcs(m + h * d)[1]
-        bwd = sym_funcs(m - h * d)[1]
-        numeric = (fwd - bwd) / (2 * h)
-        assert abs(numeric - np.sum(g * d)) < 1e-7
 
 
 def test_quadratic_growth_is_an_exact_identity(rng):

@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 configuration/usage error
 (an unwritable output path too), 3 runtime halt (flow stopped early, sweep
-row failed).
+row failed, a verify shape the solver could not solve).
 """
 from __future__ import annotations
 
@@ -128,10 +128,14 @@ def cmd_verify(args):
     for spec in shapes:
         try:
             d = build_star_domain(spec, m=args.m)
-            sol = solve_torsion(d, args.vol)
-        except (ShapeError, SolverError) as exc:
+        except ShapeError as exc:
             print(f"config error on {spec!r}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
+        try:
+            sol = solve_torsion(d, args.vol)
+        except SolverError as exc:
+            print(f"runtime halt on {spec!r}: {exc}", file=sys.stderr)
+            return EXIT_HALT
         for rep in identity_suite(sol, n_radial=args.n_radial):
             verdict = "PASS" if rep.passed else "FAIL"
             failed |= not rep.passed

@@ -687,7 +687,7 @@ def rho_reflection_min(d):
 def save_domain_csv(d, path):
     """Write the (theta, r) samples, 17 significant digits."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["theta", "r"])
         for th, r in zip(d.theta, d.radii):
             w.writerow([f"{th:.17g}", f"{r:.17g}"])

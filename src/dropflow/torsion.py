@@ -30,9 +30,12 @@ Only the real M x M system and Re C are ever held whole.  The complex
 Cauchy matrix is formed in row blocks of about _BLOCK_ENTRIES entries in
 one buffer reused across blocks, each block writing its rows of the system,
 of Re C and of the row sums of C; S comes afterwards from Re C mu and from
-the system's own equation.  Below _KRYLOV_M nodes the system is factored by
-LU, from _KRYLOV_M up it is solved by GMRES, whose iteration count the
-second-kind system keeps independent of M, so the solve costs O(M^2) there.
+the system's own equation.  The system, Re C and the block buffer are kept
+per thread (`_scratch`) and reused by the next solve, so a large solve does
+not touch fresh pages; no result points into them.  Below _KRYLOV_M nodes
+the system is factored by LU, from _KRYLOV_M up it is solved by GMRES,
+whose iteration count the second-kind system keeps independent of M, so the
+solve costs O(M^2) there.
 The barycentric sums from the 4M grid to the interior targets run through
 the same blocks, so their memory does not grow with M or with the number of
 targets, and the reported values do not depend on the blocking.
@@ -40,6 +43,7 @@ targets, and the reported values do not depend on the blocking.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -67,13 +71,32 @@ _KRYLOV_ITERATIONS = 64
 # 2 MB L2 cache on the Xeon it was timed on), so it stays cache-resident from
 # the subtraction through the division to the product.  Budgets of 2**15 to
 # 2**20 entries timed within noise of each other at M = 128, 512 and 1024.
-# The buffer is allocated once per call: touching fresh pages for every
-# block cost more than the arithmetic.
+# The buffer is kept per thread: touching fresh pages for every block, or
+# for every call, cost more than the arithmetic.
 _BLOCK_ENTRIES = 2**16
+
+# This thread's flat scratch arrays by name, each grown to the largest size
+# asked of it.  Freed at the end of every solve, the system, Re C and the
+# block buffer together passed glibc's trim threshold, so the next large
+# solve faulted fresh pages in again: in blocks of one M = 1024 and 24
+# M = 128 solves (one BLAS thread, 2-vCPU Xeon) the M = 1024 median was
+# 24-28 ms with 53,000-72,000 minor faults per 40 blocks, and 17-22 ms with
+# at most 14 faults once the arrays were kept.
+_workspace = threading.local()
+
+
+def _scratch(name, n, dtype):
+    """A view of the first n entries of this thread's flat array `name`."""
+    buf = getattr(_workspace, name, None)
+    if buf is None or buf.size < n:
+        buf = np.empty(n, dtype)
+        setattr(_workspace, name, buf)
+    return buf[:n]
 
 
 def _difference_blocks(zs, zt):
-    """Yield (rows, k) with k = zs[None, :] - zt[rows, None], in one reused buffer.
+    """Yield (rows, k) with k = zs[None, :] - zt[rows, None], in this thread's
+    block buffer.
 
     The targets are split into blocks of near-equal size, at most
     _BLOCK_ENTRIES / zs.size rows each, so no block has a single row unless
@@ -84,7 +107,7 @@ def _difference_blocks(zs, zt):
     n = zt.size
     step = max(1, _BLOCK_ENTRIES // zs.size)
     blocks = -(-n // step)
-    buf = np.empty((min(n, step), zs.size), dtype=complex)
+    buf = _scratch("block", min(n, step) * zs.size, complex).reshape(-1, zs.size)
     for b in range(blocks):
         lo, hi = b * n // blocks, (b + 1) * n // blocks
         k = buf[: hi - lo]
@@ -159,8 +182,8 @@ class TorsionSolution:
         """Barycentric h = -Re Phi, Psi' = -Phi' and Psi'' = -Phi'' at targets."""
         zq, cols = self._cauchy_sources()
         sums = np.empty((zt.size, 4), dtype=complex)
-        # 1/(zeta_j - z) is formed in place in one reused buffer of about
-        # _BLOCK_ENTRIES entries, so memory stays bounded for any M
+        # 1/(zeta_j - z) is formed in place in the thread's block buffer of
+        # about _BLOCK_ENTRIES entries, so memory stays bounded for any M
         for rows, k in _difference_blocks(zq, zt):
             np.divide(1.0, k, out=k)
             np.matmul(k, cols, out=sums[rows])
@@ -319,8 +342,8 @@ def solve_torsion(domain, vol):
     # system a = -Im C/2pi (the Nystrom double-layer kernel, arc weights
     # included), Re C and the row sums of C; C itself is never held whole.
     w = d.arc_weights * d.tangent_c
-    a = np.empty((m, m))
-    re_c = np.empty((m, m))
+    a = _scratch("system", m * m, float).reshape(m, m)
+    re_c = _scratch("re_c", m * m, float).reshape(m, m)
     rowsum = np.empty(m, dtype=complex)
     for rows, k in _difference_blocks(d.z, d.z):
         k.reshape(-1)[rows.start::m + 1] = np.inf

@@ -120,6 +120,16 @@ def test_cli_verify_single_shape(tmp_path, capsys):
     assert first["pass"] is True
 
 
+def test_cli_verify_halts_on_a_solver_failure(capsys):
+    # a shape the solver cannot solve is a runtime halt, as in `run` and
+    # `stability`; a shape that cannot be built stays a config error
+    assert main(["verify", "--shape", "ellipse(3,0.4)", "--m", "32"]) == 3
+    err = capsys.readouterr().err
+    assert "runtime halt on 'ellipse(3,0.4)': boundary gradient" in err
+    assert main(["verify", "--shape", "fourier(1;2:1.5)", "--m", "32"]) == 2
+    assert "config error on 'fourier(1;2:1.5)'" in capsys.readouterr().err
+
+
 def test_cli_stability_sweep_and_failures(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(["stability", "--modes", "2", "--eps-grid", "0.05:0.1:2",

@@ -540,6 +540,16 @@ def test_domain_csv_roundtrip_is_bit_exact(tmp_path):
     assert np.allclose(back.center, 0.0)
 
 
+def test_domain_csv_lines_end_in_newline_only(tmp_path):
+    # like timeseries.csv and the sweep CSV: no carriage returns
+    d = build_star_domain("fourier(1;2:0.1)", 32)
+    path = tmp_path / "snapshot_0000.csv"
+    save_domain_csv(d, path)
+    data = path.read_bytes()
+    assert b"\r" not in data
+    assert data.count(b"\n") == d.m + 1
+
+
 def test_domain_csv_loader_validates(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y\n0,1\n")

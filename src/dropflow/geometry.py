@@ -270,6 +270,25 @@ class StarDomain:
             p += ck
         return p.real
 
+    @cached_property
+    def _radius_band(self):
+        """(lo, hi) with lo <= `_radius_toward`(u) <= hi for every unit u.
+
+        Between two nodes of the 8M cloud, spacing h = 2 pi/(8M), r differs
+        from its chord by at most (h^2/8) max|r''| <= (h^2/8) sum k^2 |c_k|,
+        and the chord lies between the two samples.  The computed values
+        differ from the exact r by rounding: Horner's rule on a u within a
+        few ulps of the unit circle by about 3 (M/2) eps sum |c_k|, the FFT
+        behind the cloud by O(log M) eps sum |c_k|.  A margin of
+        8 M eps sum |c_k| covers both.
+        """
+        c = np.abs(self._radius_poly)
+        k = np.arange(c.size)
+        h = 2.0 * np.pi / (8 * self.m)
+        pad = (h * h / 8.0) * float(k * k @ c) + 8 * self.m * np.finfo(float).eps * c.sum()
+        cloud = self.refined_radii(8)
+        return float(cloud.min() - pad), float(cloud.max() + pad)
+
     def contains(self, pts, tol=1e-10):
         """Point-in-domain test |x - center| <= r + tol.
 
@@ -279,12 +298,24 @@ class StarDomain:
         from the center meets the curve once, so r - |x - center| is the
         exact depth along it, negative outside and never below the distance
         to the curve: a negative tol admits only points at least |tol| deep.
+
+        The radial band lo <= r <= hi of `_radius_band` decides most points
+        without r: |x - center| <= lo + tol is inside and > hi + tol
+        outside (rounding is monotone, so both agree with the full test),
+        and only the points between them take Horner's rule.  A NaN or
+        infinite coordinate is outside.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        rel = (pts[:, 0] - self.center[0]) + 1j * (pts[:, 1] - self.center[1])
+        rel = (pts - self.center).view(complex)[:, 0]
         rho = np.abs(rel)
-        u = np.divide(rel, rho, out=np.ones_like(rel), where=rho > 0.0)
-        return rho <= self._radius_toward(u) + tol
+        lo, hi = self._radius_band
+        inside = rho <= lo + tol
+        band = np.flatnonzero(~inside & (rho <= hi + tol))
+        if band.size:
+            rel, rho = rel[band], rho[band]
+            u = np.divide(rel, rho, out=np.ones_like(rel), where=rho > 0.0)
+            inside[band] = rho <= self._radius_toward(u) + tol
+        return inside
 
     # -- derived domains -----------------------------------------------------
 
@@ -628,23 +659,50 @@ class ReflectionReport:
     oscillation: float
 
 
-def _reflections_pass(d, rho, dirs, nodes, proj):
+def _reflection_pairs(d):
+    """Every (node, direction) pair, sorted by decreasing projection x.e.
+
+    Returns the columns (x.e, x, y, e_x, e_y) in that order.  The pairs
+    with x.e above any threshold are then a prefix.
+    """
+    alpha = spectral.angle_grid(d.m)
+    dirs = np.column_stack([np.cos(alpha), np.sin(alpha)])
+    nodes = d.nodes
+    proj = (nodes @ dirs.T).ravel()
+    order = np.argsort(-proj, kind="stable")
+    j, i = np.divmod(order, d.m)
+    return proj[order], nodes[j, 0], nodes[j, 1], dirs[i, 0], dirs[i, 1]
+
+
+def _reflections_pass(d, rho, pairs):
     """All boundary nodes reflect into the closure across every admissible cut.
 
-    The cuts s = rho, rho + ds, ... are tested deepest first, each in one
-    membership call over every direction, so a failing rho usually stops at
-    the first cut.
+    The cuts are s = rho, rho + ds, ... with ds half the least arc weight;
+    cut s reflects the nodes x with x.e > s + 1e-14 to x + 2 (s - x.e) e,
+    the prefix of the sorted `pairs` that one `searchsorted` counts.  The
+    deepest cut, s = rho, holds the most points and is where a failing rho
+    usually fails, so it is tested alone first; the other cuts follow in
+    groups of at most M^2 points (no more than one cut can hold), one
+    membership call each.
     """
+    proj, nx, ny, ex, ey = pairs
     ds = 0.5 * d.arc_weights.min()
-    for s in np.arange(rho, proj.max(), ds):
-        j, i = np.nonzero(proj > s + 1e-14)
-        if j.size == 0:
-            continue
-        shift = 2.0 * (s - proj[j, i])
-        pts = np.column_stack([nodes[j, 0] + shift * dirs[i, 0],
-                               nodes[j, 1] + shift * dirs[i, 1]])
+    cuts = np.arange(rho, proj[0], ds)
+    counts = np.searchsorted(-proj, -(cuts + 1e-14))
+    cap = d.m * d.m
+    start = 0
+    while start < cuts.size:
+        stop = start + 1
+        if start > 0:
+            total = np.cumsum(counts[start:])
+            stop += int(np.searchsorted(total, cap, side="right")) - 1
+        n = counts[start:stop]
+        k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        shift = 2.0 * (np.repeat(cuts[start:stop], n) - proj[k])
+        pts = np.column_stack([nx[k] + shift * ex[k], ny[k] + shift * ey[k]])
         if not d.contains(pts).all():
             return False
+        start = stop
     return True
 
 
@@ -654,26 +712,25 @@ def rho_reflection_min(d):
     Bisection over rho: a candidate passes when B_rho(0) fits inside the
     domain and, for every sampled direction e and cut offset s >= rho, each
     boundary node x with x.e > s reflects across the cut line into the
-    closed domain.  Each pass tests its cuts deepest first (s = rho, then
-    outward), every direction at once, and stops at the first failing cut.
+    closed domain.  The (node, direction) pairs are sorted by projection
+    once, so each cut's nodes are a prefix of that order; each pass tests
+    its deepest cut (s = rho) first, then the others a few membership
+    calls at a time, and stops at the first call with a point outside.
     """
     if not d.contains(np.zeros((1, 2)))[0]:
         raise ShapeError("reflection radius needs the origin inside the domain")
-    alpha = spectral.angle_grid(d.m)
-    dirs = np.column_stack([np.cos(alpha), np.sin(alpha)])
-    nodes = d.nodes
-    proj = nodes @ dirs.T
+    pairs = _reflection_pairs(d)
     rr = np.abs(d.dense_boundary(8))        # cloud distances to the origin
     hi = float(rr.min())
-    if not _reflections_pass(d, hi, dirs, nodes, proj):
+    if not _reflections_pass(d, hi, pairs):
         raise ConvergenceError(
             "no admissible reflection radius up to the inscribed-ball bound")
     lo = 0.0
-    if _reflections_pass(d, lo, dirs, nodes, proj):
+    if _reflections_pass(d, lo, pairs):
         hi = lo
     while hi - lo > _REFLECTION_TOL:
         mid = 0.5 * (lo + hi)
-        if _reflections_pass(d, mid, dirs, nodes, proj):
+        if _reflections_pass(d, mid, pairs):
             hi = mid
         else:
             lo = mid

@@ -648,7 +648,7 @@ def lemma_distance_check(d, radius):
     return float(lhs), float(rhs)
 
 
-_REFLECTION_TOL = 1e-4      # bisection width of the reflection radius
+_REFLECTION_TOL = 1e-4      # bisection width of the reflection radius, per largest radius
 
 
 @dataclass
@@ -728,7 +728,8 @@ def rho_reflection_min(d):
     lo = 0.0
     if _reflections_pass(d, lo, pairs):
         hi = lo
-    while hi - lo > _REFLECTION_TOL:
+    width = _REFLECTION_TOL * float(rr.max())
+    while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if _reflections_pass(d, mid, pairs):
             hi = mid

@@ -18,7 +18,7 @@ from dropflow import (Circle, Ellipse, FourierShape, Samples, ShapeError,
                       lemma_distance_check, load_domain_csv, parse_shape,
                       ray_radii, rho_reflection_min, save_domain_csv,
                       spectral)
-from dropflow.geometry import _ball_overlap_jet
+from dropflow.geometry import _ball_overlap_jet, _reflection_pairs, _reflections_pass
 
 R_STAR = (4.0 / math.pi) ** (1.0 / 3.0)
 
@@ -178,6 +178,10 @@ def test_contains_matches_trig_radius(modes, nyquist, base, m, center, seed):
     psi = rng.uniform(-np.pi, np.pi, 400)
     u = np.exp(1j * psi)
     assert np.abs(d._radius_toward(u) - eval_at_angles(radii, psi)).max() <= 1e-14
+    # the radial band bounds every computed radius
+    lo, hi = d._radius_band
+    r = d._radius_toward(spectral.unit_circle(64 * m))
+    assert lo <= r.min() and r.max() <= hi
     # points at random and within 1e-9..1e-15 of the boundary, both sides
     near = rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(-15, -9, 200)
     scale = np.concatenate([rng.uniform(0.0, 1.5, 200), 1.0 + near])
@@ -185,9 +189,13 @@ def test_contains_matches_trig_radius(modes, nyquist, base, m, center, seed):
     pts = np.column_stack([center[0] + rel.real, center[1] + rel.imag])
     pts = np.vstack([pts, [center]])
     rel = (pts[:, 0] - center[0]) + 1j * (pts[:, 1] - center[1])
-    for tol in (1e-10, 0.0):
+    rho = np.abs(rel)
+    u = np.divide(rel, rho, out=np.ones_like(rel), where=rho > 0.0)
+    for tol in (1e-10, 0.0, -1e-9 * radii.max()):
         margin = np.abs(rel) - (eval_at_angles(radii, np.angle(rel)) + tol)
         got = d.contains(pts, tol=tol)
+        # the band decides as the full test does, point for point
+        assert np.array_equal(got, rho <= d._radius_toward(u) + tol)
         far = np.abs(margin) > 1e-12
         assert np.array_equal(got[far], margin[far] <= 0.0)
         assert got[-1]
@@ -519,13 +527,58 @@ def _offcenter_disk_samples(dist, alpha, m):
 
 
 @pytest.mark.parametrize("spec, m, rho", [
-    ("fourier(1;2:0.1)", 128, 0.19594116210937496),
+    ("fourier(1;2:0.1)", 128, 0.19599609374999996),
     ("fourier(1;3:0.1,5:0.03)", 128, 0.38540405273437495),
     ("ellipse(1.2,0.8)", 128, 0.39999999999999997),
     (_offcenter_disk_samples(0.24, 4.2, 64), 64, 0.2400051469772701),
 ], ids=["fourier2", "fourier35", "ellipse", "offcenter-disk"])
 def test_rho_reflection_pinned_values(spec, m, rho):
     assert rho_reflection_min(build_star_domain(spec, m)).rho == rho
+
+
+# the off-centre unit disks (offset, direction) of the benchmark's reflection
+# test at M = 64, with their reflection radius and oscillation
+@pytest.mark.parametrize("dist, alpha, rho, osc", [
+    (0.2, 0.0, 0.20000000000000007, 0.3999999999999999),
+    (0.12, 2.1, 0.11999025088361813, 0.23999972483399268),
+    (0.24, 4.2, 0.2400051469772701, 0.4799977986732047),
+    (0.28, 1.0, 0.2800209333665158, 0.5599899856126727),
+])
+def test_rho_reflection_benchmark_disks_pinned(dist, alpha, rho, osc):
+    rep = rho_reflection_min(build_star_domain(_offcenter_disk_samples(dist, alpha, 64), 64))
+    assert (rep.rho, rep.oscillation) == (rho, osc)
+
+
+@pytest.mark.parametrize("spec", ["fourier(1;2:0.1)", _offcenter_disk_samples(0.12, 2.1, 64)],
+                         ids=["fourier2", "offcenter-disk"])
+def test_rho_reflection_is_scale_covariant(spec):
+    # the bisection width is relative to the largest cloud radius
+    d = build_star_domain(spec, 64)
+    rho = rho_reflection_min(d).rho
+    width = 1e-4 * np.abs(d.dense_boundary(8)).max()
+    for t in (1e-3, 1e2):
+        assert abs(rho_reflection_min(d.scaled(t)).rho / t - rho) <= width
+
+
+def test_reflection_pass_bounds_its_membership_calls(monkeypatch):
+    d = build_star_domain(_offcenter_disk_samples(0.24, 4.2, 64), 64)
+    pairs = _reflection_pairs(d)
+    sizes = []
+    contains = StarDomain.contains
+
+    def recording(self, pts, tol=1e-10):
+        sizes.append(len(pts))
+        return contains(self, pts, tol)
+
+    monkeypatch.setattr(StarDomain, "contains", recording)
+    rho = float(np.abs(d.dense_boundary(8)).min())
+    assert _reflections_pass(d, rho, pairs)
+    cuts = np.arange(rho, pairs[0][0], 0.5 * d.arc_weights.min())
+    assert 1 < len(sizes) < cuts.size
+    assert max(sizes) <= d.m**2
+    sizes.clear()
+    assert not _reflections_pass(d, 0.1, pairs)
+    assert len(sizes) == 1 and max(sizes) <= d.m**2
 
 
 # -- snapshot I/O -------------------------------------------------------------

@@ -313,6 +313,16 @@ def test_interior_evaluation_rejects_outside(disk_sol):
     assert exc.value.bad_indices == [0]
 
 
+def test_interior_evaluation_rejects_non_finite_points(disk_sol):
+    # outside for contains, with no RuntimeWarning from an inf/inf direction
+    pts = np.array([[0.0, 0.0], [np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.3],
+                    [np.inf, np.nan], [np.inf, -np.inf], [0.5, 0.5]])
+    assert disk_sol.domain.contains(pts).tolist() == [True] + [False] * 5 + [True]
+    with pytest.raises(EvaluationError) as exc:
+        disk_sol.eval_interior(pts)
+    assert np.array_equal(exc.value.bad_indices, np.arange(1, 6))
+
+
 @pytest.mark.parametrize("fixture", ["disk_sol", "ellipse_sol", "fourier2_sol",
                                      "fourier35_sol"])
 def test_interior_evaluation_rejects_points_on_and_just_inside_the_curve(fixture, request):

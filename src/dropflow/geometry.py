@@ -12,7 +12,10 @@ by Parseval, and the curve at arbitrary angles, membership included, from
 the coefficients of r and of its derivatives (`spectral.jet_modes`).
 Membership is the one test of a point against the curve: the ray from the
 center meets it once, so the radial gap r - |x - center| is exact, and
-interior evaluation takes its depth guard from the same test.
+interior evaluation takes its depth guard from the same test.  A cached
+radial band lo <= r <= hi, from the 8M cloud widened by a chord and a
+rounding bound, decides every point whose distance from the center lies
+outside it without evaluating r.
 
 Besides the representation itself this module provides area/moment
 computations, a tensor-product interior quadrature, ball-comparison metrics
@@ -22,7 +25,9 @@ is exact: the curve's crossings with the circle split the boundary of the
 intersection into curve arcs, whose area comes from the Fourier
 coefficients of r^2, and circle arcs; its gradient and Hessian in the ball
 center come in closed form from the same crossings, and the asymmetry
-search is Newton's method on them.
+search is Newton's method on them.  The reflection radius sorts its
+(node, direction) pairs by projection once, so the nodes beyond any cut
+are a prefix of that order, and it tests many cuts per membership call.
 """
 from __future__ import annotations
 
@@ -283,9 +288,9 @@ class StarDomain:
         8 M eps sum |c_k| covers both.
         """
         c = np.abs(self._radius_poly)
-        k = np.arange(c.size)
         h = 2.0 * np.pi / (8 * self.m)
-        pad = (h * h / 8.0) * float(k * k @ c) + 8 * self.m * np.finfo(float).eps * c.sum()
+        chord = (h * h / 8.0) * float(np.arange(c.size) ** 2 @ c)
+        pad = chord + 8 * self.m * np.finfo(float).eps * c.sum()
         cloud = self.refined_radii(8)
         return float(cloud.min() - pad), float(cloud.max() + pad)
 
@@ -709,13 +714,15 @@ def _reflections_pass(d, rho, pairs):
 def rho_reflection_min(d):
     """Smallest rho passing the halfplane-reflection test about the origin.
 
-    Bisection over rho: a candidate passes when B_rho(0) fits inside the
-    domain and, for every sampled direction e and cut offset s >= rho, each
-    boundary node x with x.e > s reflects across the cut line into the
-    closed domain.  The (node, direction) pairs are sorted by projection
-    once, so each cut's nodes are a prefix of that order; each pass tests
-    its deepest cut (s = rho) first, then the others a few membership
-    calls at a time, and stops at the first call with a point outside.
+    Bisection over rho, to a width of 1e-4 times the largest cloud
+    distance from the origin, so rho scales with the domain: a candidate
+    passes when B_rho(0) fits inside the domain and, for every sampled
+    direction e and cut offset s >= rho, each boundary node x with
+    x.e > s reflects across the cut line into the closed domain.  The
+    (node, direction) pairs are sorted by projection once, so each cut's
+    nodes are a prefix of that order; each pass tests its deepest cut
+    (s = rho) first, then the others a few membership calls at a time, and
+    stops at the first call with a point outside.
     """
     if not d.contains(np.zeros((1, 2)))[0]:
         raise ShapeError("reflection radius needs the origin inside the domain")

@@ -526,26 +526,19 @@ def _offcenter_disk_samples(dist, alpha, m):
     return Samples(tuple(dist * np.cos(psi) + np.sqrt(1.0 - (dist * np.sin(psi)) ** 2)))
 
 
-@pytest.mark.parametrize("spec, m, rho", [
-    ("fourier(1;2:0.1)", 128, 0.19599609374999996),
-    ("fourier(1;3:0.1,5:0.03)", 128, 0.38540405273437495),
-    ("ellipse(1.2,0.8)", 128, 0.39999999999999997),
-    (_offcenter_disk_samples(0.24, 4.2, 64), 64, 0.2400051469772701),
-], ids=["fourier2", "fourier35", "ellipse", "offcenter-disk"])
-def test_rho_reflection_pinned_values(spec, m, rho):
-    assert rho_reflection_min(build_star_domain(spec, m)).rho == rho
-
-
-# the off-centre unit disks (offset, direction) of the benchmark's reflection
-# test at M = 64, with their reflection radius and oscillation
-@pytest.mark.parametrize("dist, alpha, rho, osc", [
-    (0.2, 0.0, 0.20000000000000007, 0.3999999999999999),
-    (0.12, 2.1, 0.11999025088361813, 0.23999972483399268),
-    (0.24, 4.2, 0.2400051469772701, 0.4799977986732047),
-    (0.28, 1.0, 0.2800209333665158, 0.5599899856126727),
-])
-def test_rho_reflection_benchmark_disks_pinned(dist, alpha, rho, osc):
-    rep = rho_reflection_min(build_star_domain(_offcenter_disk_samples(dist, alpha, 64), 64))
+# the last four are the benchmark's off-centre unit disks at M = 64
+@pytest.mark.parametrize("spec, m, rho, osc", [
+    ("fourier(1;2:0.1)", 128, 0.19599609374999996, 0.20000000000000018),
+    ("fourier(1;3:0.1,5:0.03)", 128, 0.38540405273437495, 0.26000000000000023),
+    ("ellipse(1.2,0.8)", 128, 0.39999999999999997, 0.3999999999999998),
+    (_offcenter_disk_samples(0.24, 4.2, 64), 64, 0.2400051469772701, 0.4799977986732047),
+    (_offcenter_disk_samples(0.2, 0.0, 64), 64, 0.20000000000000007, 0.3999999999999999),
+    (_offcenter_disk_samples(0.12, 2.1, 64), 64, 0.11999025088361813, 0.23999972483399268),
+    (_offcenter_disk_samples(0.28, 1.0, 64), 64, 0.2800209333665158, 0.5599899856126727),
+], ids=["fourier2", "fourier35", "ellipse", "offcenter-disk", "disk-0.2", "disk-0.12",
+        "disk-0.28"])
+def test_rho_reflection_pinned_values(spec, m, rho, osc):
+    rep = rho_reflection_min(build_star_domain(spec, m))
     assert (rep.rho, rep.oscillation) == (rho, osc)
 
 

@@ -311,7 +311,7 @@ class StarDomain:
         infinite coordinate is outside.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        rel = (pts - self.center).view(complex)[:, 0]
+        rel = np.ascontiguousarray(pts - self.center).view(complex)[:, 0]
         rho = np.abs(rel)
         lo, hi = self._radius_band
         inside = rho <= lo + tol

@@ -146,6 +146,9 @@ def test_contains_inside_and_outside():
     outside = np.array([[1.5, 0.0], [0.0, -1.01]])
     assert d.contains(inside).all()
     assert not d.contains(outside).any()
+    # a transposed (2, n) array is a Fortran-ordered (n, 2) one
+    both = np.vstack([inside, outside])
+    assert np.array_equal(d.contains(np.asfortranarray(both)), [True, True, False, False])
 
 
 def test_import_leaves_scipy_spatial_out():

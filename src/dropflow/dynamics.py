@@ -22,6 +22,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,15 +69,24 @@ class VelocityLaw:
             raise ValueError("coefficients must be finite")
         if abs(np.polynomial.polynomial.polyval(1.0, c)) > 1e-12:
             raise ValueError("velocity law must vanish at s = 1")
+        object.__setattr__(self, "_c", c)
         object.__setattr__(self, "_dc", np.polynomial.polynomial.polyder(c))
         if np.any(self.deriv(np.linspace(*_LAW_CHECK_RANGE, 256)) <= 0.0):
             raise ValueError("velocity law must be strictly increasing on [0.1, 10]")
 
     def __call__(self, s):
-        return np.polynomial.polynomial.polyval(s, np.asarray(self.coeffs))
+        return _horner(self._c, s)
 
     def deriv(self, s):
-        return np.polynomial.polynomial.polyval(s, self._dc)
+        return _horner(self._dc, s)
+
+
+def _horner(c, s):
+    """sum_k c_k s^k by Horner's rule, in numpy's `polyval` order."""
+    v = c[-1] + s * 0
+    for ck in c[-2::-1]:
+        v = ck + v * s
+    return v
 
 
 def quadratic_law():
@@ -183,6 +193,14 @@ def _stage_domain(center, modes):
         raise
 
 
+@lru_cache(maxsize=16)
+def _damping_ramp(m):
+    """max(k - 1, 0) for the M/2 + 1 radius modes (cached, read-only)."""
+    ramp = np.maximum(np.arange(m // 2 + 1) - 1.0, 0.0)
+    ramp.flags.writeable = False
+    return ramp
+
+
 def _solve(domain, vol, stats):
     """`solve_torsion`, counted in the stats with its condition estimate."""
     if stats is not None:
@@ -211,7 +229,7 @@ def advance_step(domain, vol, law, dt, sol=None, stats=None):
     m = domain.m
     if sol is None:
         sol = _solve(domain, vol, stats)
-    sigma = _damping_slope(sol, law) * np.maximum(np.arange(m // 2 + 1) - 1.0, 0.0)
+    sigma = _damping_slope(sol, law) * _damping_ramp(m)
     e = np.exp(-0.5 * dt * sigma)
 
     def remainder(d, s, rh):

@@ -146,25 +146,25 @@ class StarDomain:
         m = given.size if modes is None else 2 * given.size - 2
         if m < _MIN_M or m % 2 != 0:
             raise ShapeError(f"need an even number of samples >= {_MIN_M}, got {m}")
-        if not np.all(np.isfinite(given)):
+        if not np.isfinite(given).all():
             raise ShapeError("radius samples must be finite and positive")
-        if not np.all(np.isfinite(center)):
+        if not np.isfinite(center).all():
             raise ShapeError("center must be finite")
         if modes is None:
             radii, modes = given, np.fft.rfft(given)
         else:
             radii, modes = None, given
-            modes[[0, -1]] = modes[[0, -1]].real
+            modes[0] = modes[0].real
+            modes[-1] = modes[-1].real
         # r, r', r'' in one inverse FFT; given samples are kept as they are
         r, rp, rpp = spectral.jet(modes, m, 2)
         radii = r if radii is None else radii
-        if np.any(radii <= 0.0):
+        if (radii <= 0.0).any():
             raise ShapeError("radius samples must be finite and positive")
         self.center = center
         self.modes = modes
         self.radii = radii
         self.m = m
-        self.theta = spectral.angle_grid(m)
 
         # boundary nodes and differential geometry from r, r', r''
         e = spectral.unit_circle(m)
@@ -183,6 +183,7 @@ class StarDomain:
         self.area = float(np.pi * (p[0] + 2.0 * p[1:-1].sum() + 0.5 * p[-1]) / m**2)
         self._refined = {}
 
+    theta = cached_property(lambda self: spectral.angle_grid(self.m))
     # (M, 2) real views of the complex z and normal_c
     nodes = cached_property(lambda self: self.z.view(float).reshape(-1, 2))
     normal = cached_property(lambda self: self.normal_c.view(float).reshape(-1, 2))

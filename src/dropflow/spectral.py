@@ -22,6 +22,14 @@ def unit_circle(m):
     return e
 
 
+@lru_cache(maxsize=16)
+def wavenumbers(n):
+    """ik, k = 0..n-1: the derivative factors of n modes (cached, read-only)."""
+    ik = 1j * np.arange(n)
+    ik.flags.writeable = False
+    return ik
+
+
 def jet_modes(modes, order):
     """Rows (ik)^j c_k, j = 0..order: the modes of f, f', ..., f^(order).
     An odd derivative's Nyquist row is imaginary: irfft drops it on the M
@@ -29,7 +37,7 @@ def jet_modes(modes, order):
     c = np.asarray(modes)
     rows = np.empty((order + 1,) + c.shape, dtype=complex)
     rows[0] = c
-    ik = p = 1j * np.arange(c.shape[-1])
+    ik = p = wavenumbers(c.shape[-1])
     for row in rows[1:]:
         np.multiply(p, c, out=row)
         p = p * ik
@@ -46,8 +54,9 @@ def jet(modes, m_out, order):
     if m_out < m:
         raise ValueError(f"jet only refines: m_out = {m_out} < M = {m}")
     rows = jet_modes(modes, order)
-    if m_out > m:
-        rows[..., -1] *= 0.5
+    if m_out == m:
+        return np.fft.irfft(rows, m)
+    rows[..., -1] *= 0.5
     return np.fft.irfft(rows, m_out) * (m_out / m)
 
 
@@ -63,8 +72,10 @@ def mode_tail_fraction(fh):
     return float(np.sqrt(power[kcut + 1:].sum() / total))
 
 
+@lru_cache(maxsize=16)
 def exp_filter_factor(m):
-    """Order-8 exponential low-pass factor on the real FFT of M samples.
+    """Order-8 exponential low-pass factor on the real FFT of M samples
+    (cached, read-only).
 
     The bottom two thirds of the modes are kept untouched; the top mode is
     damped to machine epsilon.
@@ -76,4 +87,5 @@ def exp_filter_factor(m):
     sigma = np.ones(k.size)
     hi = k > kcut
     sigma[hi] = np.exp(-alpha * ((k[hi] - kcut) / (kmax - kcut)) ** 8)
+    sigma.flags.writeable = False
     return sigma

@@ -33,9 +33,11 @@ of Re C and of the row sums of C; S comes afterwards from Re C mu and from
 the system's own equation.  The system, Re C and the block buffer are kept
 per thread (`_scratch`) and reused by the next solve, so a large solve does
 not touch fresh pages; no result points into them.  Below _KRYLOV_M nodes
-the system is factored by LU, from _KRYLOV_M up it is solved by GMRES,
-whose iteration count the second-kind system keeps independent of M, so the
-solve costs O(M^2) there.
+the system is factored by LU, calling LAPACK's dgetrf, dgecon and dgetrs
+directly (scipy's lu_factor and lu_solve reach the same routines through
+Python wrappers that cost more than a small factorization), from _KRYLOV_M
+up it is solved by GMRES, whose iteration count the second-kind system
+keeps independent of M, so the solve costs O(M^2) there.
 The barycentric sums from the 4M grid to the interior targets run through
 the same blocks, so their memory does not grow with M or with the number of
 targets, and the reported values do not depend on the blocking.
@@ -46,8 +48,7 @@ import math
 import threading
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import dgecon, dlange
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dlange
 
 from . import spectral
 from .errors import EvaluationError, SolverError
@@ -55,10 +56,12 @@ from .geometry import interior_quadrature
 
 _COND_LIMIT = 1e8   # largest accepted condition estimate of the boundary system
 
-# From _KRYLOV_M nodes on, GMRES solves the system instead of LU.  256 is the
-# first measured M at which GMRES beat LU + dgecon on the standard shapes and
-# ellipse(2,0.5) with one BLAS thread (0.22-0.89 ms against 1.01-1.32 ms; at
-# M = 192 the two ranges overlap, and at M = 32 or 64 LU is cheaper).  At
+# From _KRYLOV_M nodes on, GMRES solves the system instead of LU.  With the
+# direct LAPACK calls and one BLAS thread, GMRES took 0.10-0.78 ms against
+# 0.84-1.17 ms for LU + dgecon at M = 256 on the standard shapes and
+# ellipse(2,0.5), and 0.14-0.60 ms against 0.43-0.67 ms at M = 192; at
+# M = 160 the two overlap, and at M = 64 or 128 LU is cheaper on all but the
+# circle.  At
 # M = 256...2048 GMRES took 2-26 iterations on fourier(1;k:eps), k <= 8,
 # eps <= 0.3, and on ellipse(a,1/a), a <= 3, and 31 on ellipse(4,0.25) at
 # M = 2048 (lambda 3.5e-6 off); every shape that took more than 34 had
@@ -139,17 +142,13 @@ class TorsionSolution:
         on the 2-norm condition number.
     """
 
-    def __init__(self, domain, vol, lambda_, phi_integral, mu, s, im_phi, dn_h, cond):
+    def __init__(self, domain, vol, lambda_, phi_integral, mu, s, im_phi, dn_phi, cond):
         self.domain = domain
         self.vol = float(vol)
         self.lambda_ = float(lambda_)
         self.phi_integral = float(phi_integral)
         self.density = mu
         self._s, self._im_phi = s, im_phi
-        d = domain
-        rel = d.z - d.zc
-        dn_phi = -(rel.real * d.normal_c.real
-                   + rel.imag * d.normal_c.imag) / 2.0 + dn_h
         self.boundary_grad = -lambda_ * dn_phi
         self.condition_estimate = float(cond)
         self._sources = None
@@ -239,16 +238,15 @@ class TorsionSolution:
         return self._quad_cache[key]
 
 
-def _phi_integral_boundary(d, g, dn_h):
+def _phi_integral_boundary(d, g, xdn, dn_h):
     """int phi by Green's identity: only boundary data of h are needed.
 
-    int_Omega h dx = oint h d_n(|x-c|^2/4) - oint (|x-c|^2/4) d_n h, and the
-    quartic moment of the radius gives int |x-c|^2 dx exactly.
+    int_Omega h dx = oint h d_n(|x-c|^2/4) - oint (|x-c|^2/4) d_n h, with
+    xdn = (x - c).nu, and the quartic moment of the radius gives
+    int |x-c|^2 dx exactly.
     """
-    rel = d.z - d.zc
-    xdn = rel.real * d.normal_c.real + rel.imag * d.normal_c.imag
-    int_h = np.sum((g * xdn / 2.0 - g * dn_h) * d.arc_weights)
-    int_x2 = (2.0 * np.pi / (4 * d.m)) * float(np.sum(d.refined_radii(4) ** 4)) / 4.0
+    int_h = ((g * xdn / 2.0 - g * dn_h) * d.arc_weights).sum()
+    int_x2 = (2.0 * np.pi / (4 * d.m)) * float((d.refined_radii(4) ** 4).sum()) / 4.0
     return float(-int_x2 / 4.0 + int_h)
 
 
@@ -315,8 +313,9 @@ def _checked(cond):
 def solve_torsion(domain, vol):
     """Solve the volume-normalized torsion problem on a star domain.
 
-    Below _KRYLOV_M nodes the boundary system is factored by LU and its
-    condition estimate is LAPACK's 1-norm estimate (dgecon); from _KRYLOV_M
+    Below _KRYLOV_M nodes the boundary system is factored by LU (LAPACK's
+    dgetrf and dgetrs, called directly) and its condition estimate is
+    LAPACK's 1-norm estimate (dgecon); from _KRYLOV_M
     up it is solved by GMRES and the estimate is the 2-norm one of the
     Krylov Hessenberg matrix, a lower bound that was within 0.25 % of the
     exact value on the standard shapes.
@@ -327,8 +326,9 @@ def solve_torsion(domain, vol):
     vol : float
         Target value of int u (positive).
 
-    Raises SolverError when the boundary system's condition estimate exceeds
-    _COND_LIMIT, when GMRES does not reach its residual within
+    Raises SolverError when the LU factor has an exactly zero pivot
+    (condition_estimate inf), when the boundary system's condition estimate
+    exceeds _COND_LIMIT, when GMRES does not reach its residual within
     _KRYLOV_ITERATIONS steps, or when int phi or |Du| is not positive.
     """
     if not 0.0 < vol < np.inf:
@@ -337,6 +337,7 @@ def solve_torsion(domain, vol):
     m = d.m
     rel = d.z - d.zc
     g = np.abs(rel) ** 2 / 4.0
+    xdn = rel.real * d.normal_c.real + rel.imag * d.normal_c.imag
 
     # Row blocks of C_ij = w_j / (z_j - z_i), 0 on the diagonal, write the
     # system a = -Im C/2pi (the Nystrom double-layer kernel, arc weights
@@ -355,36 +356,46 @@ def solve_torsion(domain, vol):
     diag = -0.5 - d.curvature * d.arc_weights / (4.0 * np.pi)
     np.fill_diagonal(a, diag)
     if m < _KRYLOV_M:
-        # a.T is the Fortran-ordered A^T, which getrf factors in place; the
+        # a.T is the Fortran-ordered A^T, which dgetrf factors in place; the
         # infinity norm of A^T is the 1-norm of A.  The system is finite
         # because StarDomain checks its radii.
         anorm = dlange("I", a.T)
-        lu = lu_factor(a.T, overwrite_a=True, check_finite=False)
-        rcond, info = dgecon(lu[0], anorm, norm="I")
+        lu, piv, info = dgetrf(a.T, overwrite_a=1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dgetrf")
+        if info > 0:
+            raise SolverError(f"boundary system is singular: pivot {info} of its "
+                              "LU factorization is zero", condition_estimate=np.inf)
+        rcond, info = dgecon(lu, anorm, norm="I")
         cond = _checked(np.inf if info != 0 or rcond == 0.0 else 1.0 / rcond)
-        mu = lu_solve(lu, g, trans=1, check_finite=False)
+        mu, info = dgetrs(lu, piv, g, trans=1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dgetrs")
     else:
         mu, cond = _gmres(a, g)
     # S = C mu - mu rowsum(C); a mu = g gives Im(C mu) = -2pi (g - diag mu)
+    pair = np.empty((2, m))
+    np.subtract(re_c @ mu, mu * rowsum.real, out=pair[0])
+    pair[1] = mu
     s = np.empty(m, dtype=complex)
-    s.real = re_c @ mu - mu * rowsum.real
+    s.real = pair[0]
     s.imag = -2.0 * np.pi * (g - diag * mu) - mu * rowsum.imag
     # d_n h = -d_theta Im Phi_-/speed, from the modes of Im Phi_- (module docstring)
-    fh = np.fft.rfft(np.stack([s.real, mu]))
-    ik = 1j * np.arange(d.m // 2 + 1)
-    im_phi = -fh[0] / (2.0 * np.pi) - ik * fh[1] / d.m
+    fh = np.fft.rfft(pair)
+    ik = spectral.wavenumbers(m // 2 + 1)
+    im_phi = -fh[0] / (2.0 * np.pi) - ik * fh[1] / m
     dim = ik * im_phi
     dim[-1] = 0.0
-    dn_h = -np.fft.irfft(dim, d.m) / d.speed
+    dn_h = -np.fft.irfft(dim, m) / d.speed
 
-    int_phi = _phi_integral_boundary(d, g, dn_h)
+    int_phi = _phi_integral_boundary(d, g, xdn, dn_h)
     if int_phi <= 0.0:
         raise SolverError("nonpositive torsion integral; domain too degenerate",
                           condition_estimate=cond)
     lam = vol / int_phi
-    sol = TorsionSolution(d, vol, lam, int_phi, mu, s, im_phi, dn_h, cond)
+    sol = TorsionSolution(d, vol, lam, int_phi, mu, s, im_phi, -xdn / 2.0 + dn_h, cond)
 
-    if np.any(sol.boundary_grad <= 0.0):
+    if (sol.boundary_grad <= 0.0).any():
         raise SolverError("boundary gradient is not strictly positive",
                           condition_estimate=cond)
     return sol

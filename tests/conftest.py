@@ -7,10 +7,13 @@ The plain functions below are reference implementations that tests compare
 the package against: they take the trigonometric interpolant of samples by
 their own route, not through `spectral.jet`.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
-from dropflow import build_star_domain, solve_torsion
+from dropflow import build_star_domain, solve_torsion, torsion
 
 
 @pytest.fixture(scope="session")
@@ -71,3 +74,17 @@ def dealiased_power_sum(f, power):
     mq = int(power) * m
     fq = resample(f, mq)
     return (2.0 * np.pi / mq) * float(np.sum(fq ** power))
+
+
+def scipy_lu_solve(domain, vol):
+    """`solve_torsion` with its LU path run through scipy.linalg's
+    `lu_factor` and `lu_solve` in place of the direct LAPACK calls."""
+    def getrf(a, overwrite_a):
+        lu, piv = lu_factor(a, overwrite_a=bool(overwrite_a), check_finite=False)
+        return lu, piv, 0
+
+    def getrs(lu, piv, b, trans):
+        return lu_solve((lu, piv), b, trans=trans, check_finite=False), 0
+
+    with mock.patch.multiple(torsion, dgetrf=getrf, dgetrs=getrs):
+        return solve_torsion(domain, vol)

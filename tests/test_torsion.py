@@ -3,10 +3,11 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from conftest import eval_at_angles
+from conftest import eval_at_angles, scipy_lu_solve
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -385,6 +386,36 @@ STANDARD_SHAPES = ("circle(1)", "ellipse(1.2,0.8)", "fourier(1;2:0.1)",
 
 def _rel(x, ref):
     return np.abs(x - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("m", [32, 64, 128, 192])
+@pytest.mark.parametrize("shape", STANDARD_SHAPES)
+def test_lu_path_matches_scipy_lu_bit_for_bit(shape, m):
+    d = build_star_domain(shape, m)
+    _assert_bit_identical(solve_torsion(d, 1.0), scipy_lu_solve(d, 1.0))
+
+
+def test_zero_pivot_is_a_solver_error(monkeypatch):
+    # row 3 of the system is column 3 of the transpose that dgetrf factors;
+    # the singular factor reaches neither dgecon nor dgetrs, and no
+    # LinAlgWarning is issued
+    dgetrf = torsion.dgetrf
+
+    def singular(a, **kw):
+        a[:, 3] = 0.0
+        return dgetrf(a, **kw)
+
+    def unreachable(*args, **kw):
+        raise AssertionError("called on a singular factor")
+
+    monkeypatch.setattr(torsion, "dgetrf", singular)
+    monkeypatch.setattr(torsion, "dgecon", unreachable)
+    monkeypatch.setattr(torsion, "dgetrs", unreachable)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="singular") as exc:
+            solve_torsion(build_star_domain("ellipse(1.2,0.8)", 32), 1.0)
+    assert exc.value.condition_estimate == np.inf
 
 
 @pytest.mark.parametrize("m", [256, 1024])

@@ -684,17 +684,20 @@ def _reflections_pass(d, rho, pairs):
     """All boundary nodes reflect into the closure across every admissible cut.
 
     The cuts are s = rho, rho + ds, ... with ds half the least arc weight;
-    cut s reflects the nodes x with x.e > s + 1e-14 to x + 2 (s - x.e) e,
-    the prefix of the sorted `pairs` that one `searchsorted` counts.  The
-    deepest cut, s = rho, holds the most points and is where a failing rho
-    usually fails, so it is tested alone first; the other cuts follow in
-    groups of at most M^2 points (no more than one cut can hold), one
-    membership call each.
+    cut s reflects the nodes x with x.e > s + 1e-14 R to x + 2 (s - x.e) e,
+    the prefix of the sorted `pairs` that one `searchsorted` counts, and a
+    reflected point passes within `contains`' tolerance 1e-10 R, where R is
+    the largest cloud distance from the origin, so the test scales with the
+    domain.  The deepest cut, s = rho, holds the most points and is where a
+    failing rho usually fails, so it is tested alone first; the other cuts
+    follow in groups of at most M^2 points (no more than one cut can hold),
+    one membership call each.
     """
     proj, nx, ny, ex, ey = pairs
+    scale = float(np.abs(d.dense_boundary(8)).max())
     ds = 0.5 * d.arc_weights.min()
     cuts = np.arange(rho, proj[0], ds)
-    counts = np.searchsorted(-proj, -(cuts + 1e-14))
+    counts = np.searchsorted(-proj, -(cuts + 1e-14 * scale))
     cap = d.m * d.m
     start = 0
     while start < cuts.size:
@@ -706,7 +709,7 @@ def _reflections_pass(d, rho, pairs):
         k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
         shift = 2.0 * (np.repeat(cuts[start:stop], n) - proj[k])
         pts = np.column_stack([nx[k] + shift * ex[k], ny[k] + shift * ey[k]])
-        if not d.contains(pts).all():
+        if not d.contains(pts, tol=1e-10 * scale).all():
             return False
         start = stop
     return True
@@ -716,7 +719,8 @@ def rho_reflection_min(d):
     """Smallest rho passing the halfplane-reflection test about the origin.
 
     Bisection over rho, to a width of 1e-4 times the largest cloud
-    distance from the origin, so rho scales with the domain: a candidate
+    distance from the origin, which also scales the cut offset and the
+    membership tolerance, so rho scales with the domain: a candidate
     passes when B_rho(0) fits inside the domain and, for every sampled
     direction e and cut offset s >= rho, each boundary node x with
     x.e > s reflects across the cut line into the closed domain.  The

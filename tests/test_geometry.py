@@ -548,11 +548,12 @@ def test_rho_reflection_pinned_values(spec, m, rho, osc):
 @pytest.mark.parametrize("spec", ["fourier(1;2:0.1)", _offcenter_disk_samples(0.12, 2.1, 64)],
                          ids=["fourier2", "offcenter-disk"])
 def test_rho_reflection_is_scale_covariant(spec):
-    # the bisection width is relative to the largest cloud radius
+    # the bisection width, the cut offset and the membership tolerance are
+    # relative to the largest cloud radius
     d = build_star_domain(spec, 64)
     rho = rho_reflection_min(d).rho
     width = 1e-4 * np.abs(d.dense_boundary(8)).max()
-    for t in (1e-3, 1e2):
+    for t in (1e-6, 1e-3, 1e2):
         assert abs(rho_reflection_min(d.scaled(t)).rho / t - rho) <= width
 
 

@@ -67,7 +67,7 @@ class VelocityLaw:
             raise ValueError("law needs degree >= 1")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        if abs(np.polynomial.polynomial.polyval(1.0, c)) > 1e-12:
+        if abs(_horner(c, 1.0)) > 1e-12:
             raise ValueError("velocity law must vanish at s = 1")
         object.__setattr__(self, "_c", c)
         object.__setattr__(self, "_dc", np.polynomial.polynomial.polyder(c))

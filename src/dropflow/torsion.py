@@ -142,13 +142,13 @@ class TorsionSolution:
         on the 2-norm condition number.
     """
 
-    def __init__(self, domain, vol, lambda_, phi_integral, mu, s, im_phi, dn_phi, cond):
+    def __init__(self, domain, vol, lambda_, phi_integral, mu, im_s, im_phi, dn_phi, cond):
         self.domain = domain
         self.vol = float(vol)
         self.lambda_ = float(lambda_)
         self.phi_integral = float(phi_integral)
         self.density = mu
-        self._s, self._im_phi = s, im_phi
+        self._im_s, self._im_phi = im_s, im_phi
         self.boundary_grad = -lambda_ * dn_phi
         self.condition_estimate = float(cond)
         self._sources = None
@@ -166,8 +166,8 @@ class TorsionSolution:
             zq = d.zc + r * e
             zp = (rp + 1j * r) * e
             zpp = (rpp - r + 2j * rp) * e
-            # Re Phi_- from the kept S; the solve kept the modes of Im Phi_-
-            re_phi = np.fft.rfft(self.density) + np.fft.rfft(self._s.imag) / (2.0 * np.pi)
+            # Re Phi_- from the kept Im S; the solve kept the modes of Im Phi_-
+            re_phi = np.fft.rfft(self.density) + np.fft.rfft(self._im_s) / (2.0 * np.pi)
             f = spectral.jet(np.stack([re_phi, self._im_phi]), mq, 2)
             phi, phi_t, phi_tt = f[:, 0] + 1j * f[:, 1]
             d1 = phi_t / zp
@@ -373,13 +373,12 @@ def solve_torsion(domain, vol):
             raise ValueError(f"illegal value in argument {-info} of dgetrs")
     else:
         mu, cond = _gmres(a, g)
-    # S = C mu - mu rowsum(C); a mu = g gives Im(C mu) = -2pi (g - diag mu)
+    # S = C mu - mu rowsum(C), Re S beside mu for one real FFT pair; a mu = g
+    # gives Im(C mu) = -2pi (g - diag mu)
     pair = np.empty((2, m))
     np.subtract(re_c @ mu, mu * rowsum.real, out=pair[0])
     pair[1] = mu
-    s = np.empty(m, dtype=complex)
-    s.real = pair[0]
-    s.imag = -2.0 * np.pi * (g - diag * mu) - mu * rowsum.imag
+    im_s = -2.0 * np.pi * (g - diag * mu) - mu * rowsum.imag
     # d_n h = -d_theta Im Phi_-/speed, from the modes of Im Phi_- (module docstring)
     fh = np.fft.rfft(pair)
     ik = spectral.wavenumbers(m // 2 + 1)
@@ -393,7 +392,7 @@ def solve_torsion(domain, vol):
         raise SolverError("nonpositive torsion integral; domain too degenerate",
                           condition_estimate=cond)
     lam = vol / int_phi
-    sol = TorsionSolution(d, vol, lam, int_phi, mu, s, im_phi, -xdn / 2.0 + dn_h, cond)
+    sol = TorsionSolution(d, vol, lam, int_phi, mu, im_s, im_phi, -xdn / 2.0 + dn_h, cond)
 
     if (sol.boundary_grad <= 0.0).any():
         raise SolverError("boundary gradient is not strictly positive",

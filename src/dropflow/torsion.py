@@ -60,8 +60,9 @@ _COND_LIMIT = 1e8   # largest accepted condition estimate of the boundary system
 # direct LAPACK calls and one BLAS thread, GMRES took 0.10-0.78 ms against
 # 0.84-1.17 ms for LU + dgecon at M = 256 on the standard shapes and
 # ellipse(2,0.5), and 0.14-0.60 ms against 0.43-0.67 ms at M = 192; at
-# M = 160 the two overlap, and at M = 64 or 128 LU is cheaper on all but the
-# circle.  At
+# M = 160 the two overlap, at M = 128 LU is cheaper on all but the circle,
+# and at M = 64 on all five.  The switch stays at 256, where it was first
+# measured, because moving it changes the results at M = 192...255.  At
 # M = 256...2048 GMRES took 2-26 iterations on fourier(1;k:eps), k <= 8,
 # eps <= 0.3, and on ellipse(a,1/a), a <= 3, and 31 on ellipse(4,0.25) at
 # M = 2048 (lambda 3.5e-6 off); every shape that took more than 34 had

@@ -5,7 +5,8 @@ solved once per session and reused across modules.  All fixtures use the
 default discretization (M = 128, vol = 1) unless a test needs otherwise.
 The plain functions below are reference implementations that tests compare
 the package against: they take the trigonometric interpolant of samples by
-their own route, not through `spectral.jet`.
+their own route, not through `spectral.jet`, and `scipy_lu_solve` runs the
+solve's LU through scipy's own wrappers.
 """
 from unittest import mock
 

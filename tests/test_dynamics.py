@@ -375,30 +375,29 @@ def test_flow_stats_report_condition_and_gradient_tail_ranges():
     assert max(tails) <= st["grad_tail_max"] < 1e-3
 
 
-def _assert_pinned_mode_three_flow(m, steps, pinned, rate, lam):
-    traj = run_flow(build_star_domain("fourier(1;3:0.1)", m), 1.0, t_end=20.0)
-    assert traj.status == "stationary"
-    assert len(traj.times) - 1 == steps
-    assert {k: traj.stats[k] for k in pinned} == pinned
-    assert abs(fit_decay_rate(traj).rate / rate - 1.0) < 1e-10
-    assert abs(traj.lambdas[-1] - lam) < 1e-13
-
-
 def test_pinned_mode_three_flow():
     # fourier(1;3:0.1) at M = 32 to stationarity, pinned to the results
     # of the sample-space stepper that preceded the modes path
-    _assert_pinned_mode_three_flow(
-        32, 48, {"solves": 193, "stage_solves": 144, "ball_evals": 51,
-                 "dt_bound": {"growth": 20, "accuracy": 28}, "rejects": {}},
-        3.874870381089509, 1.8452701486858674)
+    traj = run_flow(build_star_domain("fourier(1;3:0.1)", 32), 1.0, t_end=20.0)
+    assert traj.status == "stationary"
+    assert len(traj.times) - 1 == 48
+    pinned = {"solves": 193, "stage_solves": 144, "ball_evals": 51,
+              "dt_bound": {"growth": 20, "accuracy": 28}, "rejects": {}}
+    assert {k: traj.stats[k] for k in pinned} == pinned
+    assert abs(fit_decay_rate(traj).rate / 3.874870381089509 - 1.0) < 1e-10
+    assert abs(traj.lambdas[-1] - 1.8452701486858674) < 1e-13
 
 
 def test_pinned_mode_three_flow_at_m64():
     # the benchmark's heavy flow start: M = 64, where the LU path runs too
-    _assert_pinned_mode_three_flow(
-        64, 56, {"solves": 225, "stage_solves": 168, "ball_evals": 57,
-                 "dt_bound": {"growth": 30, "accuracy": 26}, "rejects": {}},
-        3.883495073342172, 1.8452701486954441)
+    traj = run_flow(build_star_domain("fourier(1;3:0.1)", 64), 1.0, t_end=20.0)
+    assert traj.status == "stationary"
+    assert len(traj.times) - 1 == 56
+    pinned = {"solves": 225, "stage_solves": 168, "ball_evals": 57,
+              "dt_bound": {"growth": 30, "accuracy": 26}, "rejects": {}}
+    assert {k: traj.stats[k] for k in pinned} == pinned
+    assert abs(fit_decay_rate(traj).rate / 3.883495073342172 - 1.0) < 1e-10
+    assert abs(traj.lambdas[-1] - 1.8452701486954441) < 1e-13
 
 
 def test_trajectory_stats_default_empty():

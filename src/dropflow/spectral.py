@@ -23,8 +23,8 @@ def unit_circle(m):
 
 
 @lru_cache(maxsize=16)
-def wavenumbers(n):
-    """ik, k = 0..n-1: the derivative factors of n modes (cached, read-only)."""
+def derivative_factors(n):
+    """ik, k = 0..n-1: the factors that differentiate n modes (cached, read-only)."""
     ik = 1j * np.arange(n)
     ik.flags.writeable = False
     return ik
@@ -37,7 +37,7 @@ def jet_modes(modes, order):
     c = np.asarray(modes)
     rows = np.empty((order + 1,) + c.shape, dtype=complex)
     rows[0] = c
-    ik = p = wavenumbers(c.shape[-1])
+    ik = p = derivative_factors(c.shape[-1])
     for row in rows[1:]:
         np.multiply(p, c, out=row)
         p = p * ik

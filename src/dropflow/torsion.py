@@ -382,7 +382,7 @@ def solve_torsion(domain, vol):
     im_s = -2.0 * np.pi * (g - diag * mu) - mu * rowsum.imag
     # d_n h = -d_theta Im Phi_-/speed, from the modes of Im Phi_- (module docstring)
     fh = np.fft.rfft(pair)
-    ik = spectral.wavenumbers(m // 2 + 1)
+    ik = spectral.derivative_factors(m // 2 + 1)
     im_phi = -fh[0] / (2.0 * np.pi) - ik * fh[1] / m
     dim = ik * im_phi
     dim[-1] = 0.0

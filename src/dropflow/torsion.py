@@ -34,8 +34,9 @@ the system's own equation.  The system, Re C and the block buffer are kept
 per thread (`_scratch`) and reused by the next solve, so a large solve does
 not touch fresh pages; no result points into them.  Below _KRYLOV_M nodes
 the system is factored by LU, calling LAPACK's dgetrf, dgecon and dgetrs
-directly (scipy's lu_factor and lu_solve reach the same routines through
-Python wrappers that cost more than a small factorization), from _KRYLOV_M
+directly (this module's lu_factor and lu_solve; scipy's functions of those
+names reach the same routines through Python wrappers that cost more than a
+small factorization), from _KRYLOV_M
 up it is solved by GMRES, whose iteration count the second-kind system
 keeps independent of M, so the solve costs O(M^2) there.
 The barycentric sums from the 4M grid to the interior targets run through
@@ -302,6 +303,31 @@ def _gmres(a, g):
     return x0 + (vt.T @ (beta * u[0] / sv)) @ v[:n], cond
 
 
+def lu_factor(a):
+    """(lu, piv): LAPACK's dgetrf of the Fortran-ordered square `a`, in place.
+
+    scipy.linalg.lu_factor without its Python wrappers, which cost more
+    than a small factorization.  An exactly zero pivot is a SolverError
+    with condition_estimate inf, where scipy only warns.
+    """
+    lu, piv, info = dgetrf(a, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgetrf")
+    if info > 0:
+        raise SolverError(f"boundary system is singular: pivot {info} of its "
+                          "LU factorization is zero", condition_estimate=np.inf)
+    return lu, piv
+
+
+def lu_solve(lu_and_piv, b, trans=0):
+    """x with A x = b (trans 0) or A^T x = b (trans 1), from `lu_factor`'s
+    factors of A: LAPACK's dgetrs, as scipy.linalg.lu_solve calls it."""
+    x, info = dgetrs(*lu_and_piv, b, trans=trans)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgetrs")
+    return x
+
+
 def _checked(cond):
     """cond, or SolverError when it exceeds _COND_LIMIT or is NaN."""
     if not cond <= _COND_LIMIT:
@@ -361,17 +387,10 @@ def solve_torsion(domain, vol):
         # infinity norm of A^T is the 1-norm of A.  The system is finite
         # because StarDomain checks its radii.
         anorm = dlange("I", a.T)
-        lu, piv, info = dgetrf(a.T, overwrite_a=1)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dgetrf")
-        if info > 0:
-            raise SolverError(f"boundary system is singular: pivot {info} of its "
-                              "LU factorization is zero", condition_estimate=np.inf)
-        rcond, info = dgecon(lu, anorm, norm="I")
+        lu = lu_factor(a.T)
+        rcond, info = dgecon(lu[0], anorm, norm="I")
         cond = _checked(np.inf if info != 0 or rcond == 0.0 else 1.0 / rcond)
-        mu, info = dgetrs(lu, piv, g, trans=1)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dgetrs")
+        mu = lu_solve(lu, g, trans=1)
     else:
         mu, cond = _gmres(a, g)
     # S = C mu - mu rowsum(C), Re S beside mu for one real FFT pair; a mu = g

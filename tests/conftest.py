@@ -80,12 +80,11 @@ def dealiased_power_sum(f, power):
 def scipy_lu_solve(domain, vol):
     """`solve_torsion` with its LU path run through scipy.linalg's
     `lu_factor` and `lu_solve` in place of the direct LAPACK calls."""
-    def getrf(a, overwrite_a):
-        lu, piv = lu_factor(a, overwrite_a=bool(overwrite_a), check_finite=False)
-        return lu, piv, 0
+    def factor(a):
+        return lu_factor(a, overwrite_a=True, check_finite=False)
 
-    def getrs(lu, piv, b, trans):
-        return lu_solve((lu, piv), b, trans=trans, check_finite=False), 0
+    def solve(lu_and_piv, b, trans):
+        return lu_solve(lu_and_piv, b, trans=trans, check_finite=False)
 
-    with mock.patch.multiple(torsion, dgetrf=getrf, dgetrs=getrs):
+    with mock.patch.multiple(torsion, lu_factor=factor, lu_solve=solve):
         return solve_torsion(domain, vol)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -82,7 +81,10 @@ class VelocityLaw:
 
 
 def _horner(c, s):
-    """sum_k c_k s^k by Horner's rule, in numpy's `polyval` order."""
+    """sum_k c_k s^k by Horner's rule, in numpy's `polyval` order; like
+    `polyval`, a list or tuple of s is taken as an array."""
+    if isinstance(s, (tuple, list)):
+        s = np.asarray(s)
     v = c[-1] + s * 0
     for ck in c[-2::-1]:
         v = ck + v * s
@@ -193,14 +195,6 @@ def _stage_domain(center, modes):
         raise
 
 
-@lru_cache(maxsize=16)
-def _damping_ramp(m):
-    """max(k - 1, 0) for the M/2 + 1 radius modes (cached, read-only)."""
-    ramp = np.maximum(np.arange(m // 2 + 1) - 1.0, 0.0)
-    ramp.flags.writeable = False
-    return ramp
-
-
 def _solve(domain, vol, stats):
     """`solve_torsion`, counted in the stats with its condition estimate."""
     if stats is not None:
@@ -229,7 +223,7 @@ def advance_step(domain, vol, law, dt, sol=None, stats=None):
     m = domain.m
     if sol is None:
         sol = _solve(domain, vol, stats)
-    sigma = _damping_slope(sol, law) * _damping_ramp(m)
+    sigma = _damping_slope(sol, law) * np.maximum(np.arange(m // 2 + 1) - 1.0, 0.0)
     e = np.exp(-0.5 * dt * sigma)
 
     def remainder(d, s, rh):

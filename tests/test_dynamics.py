@@ -43,6 +43,17 @@ def test_quadratic_law_values():
     assert np.allclose(vec, [-1.0, 0.0, 3.0])
 
 
+def test_velocity_law_takes_lists_and_tuples_as_polyval_does():
+    law = polynomial_law([-1.0, 0.5, 0.25, 0.25])
+    c = np.asarray(law.coeffs)
+    for s in ([2.0], (0.5, 2.0), [[0.5], [3.0]]):
+        expected = np.polynomial.polynomial.polyval(s, c)
+        assert np.array_equal(law(s), expected)
+        assert np.shape(law(s)) == np.shape(s)
+    assert np.array_equal(law.deriv((0.5, 2.0)), [0.5 + 0.5 * 0.5 + 0.75 * 0.25,
+                                                  0.5 + 0.5 * 2.0 + 0.75 * 4.0])
+
+
 def test_polynomial_law_helper():
     law = polynomial_law([-1, 0, 0.5, 0.5])
     assert law != quadratic_law()

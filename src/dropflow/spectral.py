@@ -54,9 +54,8 @@ def jet(modes, m_out, order):
     if m_out < m:
         raise ValueError(f"jet only refines: m_out = {m_out} < M = {m}")
     rows = jet_modes(modes, order)
-    if m_out == m:
-        return np.fft.irfft(rows, m)
-    rows[..., -1] *= 0.5
+    if m_out > m:
+        rows[..., -1] *= 0.5
     return np.fft.irfft(rows, m_out) * (m_out / m)
 
 

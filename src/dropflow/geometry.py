@@ -680,21 +680,20 @@ def _reflection_pairs(d):
     return proj[order], nodes[j, 0], nodes[j, 1], dirs[i, 0], dirs[i, 1]
 
 
-def _reflections_pass(d, rho, pairs):
+def _reflections_pass(d, rho, pairs, scale):
     """All boundary nodes reflect into the closure across every admissible cut.
 
     The cuts are s = rho, rho + ds, ... with ds half the least arc weight;
     cut s reflects the nodes x with x.e > s + 1e-14 R to x + 2 (s - x.e) e,
     the prefix of the sorted `pairs` that one `searchsorted` counts, and a
-    reflected point passes within `contains`' tolerance 1e-10 R, where R is
-    the largest cloud distance from the origin, so the test scales with the
-    domain.  The deepest cut, s = rho, holds the most points and is where a
+    reflected point passes within `contains`' tolerance 1e-10 R, where R =
+    `scale` is the largest cloud distance from the origin, so the test
+    scales with the domain.  The deepest cut, s = rho, holds the most points and is where a
     failing rho usually fails, so it is tested alone first; the other cuts
     follow in groups of at most M^2 points (no more than one cut can hold),
     one membership call each.
     """
     proj, nx, ny, ex, ey = pairs
-    scale = float(np.abs(d.dense_boundary(8)).max())
     ds = 0.5 * d.arc_weights.min()
     cuts = np.arange(rho, proj[0], ds)
     counts = np.searchsorted(-proj, -(cuts + 1e-14 * scale))
@@ -733,17 +732,18 @@ def rho_reflection_min(d):
         raise ShapeError("reflection radius needs the origin inside the domain")
     pairs = _reflection_pairs(d)
     rr = np.abs(d.dense_boundary(8))        # cloud distances to the origin
+    scale = float(rr.max())
     hi = float(rr.min())
-    if not _reflections_pass(d, hi, pairs):
+    if not _reflections_pass(d, hi, pairs, scale):
         raise ConvergenceError(
             "no admissible reflection radius up to the inscribed-ball bound")
     lo = 0.0
-    if _reflections_pass(d, lo, pairs):
+    if _reflections_pass(d, lo, pairs, scale):
         hi = lo
-    width = _REFLECTION_TOL * float(rr.max())
+    width = _REFLECTION_TOL * scale
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        if _reflections_pass(d, mid, pairs):
+        if _reflections_pass(d, mid, pairs, scale):
             hi = mid
         else:
             lo = mid

@@ -568,13 +568,14 @@ def test_reflection_pass_bounds_its_membership_calls(monkeypatch):
         return contains(self, pts, tol)
 
     monkeypatch.setattr(StarDomain, "contains", recording)
-    rho = float(np.abs(d.dense_boundary(8)).min())
-    assert _reflections_pass(d, rho, pairs)
+    rr = np.abs(d.dense_boundary(8))
+    rho, scale = float(rr.min()), float(rr.max())
+    assert _reflections_pass(d, rho, pairs, scale)
     cuts = np.arange(rho, pairs[0][0], 0.5 * d.arc_weights.min())
     assert 1 < len(sizes) < cuts.size
     assert max(sizes) <= d.m**2
     sizes.clear()
-    assert not _reflections_pass(d, 0.1, pairs)
+    assert not _reflections_pass(d, 0.1, pairs, scale)
     assert len(sizes) == 1 and max(sizes) <= d.m**2
 
 

@@ -22,7 +22,7 @@ class EvaluationError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative search failed to converge."""
+    """A search found no admissible value within its bound."""
 
 
 class ConfigError(ValueError):

@@ -12,10 +12,7 @@ by Parseval, and the curve at arbitrary angles, membership included, from
 the coefficients of r and of its derivatives (`spectral.jet_modes`).
 Membership is the one test of a point against the curve: the ray from the
 center meets it once, so the radial gap r - |x - center| is exact, and
-interior evaluation takes its depth guard from the same test.  A cached
-radial band lo <= r <= hi, from the 8M cloud widened by a chord and a
-rounding bound, decides every point whose distance from the center lies
-outside it without evaluating r.
+interior evaluation takes its depth guard from the same test.
 
 Besides the representation itself this module provides area/moment
 computations, a tensor-product interior quadrature, ball-comparison metrics
@@ -25,9 +22,9 @@ is exact: the curve's crossings with the circle split the boundary of the
 intersection into curve arcs, whose area comes from the Fourier
 coefficients of r^2, and circle arcs; its gradient and Hessian in the ball
 center come in closed form from the same crossings, and the asymmetry
-search is Newton's method on them.  The reflection radius sorts its
-(node, direction) pairs by projection once, so the nodes beyond any cut
-are a prefix of that order, and it tests many cuts per membership call.
+search is Newton's method on them.  The reflection radius is the largest
+midpoint of a node and the first exit of its ray back along a sampled
+direction, the exits found on the 8M cloud and refined on the curve.
 """
 from __future__ import annotations
 
@@ -276,25 +273,6 @@ class StarDomain:
             p += ck
         return p.real
 
-    @cached_property
-    def _radius_band(self):
-        """(lo, hi) with lo <= `_radius_toward`(u) <= hi for every unit u.
-
-        Between two nodes of the 8M cloud, spacing h = 2 pi/(8M), r differs
-        from its chord by at most (h^2/8) max|r''| <= (h^2/8) sum k^2 |c_k|,
-        and the chord lies between the two samples.  The computed values
-        differ from the exact r by rounding: Horner's rule on a u within a
-        few ulps of the unit circle by about 3 (M/2) eps sum |c_k|, the FFT
-        behind the cloud by O(log M) eps sum |c_k|.  A margin of
-        8 M eps sum |c_k| covers both.
-        """
-        c = np.abs(self._radius_poly)
-        h = 2.0 * np.pi / (8 * self.m)
-        chord = (h * h / 8.0) * float(np.arange(c.size) ** 2 @ c)
-        pad = chord + 8 * self.m * np.finfo(float).eps * c.sum()
-        cloud = self.refined_radii(8)
-        return float(cloud.min() - pad), float(cloud.max() + pad)
-
     def contains(self, pts, tol=1e-10):
         """Point-in-domain test |x - center| <= r + tol.
 
@@ -304,24 +282,13 @@ class StarDomain:
         from the center meets the curve once, so r - |x - center| is the
         exact depth along it, negative outside and never below the distance
         to the curve: a negative tol admits only points at least |tol| deep.
-
-        The radial band lo <= r <= hi of `_radius_band` decides most points
-        without r: |x - center| <= lo + tol is inside and > hi + tol
-        outside (rounding is monotone, so both agree with the full test),
-        and only the points between them take Horner's rule.  A NaN or
-        infinite coordinate is outside.
+        A NaN or infinite coordinate is outside.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         rel = np.ascontiguousarray(pts - self.center).view(complex)[:, 0]
         rho = np.abs(rel)
-        lo, hi = self._radius_band
-        inside = rho <= lo + tol
-        band = np.flatnonzero(~inside & (rho <= hi + tol))
-        if band.size:
-            rel, rho = rel[band], rho[band]
-            u = np.divide(rel, rho, out=np.ones_like(rel), where=rho > 0.0)
-            inside[band] = rho <= self._radius_toward(u) + tol
-        return inside
+        u = np.divide(rel, rho, out=np.ones_like(rel), where=(rho > 0.0) & (rho < np.inf))
+        return rho <= self._radius_toward(u) + tol
 
     # -- derived domains -----------------------------------------------------
 
@@ -654,7 +621,8 @@ def lemma_distance_check(d, radius):
     return float(lhs), float(rhs)
 
 
-_REFLECTION_TOL = 1e-4      # bisection width of the reflection radius, per largest radius
+_EXIT_BLOCK = 2**16         # rotated cloud points (1 MB) per block of directions
+_EXIT_NEWTON_STEPS = 6      # five reached rounding on 200 random shapes, M = 32...128
 
 
 @dataclass
@@ -665,89 +633,120 @@ class ReflectionReport:
     oscillation: float
 
 
-def _reflection_pairs(d):
-    """Every (node, direction) pair, sorted by decreasing projection x.e.
+def _chord(d, j, s):
+    """gamma(theta_j + s) - gamma(theta_j) at nodes j without cancellation: with
+    v = e^{is}, v^k - 1 = (v - 1)(1 + ... + v^{k-1}) and v - 1 = 2i sin(s/2) e^{is/2}."""
+    c = d._radius_poly
+    u = spectral.unit_circle(d.m)[j]
+    v, w = np.exp(1j * s), 2j * np.sin(0.5 * s) * np.exp(0.5j * s)
+    vk, powers = np.vander(v, c.size, increasing=True), np.vander(u, c.size, increasing=True)
+    sums = np.cumsum(vk, axis=1) - vk
+    dr = (w * ((powers * sums) @ c)).real
+    return u * (dr * v + (powers @ c).real * w)
 
-    Returns the columns (x.e, x, y, e_x, e_y) in that order.  The pairs
-    with x.e above any threshold are then a prefix.
+
+def _exit_seeds(d, ce, cloud, jet, delta, bound):
+    """The lower bound `bound` of the reflection radius raised by the rays
+    x - t e, e = conj(ce), from the nodes x, and the crossings behind x that
+    may raise it further, as two sets of columns: direction, node, offset
+    s = theta - theta_j, bracket s_lo, s_hi, the sign of f(s_lo) (NaN: not
+    known) and upper bound of (x.e + a)/2.
+
+    In w = ce z a ray's height returns to the node's on each cloud segment
+    whose ends straddle it, found for all pairs by one `searchsorted`.  The
+    curve lies within delta of the chord, so a segment spanning (da, db)
+    puts the crossing's a within delta (1 + |da/db|), and |da| + delta, of
+    the chord's.  A node's own two segments meet its ray only at the node;
+    a near-tangent exit inside them is seeded by the local quadratic's root.
     """
-    alpha = spectral.angle_grid(d.m)
-    dirs = np.column_stack([np.cos(alpha), np.sin(alpha)])
-    nodes = d.nodes
-    proj = (nodes @ dirs.T).ravel()
-    order = np.argsort(-proj, kind="stable")
-    j, i = np.divmod(order, d.m)
-    return proj[order], nodes[j, 0], nodes[j, 1], dirs[i, 0], dirs[i, 1]
-
-
-def _reflections_pass(d, rho, pairs, scale):
-    """All boundary nodes reflect into the closure across every admissible cut.
-
-    The cuts are s = rho, rho + ds, ... with ds half the least arc weight;
-    cut s reflects the nodes x with x.e > s + 1e-14 R to x + 2 (s - x.e) e,
-    the prefix of the sorted `pairs` that one `searchsorted` counts, and a
-    reflected point passes within `contains`' tolerance 1e-10 R, where R =
-    `scale` is the largest cloud distance from the origin, so the test
-    scales with the domain.  The deepest cut, s = rho, holds the most points and is where a
-    failing rho usually fails, so it is tested alone first; the other cuts
-    follow in groups of at most M^2 points (no more than one cut can hold),
-    one membership call each.
-    """
-    proj, nx, ny, ex, ey = pairs
-    ds = 0.5 * d.arc_weights.min()
-    cuts = np.arange(rho, proj[0], ds)
-    counts = np.searchsorted(-proj, -(cuts + 1e-14 * scale))
-    cap = d.m * d.m
-    start = 0
-    while start < cuts.size:
-        stop = start + 1
-        if start > 0:
-            total = np.cumsum(counts[start:])
-            stop += int(np.searchsorted(total, cap, side="right")) - 1
-        n = counts[start:stop]
-        k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-        shift = 2.0 * (np.repeat(cuts[start:stop], n) - proj[k])
-        pts = np.column_stack([nx[k] + shift * ex[k], ny[k] + shift * ey[k]])
-        if not d.contains(pts, tol=1e-10 * scale).all():
-            return False
-        start = stop
-    return True
+    m, n, h = d.m, cloud.size, 2.0 * np.pi / cloud.size
+    rows = np.arange(ce.shape[0])[:, None]
+    w, xw, tw = ce * cloud, ce * d.z, ce * jet[0]      # Im tw = |gamma'| e.nu
+    bound = max(bound, xw.real[tw.imag <= 0.0].max(initial=0.0))
+    bpp = (ce * jet[1]).imag
+    s = np.divide(-2.0 * tw.imag, bpp, out=np.zeros_like(bpp), where=bpp != 0.0)
+    # the own two segments and one more for the quadratic's error
+    near = np.nonzero((tw.imag > 0.0) & (tw.real * s < 0.0) & (np.abs(s) <= 2.0 * h))
+    s = s[near]
+    order = np.argsort(xw.imag, axis=1)
+    keys = (rows + 1j * np.take_along_axis(xw.imag, order, axis=1)).ravel()
+    idx = np.searchsorted(keys, (rows + 1j * w.imag).ravel()) - np.repeat(rows * m, n)
+    nxt = np.roll(idx.reshape(-1, n), -1, axis=1).ravel()
+    cnt = np.abs(nxt - idx)
+    seg = np.repeat(np.arange(cnt.size), cnt)
+    r, k = np.divmod(seg, n)
+    j = order[r, np.arange(seg.size) - np.repeat(np.cumsum(cnt) - cnt - np.minimum(idx, nxt), cnt)]
+    q = (k - n // m * j) % n            # segment k counted from the node's cloud point
+    r, j, k, q = (col[(q != 0) & (q != n - 1)] for col in (r, j, k, q))
+    p0, p1, x = w[r, k], w[r, (k + 1) % n], xw[r, j]
+    da, db = p1.real - p0.real, p1.imag - p0.imag
+    tau = (x.imag - p0.imag) / db
+    a = p0.real + tau * da
+    err = delta + np.minimum(delta * np.abs(da / db), np.abs(da))
+    value = 0.5 * (x.real + a)
+    bound = max(bound, (value - 0.5 * err)[a < x.real - err].max(initial=0.0))
+    keep = (a < x.real + err) & (value + 0.5 * err >= bound)
+    q = np.where(q < n // 2, q, q - n)[keep]      # signed: s keeps its precision near 0
+    return bound, ((r[keep], j[keep], (q + tau[keep]) * h, q * h, (q + 1) * h,
+                    -db[keep], (value + 0.5 * err)[keep]),
+                   (near[0], near[1], s, *np.sort((0.5 * s, 2.0 * s), axis=0),
+                    np.full(s.size, np.nan), np.full(s.size, np.inf)))
 
 
 def rho_reflection_min(d):
     """Smallest rho passing the halfplane-reflection test about the origin.
 
-    Bisection over rho, to a width of 1e-4 times the largest cloud
-    distance from the origin, which also scales the cut offset and the
-    membership tolerance, so rho scales with the domain: a candidate
-    passes when B_rho(0) fits inside the domain and, for every sampled
-    direction e and cut offset s >= rho, each boundary node x with
-    x.e > s reflects across the cut line into the closed domain.  The
-    (node, direction) pairs are sorted by projection once, so each cut's
-    nodes are a prefix of that order; each pass tests its deepest cut
-    (s = rho) first, then the others a few membership calls at a time, and
-    stops at the first call with a point outside.
+    Every cut s >= rho along a sampled direction e reflects each node x with
+    x.e > s to x - 2 (x.e - s) e, which must lie in the closed domain: the
+    ray x - t e up to t = 2 (x.e - rho).  So a pair whose ray enters the
+    domain (e.nu > 0) needs rho >= x.e - l/2, the midpoint of x and its
+    first exit at distance l, any other rho >= x.e, and rho is the largest
+    bound and 0, exact up to rounding.  Every crossing behind x bounds rho
+    the same way, the first exit the most, so the crossings that
+    `_exit_seeds` finds on the 8M cloud and that may be largest are refined
+    by bracketed Newton steps on the curve.  ShapeError: the origin is
+    outside; ConvergenceError: rho exceeds the least cloud radius.
     """
     if not d.contains(np.zeros((1, 2)))[0]:
         raise ShapeError("reflection radius needs the origin inside the domain")
-    pairs = _reflection_pairs(d)
-    rr = np.abs(d.dense_boundary(8))        # cloud distances to the origin
-    scale = float(rr.max())
-    hi = float(rr.min())
-    if not _reflections_pass(d, hi, pairs, scale):
+    cloud = d.dense_boundary(8)
+    # the curve stays within (h^2/8) max|gamma''| of each chord, h = 2 pi/8M,
+    # and gamma'' = (r'' + 2i r' - r) e^{i theta} has |gamma''| <= sum (k+1)^2 |c_k|
+    c = np.abs(d._radius_poly)
+    delta = 0.5 * (np.pi / cloud.size) ** 2 * float((np.arange(c.size) + 1.0) ** 2 @ c)
+    jet = d.curve_jet(d.theta)[1:]
+    ce = np.conj(spectral.unit_circle(d.m))     # conjugate sampled directions
+    block = max(1, _EXIT_BLOCK // cloud.size)
+    bound, seeds = 0.0, []
+    for start in range(0, d.m, block):
+        bound, found = _exit_seeds(d, ce[start:start + block, None], cloud, jet, delta, bound)
+        seeds += [(cols[0] + start,) + cols[1:] for cols in found]
+    i, j, s, lo, hi, flo, upper = (np.concatenate(col) for col in zip(*seeds))
+    i, j, s, lo, hi, flo = (col[upper >= bound] for col in (i, j, s, lo, hi, flo))
+    ce, near = ce[i], np.isnan(flo)
+    # f falls across a segment whose height falls, so f(s_lo) has the sign of
+    # -db; a near-tangent bracket without a sign change holds no crossing
+    flo[near], f_hi = ((ce[near] * _chord(d, j[near], end[near])).imag for end in (lo, hi))
+    live = ~near
+    live[near] = flo[near] * f_hi <= 0.0
+    ce, j, s, lo, hi, flo = (col[live] for col in (ce, j, s, lo, hi, flo))
+    for _ in range(_EXIT_NEWTON_STEPS):
+        f = (ce * _chord(d, j, s)).imag
+        fp = (ce * d.curve_jet(d.theta[j] + s)[1]).imag
+        below = (f < 0.0) == (flo < 0.0)
+        lo, hi = np.where(below, s, lo), np.where(below, hi, s)
+        s = s - np.divide(f, fp, out=np.full_like(f, np.inf), where=fp != 0.0)
+        # a step that leaves the shrinking bracket bisects it instead
+        out = ~((lo <= s) & (s <= hi))
+        s[out] = 0.5 * (lo[out] + hi[out])
+    back = (ce * _chord(d, j, s)).real
+    x = (ce * d.z[j]).real
+    rho = max(bound, float((x + 0.5 * back)[back < 0.0].max(initial=0.0)))
+    rr = np.abs(cloud)          # cloud distances to the origin
+    if rho > rr.min():
         raise ConvergenceError(
             "no admissible reflection radius up to the inscribed-ball bound")
-    lo = 0.0
-    if _reflections_pass(d, lo, pairs, scale):
-        hi = lo
-    width = _REFLECTION_TOL * scale
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if _reflections_pass(d, mid, pairs, scale):
-            hi = mid
-        else:
-            lo = mid
-    return ReflectionReport(rho=float(hi), oscillation=float(rr.max() - rr.min()))
+    return ReflectionReport(rho=rho, oscillation=float(rr.max() - rr.min()))
 
 
 # ----------------------------------------------------------------------------

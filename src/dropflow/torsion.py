@@ -319,7 +319,7 @@ def lu_factor(a):
     return lu, piv
 
 
-def lu_solve(lu_and_piv, b, trans=0):
+def lu_solve(lu_and_piv, b, trans):
     """x with A x = b (trans 0) or A^T x = b (trans 1), from `lu_factor`'s
     factors of A: LAPACK's dgetrs, as scipy.linalg.lu_solve calls it."""
     x, info = dgetrs(*lu_and_piv, b, trans=trans)

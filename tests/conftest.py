@@ -6,7 +6,8 @@ default discretization (M = 128, vol = 1) unless a test needs otherwise.
 The plain functions below are reference implementations that tests compare
 the package against: they take the trigonometric interpolant of samples by
 their own route, not through `spectral.jet`, and `scipy_lu_solve` runs the
-solve's LU through scipy's own wrappers.
+solve's LU through scipy's own wrappers; `first_exit_reflection_radius`
+finds the reflection radius's first exits by marching along each ray.
 """
 from unittest import mock
 
@@ -88,3 +89,42 @@ def scipy_lu_solve(domain, vol):
 
     with mock.patch.multiple(torsion, lu_factor=factor, lu_solve=solve):
         return solve_torsion(domain, vol)
+
+
+def first_exit_reflection_radius(d, step=1e-3):
+    """Brute-force reflection radius about the origin: the largest x.e - l/2
+    over nodes x and directions e = e^{i alpha_i} whose ray x - t e enters
+    the domain (e.nu > 0), l its first exit; x.e for the other pairs; and 0.
+
+    Each ray is marched, 16 points per pass, in steps of `step` times the
+    largest cloud radius until `contains(tol=0)` fails, and the exit is
+    bisected between the last point inside and the first outside.
+    """
+    dirs = np.exp(2j * np.pi * np.arange(d.m) / d.m)
+    x, e = np.repeat(d.z, d.m), np.tile(dirs, d.m)
+    proj = (np.conj(e) * x).real
+    enters = (np.conj(e) * np.repeat(d.normal_c, d.m)).real > 0.0
+    lead = proj[~enters].max(initial=0.0)
+    x, e, proj = x[enters], e[enters], proj[enters]
+
+    def inside(z):
+        return d.contains(np.column_stack([z.real.ravel(), z.imag.ravel()]),
+                          tol=0.0).reshape(z.shape)
+
+    h = step * np.abs(d.dense_boundary(8)).max()
+    t_in = np.zeros(x.size)
+    t_out = np.full(x.size, np.inf)
+    rays = np.arange(x.size)
+    while rays.size:
+        t = t_in[rays, None] + h * np.arange(1, 17)
+        ok = inside(x[rays, None] - t * e[rays, None])
+        out = ~ok.all(axis=1)
+        first = np.argmin(ok, axis=1)
+        t_in[rays] = np.where(out, t_in[rays] + h * first, t[:, -1])
+        t_out[rays[out]] = t[out, first[out]]
+        rays = rays[~out]
+    for _ in range(60):
+        mid = 0.5 * (t_in + t_out)
+        ok = inside(x - mid * e)
+        t_in, t_out = np.where(ok, mid, t_in), np.where(ok, t_out, mid)
+    return max(lead, float((proj - 0.5 * t_in).max(initial=0.0)))

@@ -6,19 +6,20 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import dealiased_power_sum, eval_at_angles, resample
+from conftest import (dealiased_power_sum, eval_at_angles, first_exit_reflection_radius,
+                      resample)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ellipe
 
 import dropflow
-from dropflow import (Circle, Ellipse, FourierShape, Samples, ShapeError,
-                      StarDomain, asymmetry_to_ball,
+from dropflow import (Circle, ConvergenceError, Ellipse, FourierShape, Samples,
+                      ShapeError, StarDomain, asymmetry_to_ball,
                       build_star_domain, interior_quadrature,
                       lemma_distance_check, load_domain_csv, parse_shape,
                       ray_radii, rho_reflection_min, save_domain_csv,
                       spectral)
-from dropflow.geometry import _ball_overlap_jet, _reflection_pairs, _reflections_pass
+from dropflow.geometry import _ball_overlap_jet
 
 R_STAR = (4.0 / math.pi) ** (1.0 / 3.0)
 
@@ -181,10 +182,6 @@ def test_contains_matches_trig_radius(modes, nyquist, base, m, center, seed):
     psi = rng.uniform(-np.pi, np.pi, 400)
     u = np.exp(1j * psi)
     assert np.abs(d._radius_toward(u) - eval_at_angles(radii, psi)).max() <= 1e-14
-    # the radial band bounds every computed radius
-    lo, hi = d._radius_band
-    r = d._radius_toward(spectral.unit_circle(64 * m))
-    assert lo <= r.min() and r.max() <= hi
     # points at random and within 1e-9..1e-15 of the boundary, both sides
     near = rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(-15, -9, 200)
     scale = np.concatenate([rng.uniform(0.0, 1.5, 200), 1.0 + near])
@@ -197,7 +194,7 @@ def test_contains_matches_trig_radius(modes, nyquist, base, m, center, seed):
     for tol in (1e-10, 0.0, -1e-9 * radii.max()):
         margin = np.abs(rel) - (eval_at_angles(radii, np.angle(rel)) + tol)
         got = d.contains(pts, tol=tol)
-        # the band decides as the full test does, point for point
+        # point for point the radial test of the Horner form
         assert np.array_equal(got, rho <= d._radius_toward(u) + tol)
         far = np.abs(margin) > 1e-12
         assert np.array_equal(got[far], margin[far] <= 0.0)
@@ -529,15 +526,19 @@ def _offcenter_disk_samples(dist, alpha, m):
     return Samples(tuple(dist * np.cos(psi) + np.sqrt(1.0 - (dist * np.sin(psi)) ** 2)))
 
 
+# the benchmark's off-centre unit disks (offset, direction)
+BENCHMARK_DISKS = ((0.24, 4.2), (0.2, 0.0), (0.12, 2.1), (0.28, 1.0))
+
+
 # the last four are the benchmark's off-centre unit disks at M = 64
 @pytest.mark.parametrize("spec, m, rho, osc", [
-    ("fourier(1;2:0.1)", 128, 0.19599609374999996, 0.20000000000000018),
-    ("fourier(1;3:0.1,5:0.03)", 128, 0.38540405273437495, 0.26000000000000023),
-    ("ellipse(1.2,0.8)", 128, 0.39999999999999997, 0.3999999999999998),
-    (_offcenter_disk_samples(0.24, 4.2, 64), 64, 0.2400051469772701, 0.4799977986732047),
-    (_offcenter_disk_samples(0.2, 0.0, 64), 64, 0.20000000000000007, 0.3999999999999999),
-    (_offcenter_disk_samples(0.12, 2.1, 64), 64, 0.11999025088361813, 0.23999972483399268),
-    (_offcenter_disk_samples(0.28, 1.0, 64), 64, 0.2800209333665158, 0.5599899856126727),
+    ("fourier(1;2:0.1)", 128, 0.19590380572519908, 0.20000000000000018),
+    ("fourier(1;3:0.1,5:0.03)", 128, 0.38537351473147935, 0.26000000000000023),
+    ("ellipse(1.2,0.8)", 128, 0.3999867957269848, 0.3999999999999998),
+    (_offcenter_disk_samples(0.24, 4.2, 64), 64, 0.2399444540534481, 0.4799977986732047),
+    (_offcenter_disk_samples(0.2, 0.0, 64), 64, 0.2000000000000003, 0.3999999999999999),
+    (_offcenter_disk_samples(0.12, 2.1, 64), 64, 0.11991186028080125, 0.23999972483399268),
+    (_offcenter_disk_samples(0.28, 1.0, 64), 64, 0.2799533608127918, 0.5599899856126727),
 ], ids=["fourier2", "fourier35", "ellipse", "offcenter-disk", "disk-0.2", "disk-0.12",
         "disk-0.28"])
 def test_rho_reflection_pinned_values(spec, m, rho, osc):
@@ -545,38 +546,45 @@ def test_rho_reflection_pinned_values(spec, m, rho, osc):
     assert (rep.rho, rep.oscillation) == (rho, osc)
 
 
+@pytest.mark.parametrize("m", [64, 128, 256, 512])
+def test_rho_reflection_is_exact_on_offcenter_disks(m):
+    # every chord of the disk about p along e has its midpoint at p.e, so
+    # rho = |p| max_i cos(alpha_i - phi) over the sampled directions
+    alpha = spectral.angle_grid(m)
+    for dist, phi in BENCHMARK_DISKS:
+        d = build_star_domain(_offcenter_disk_samples(dist, phi, m), m)
+        exact = dist * np.cos(alpha - phi).max()
+        assert abs(rho_reflection_min(d).rho / exact - 1.0) <= 2e-13
+
+
+@pytest.mark.parametrize("spec, center", [
+    ("ellipse(1.2,0.8)", (0.0, 0.0)),
+    ("fourier(1;5:0.2)", (0.0, 0.0)),
+    ("fourier(1;2:0.1,7:0.05)", (0.05, -0.03)),
+], ids=["ellipse", "fourier5", "fourier27-off"])
+def test_rho_reflection_matches_brute_force_first_exits(spec, center):
+    # convex shapes take their maximum from near-tangent rays, whose exit
+    # can fall within a cloud step of the node; fourier(1;5:0.2) is not convex
+    d = build_star_domain(spec, 64, center)
+    assert abs(rho_reflection_min(d).rho - first_exit_reflection_radius(d)) <= 1e-12
+
+
+def test_rho_reflection_above_least_radius_raises():
+    # about (0.05, -0.03) the first exits of fourier(1;5:0.2) give rho 0.7689,
+    # above its least radius 0.7506
+    with pytest.raises(ConvergenceError):
+        rho_reflection_min(build_star_domain("fourier(1;5:0.2)", 64, (0.05, -0.03)))
+
+
 @pytest.mark.parametrize("spec", ["fourier(1;2:0.1)", _offcenter_disk_samples(0.12, 2.1, 64)],
                          ids=["fourier2", "offcenter-disk"])
 def test_rho_reflection_is_scale_covariant(spec):
-    # the bisection width, the cut offset and the membership tolerance are
-    # relative to the largest cloud radius
+    # the chord-error bound that selects the exits to refine scales with
+    # the radius modes, and no other length enters
     d = build_star_domain(spec, 64)
     rho = rho_reflection_min(d).rho
-    width = 1e-4 * np.abs(d.dense_boundary(8)).max()
-    for t in (1e-6, 1e-3, 1e2):
-        assert abs(rho_reflection_min(d.scaled(t)).rho / t - rho) <= width
-
-
-def test_reflection_pass_bounds_its_membership_calls(monkeypatch):
-    d = build_star_domain(_offcenter_disk_samples(0.24, 4.2, 64), 64)
-    pairs = _reflection_pairs(d)
-    sizes = []
-    contains = StarDomain.contains
-
-    def recording(self, pts, tol=1e-10):
-        sizes.append(len(pts))
-        return contains(self, pts, tol)
-
-    monkeypatch.setattr(StarDomain, "contains", recording)
-    rr = np.abs(d.dense_boundary(8))
-    rho, scale = float(rr.min()), float(rr.max())
-    assert _reflections_pass(d, rho, pairs, scale)
-    cuts = np.arange(rho, pairs[0][0], 0.5 * d.arc_weights.min())
-    assert 1 < len(sizes) < cuts.size
-    assert max(sizes) <= d.m**2
-    sizes.clear()
-    assert not _reflections_pass(d, 0.1, pairs, scale)
-    assert len(sizes) == 1 and max(sizes) <= d.m**2
+    for t in (1e-6, 1e-3, 1e2, 1e6):
+        assert abs(rho_reflection_min(d.scaled(t)).rho / t - rho) <= 1e-13 * rho
 
 
 # -- snapshot I/O -------------------------------------------------------------

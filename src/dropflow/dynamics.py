@@ -11,11 +11,10 @@ About a ball, radius mode k >= 1 decays at sigma_k = F'(|Du|) (lambda/2)
 The stepper is Lawson's integrating-factor RK4 in the radius's Fourier
 modes: that linear damping is integrated exactly and only the nonlinear
 remainder is explicit; the stages are domains built from the modes, and a
-low-pass factor on the top third of them controls aliasing growth.  The
-step size is the smallest of an advective CFL bound, a fixed fraction of
-the mode-2 damping time, dt_max and a running step that is halved whenever
-a step is rejected (an energy increase under any law, or a degenerate
-stage) and doubled after clean steps.
+low-pass factor on the top third of them controls aliasing growth.  Every
+step takes the smallest of an advective CFL bound, a fixed fraction of the
+mode-2 damping time, dt_max and the time left; a rejected step (an energy
+increase under any law, or a degenerate stage) is retried at half its size.
 """
 from __future__ import annotations
 
@@ -37,7 +36,6 @@ _J_SLACK = 1e-10
 _ACCURACY = 0.2             # step cap, in units of the mode-2 damping time
 _LAW_CHECK_RANGE = (0.1, 10.0)
 _DT_MIN_FRACTION = 1e-12
-_CLEAN_STEPS_TO_GROW = 10
 _RECENTER_FRACTION = 0.1    # barycenter drift, in least radius samples, to recenter
 _MAX_REJECTS = 40           # consecutive rejected steps before a halt
 _FIT_WINDOW = (1e-4, 1e-1)  # asymmetry range of the decay fit
@@ -171,21 +169,6 @@ def _damping_slope(sol, law):
     return max(float(law.deriv(s)), 0.0) * 0.5 * abs(sol.lambda_)
 
 
-def _stiff_dt(domain, sol, law):
-    """Explicit-RK4 stability bound of the highest resolved mode.
-
-    Linearized about a near-ball state, a radius mode k decays at a rate
-    close to F'(|Du|) * (lambda/2) * k, so an explicit step must shrink
-    like 1/M.  The integrating-factor step does not need this bound; it
-    only seeds the first step size.
-    """
-    k_max = 0.5 * domain.radii.size
-    s_max = float(sol.boundary_grad.max())
-    rate = abs(law.deriv(s_max)) * 0.5 * abs(sol.lambda_) * k_max
-    rate *= float((domain.speed / domain.radii).max())
-    return 2.5 / max(rate, 1e-300)
-
-
 def _stage_domain(center, modes):
     try:
         return StarDomain(center, modes=modes)
@@ -279,11 +262,10 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf, cfl=0.4,
 
     Step size: the smallest of the advective CFL bound cfl * min node
     spacing / max |V|, the accuracy bound of a fixed fraction of the mode-2
-    damping time 1/sigma_2, dt_max, the time left to t_end, and the running
-    step ("growth").  The running step starts at the explicit-RK4 bound of
-    `_stiff_dt` (a conservative first step), is halved on a rejected step
-    (an energy increase under any law, or a degenerate stage) and doubled
-    after 10 clean accepted steps.  There is no stiffness cap: the
+    damping time 1/sigma_2, dt_max and the time left to t_end.  After a
+    rejected step (an energy increase under any law, or a degenerate stage)
+    the next attempt is also capped at half the rejected step ("retry"), a
+    cap dropped once a step is accepted.  There is no stiffness cap: the
     integrating-factor step damps the high modes exactly, so the step count
     to stationarity hardly depends on M.  The domain is recentered when its
     barycenter drifts from the center by a tenth of its smallest radius
@@ -308,7 +290,7 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf, cfl=0.4,
                                    domain.barycenter, counts)
     rows, states = [_row(state, 0.0)], [state]
     status, halt_reason = "t_end", None
-    t, dt, clean, rejects = 0.0, None, 0, 0
+    t, retry, rejects = 0.0, np.inf, 0
     while t < t_end * (1.0 - 1e-12):
         if state.max_vn < tol_stationary:
             status = "stationary"
@@ -318,10 +300,8 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf, cfl=0.4,
             "accuracy": _ACCURACY / max(_damping_slope(sol, law), 1e-300),
             "dt_max": dt_max,
             "t_end": t_end - t,
+            "retry": retry,
         }
-        if dt is None:
-            dt = min(caps["cfl"], _stiff_dt(domain, sol, law), dt_max)
-        caps["growth"] = dt
         bound = min(caps, key=caps.get)
         dt_try = caps[bound]
         if dt_try < _DT_MIN_FRACTION * t_end:
@@ -339,9 +319,8 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf, cfl=0.4,
             reason = exc.reason if isinstance(exc, FlowHalt) else type(exc).__name__
             reject_reasons[reason] += 1
             rejects += 1
-            clean = 0
-            dt = dt_try / 2.0
-            log.debug("step rejected at t=%.6g (%s); dt -> %.3g", t, exc, dt)
+            retry = dt_try / 2.0
+            log.debug("step rejected at t=%.6g (%s); dt -> %.3g", t, exc, retry)
             if rejects > _MAX_REJECTS:
                 status = "halted"
                 halt_reason = (_energy_halt_reason(sol, new_sol)
@@ -351,8 +330,7 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf, cfl=0.4,
             continue
 
         t += dt_try
-        rejects = 0
-        clean += 1
+        retry, rejects = np.inf, 0
         domain, sol = new_domain, new_sol
         drift = np.linalg.norm(domain.barycenter - domain.center)
         if drift > _RECENTER_FRACTION * domain.radii.min():
@@ -371,9 +349,6 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf, cfl=0.4,
             states.append(state)
         if status == "halted":
             break
-        if clean >= _CLEAN_STEPS_TO_GROW:
-            dt = 2.0 * dt_try
-            clean = 0
     if states[-1] is not state:
         states.append(state)
     return Trajectory(

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, ShapeError, SolverError
+from .errors import ShapeError, SolverError
 from .geometry import (_NEWTON_GAIN_TOL, _NEWTON_STEP_TOL, FourierShape, StarDomain,
                        _newton_2d, asymmetry_to_ball, build_star_domain,
                        parse_shape)
@@ -212,8 +212,8 @@ def sweep_stability(modes=(2, 3, 4), amplitudes=None, vol=1.0, m=128,
     """Stability metrics across a perturbed-ball family (or explicit shapes).
 
     Returns a list of row dicts matching SWEEP_HEADER plus a `failed` flag;
-    shape, solver and convergence errors mark the row failed instead of
-    aborting the sweep, and any other exception propagates.
+    shape and solver errors mark the row failed instead of aborting the
+    sweep, and any other exception propagates.
     """
     if amplitudes is None:
         amplitudes = np.linspace(0.02, 0.2, 10)
@@ -235,7 +235,7 @@ def sweep_stability(modes=(2, 3, 4), amplitudes=None, vol=1.0, m=128,
             d = normalized_domain(spec, vol=vol, m=m)
             sol = solve_torsion(d, vol)
             row.update(asdict(stability_report(sol)))
-        except (ShapeError, SolverError, ConvergenceError) as exc:
+        except (ShapeError, SolverError) as exc:
             row.update(dict.fromkeys(SWEEP_HEADER[3:], math.nan),
                        failed=True, error=str(exc))
         rows.append(row)

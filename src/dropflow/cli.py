@@ -123,31 +123,35 @@ def cmd_verify(args):
         _check_writable(args.json)
     shapes = args.shape or list(_DEFAULT_VERIFY_SHAPES)
     reports = []
-    failed = False
     json_lines = []
+
+    def finish(code):
+        # a halted battery still writes the reports of the shapes it finished
+        if args.json:
+            Path(args.json).write_text("".join(line + "\n" for line in json_lines))
+        return code
+
     for spec in shapes:
         try:
             d = build_star_domain(spec, m=args.m)
         except ShapeError as exc:
             print(f"config error on {spec!r}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            return finish(EXIT_CONFIG)
         try:
             sol = solve_torsion(d, args.vol)
         except SolverError as exc:
             print(f"runtime halt on {spec!r}: {exc}", file=sys.stderr)
-            return EXIT_HALT
+            return finish(EXIT_HALT)
         for rep in identity_suite(sol, n_radial=args.n_radial):
             verdict = "PASS" if rep.passed else "FAIL"
-            failed |= not rep.passed
             print(f"{spec:28s} {rep.identity:12s} lhs={rep.lhs: .10e} "
                   f"rhs={rep.rhs: .10e} residual={rep.residual:.3e} {verdict}")
             json_lines.append(rep.to_json())
             reports.append(rep)
-    if args.json:
-        Path(args.json).write_text("\n".join(json_lines) + "\n")
     n_pass = sum(r.passed for r in reports)
+    code = finish(EXIT_OK if n_pass == len(reports) else EXIT_VERIFY_FAIL)
     print(f"{n_pass}/{len(reports)} identity checks passed")
-    return EXIT_VERIFY_FAIL if failed else EXIT_OK
+    return code
 
 
 def cmd_stability(args):

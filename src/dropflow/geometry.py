@@ -273,22 +273,26 @@ class StarDomain:
             p += ck
         return p.real
 
-    def contains(self, pts, tol=1e-10):
-        """Point-in-domain test |x - center| <= r + tol.
-
-        r is the radius interpolant in the point's direction
-        u = (x - center)/|x - center|, from the Horner form of
-        `_radius_toward`; the center itself takes u = 1 (angle 0).  The ray
-        from the center meets the curve once, so r - |x - center| is the
-        exact depth along it, negative outside and never below the distance
-        to the curve: a negative tol admits only points at least |tol| deep.
-        A NaN or infinite coordinate is outside.
-        """
+    def _ray(self, pts):
+        """(|x - center|, r) for (n, 2) points: r is the radius interpolant in
+        the point's direction u = (x - center)/|x - center|, from the Horner
+        form of `_radius_toward`; the center itself takes u = 1 (angle 0)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         rel = np.ascontiguousarray(pts - self.center).view(complex)[:, 0]
         rho = np.abs(rel)
         u = np.divide(rel, rho, out=np.ones_like(rel), where=(rho > 0.0) & (rho < np.inf))
-        return rho <= self._radius_toward(u) + tol
+        return rho, self._radius_toward(u)
+
+    def contains(self, pts, tol=1e-10):
+        """Point-in-domain test |x - center| <= r + tol, r from `_ray`.
+
+        The ray from the center meets the curve once, so r - |x - center| is
+        the exact depth along it, negative outside and never below the
+        distance to the curve: a negative tol admits only points at least
+        |tol| deep.  A NaN or infinite coordinate is outside.
+        """
+        rho, r = self._ray(pts)
+        return rho <= r + tol
 
     # -- derived domains -----------------------------------------------------
 

@@ -57,16 +57,19 @@ class IdentityReport:
         }, default=lambda v: v.tolist())
 
 
-def _residual(lhs, rhs):
-    # The absolute floor keeps identities whose both sides vanish (exact
-    # balls) from dividing machine noise by machine noise.
-    floor = 1e-12 * max(1.0, abs(lhs), abs(rhs))
+def _residual(lhs, rhs, scale):
+    # The floor, 1e-12 of the size `scale` of the terms an identity sums,
+    # keeps identities whose both sides vanish (fund_est on every disk) from
+    # dividing machine noise by machine noise, at every size of the domain
+    # and of vol; a floor of 1e-12 absolute failed fund_est on circle(0.5).
+    floor = 1e-12 * max(scale, abs(lhs), abs(rhs))
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + floor)
 
 
-def _report(identity, lhs, rhs, metadata, name=None):
-    """The report of one identity; `name` labels a member of a family."""
-    res = _residual(lhs, rhs)
+def _report(identity, lhs, rhs, scale, metadata, name=None):
+    """The report of one identity, `scale` the size of the terms it sums;
+    `name` labels a member of a family."""
+    res = _residual(lhs, rhs, scale)
     tolerance = DEFAULT_TOLERANCES[identity]
     return IdentityReport(name or identity, float(lhs), float(rhs), res,
                           tolerance, res <= tolerance, metadata)
@@ -86,7 +89,7 @@ def check_pohozaev(sol):
     moment = ((x - x0) * nu).sum(axis=1)
     lhs = float(np.sum(w * (lam / 2.0) * moment * bg**2))
     rhs = 2.0 * lam**2 * sol.vol
-    return _report("pohozaev", lhs, rhs, {"x0": x0})
+    return _report("pohozaev", lhs, rhs, rhs, {"x0": x0})
 
 
 def check_cube(sol):
@@ -97,8 +100,9 @@ def check_cube(sol):
     moment = ((x - x0) * nu).sum(axis=1)
     lhs = float(np.sum(w * bg**3))
     corr = np.sum(w * ((lam / 2.0) * moment - bg) * (bg**2 - 1.0))
-    rhs = 2.0 * lam**2 * sol.vol - float(corr)
-    return _report("cube", lhs, rhs, {"x0": x0, "main_term": 2.0 * lam**2 * sol.vol})
+    main = 2.0 * lam**2 * sol.vol
+    rhs = main - float(corr)
+    return _report("cube", lhs, rhs, main, {"x0": x0, "main_term": main})
 
 
 def check_kappa_cube(sol, n_radial):
@@ -116,7 +120,7 @@ def check_kappa_cube(sol, n_radial):
     lhs = float(np.sum(quad.weights * integrand))
     lam = sol.lambda_
     rhs = -1.5 * lam**2 * sol.vol + 0.5 * float(np.sum(w * bg**3))
-    return _report("kappa_cube", lhs, rhs, {"n_radial": n_radial})
+    return _report("kappa_cube", lhs, rhs, 1.5 * lam**2 * sol.vol, {"n_radial": n_radial})
 
 
 def check_trace(sol, k, part, n_radial):
@@ -139,7 +143,7 @@ def check_trace(sol, k, part, n_radial):
     lhs = float(np.sum(w * fb**2 * bg))
     rhs = 2.0 * float(np.sum(quad.weights * df2 * u)) \
         + lam * float(np.sum(quad.weights * fq**2))
-    return _report("trace", lhs, rhs, {"k": k, "part": part, "n_radial": n_radial},
+    return _report("trace", lhs, rhs, lhs, {"k": k, "part": part, "n_radial": n_radial},
                    name=f"trace_k{k}_{part}")
 
 
@@ -163,6 +167,11 @@ def check_fund_est(sol, n_radial):
     vec = (lam / 2.0) * (x - x0) - bg[:, None] * nu  # (lam/2)(x-x0) + Du
     vdotn = (vec * nu).sum(axis=1)
     rhs_signed = -_FUND_EST_CONSTANT * float(np.sum(w * vdotn * (bg**2 - 1.0)))
+    # both sides vanish on every disk, so the residual's floor is the size
+    # of the terms that cancel on each side
+    moment = (lam / 2.0) * ((x - x0) * nu).sum(axis=1)
+    scale = float(np.sum(quad.weights * u * (s1**2 + np.abs(s2)))
+                  + _FUND_EST_CONSTANT * np.sum(w * (np.abs(moment) + bg) * np.abs(bg**2 - 1.0)))
     rhs_abs = _FUND_EST_CONSTANT * float(
         np.sum(w * np.sqrt((vec**2).sum(axis=1)) * np.abs(bg**2 - 1.0)))
 
@@ -170,7 +179,7 @@ def check_fund_est(sol, n_radial):
            + 2.0 * hess[:, 0, 1] ** 2)
     hessian_lhs = float(np.sum(quad.weights * u * dev))
 
-    return _report("fund_est", lhs, rhs_signed, {
+    return _report("fund_est", lhs, rhs_signed, scale, {
         "x0": x0,
         "rhs_abs": rhs_abs,
         "inequality_ok": lhs <= rhs_abs + _INEQ_SLACK,
@@ -192,7 +201,8 @@ def check_s2_divfree(sol, n_radial):
     s2 = hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] ** 2
     lhs = float(np.sum(quad.weights * s2))
     rhs = 0.5 * float(np.sum(w * d.curvature * bg**2))
-    return _report("s2_divfree", lhs, rhs, {"n_radial": n_radial})
+    return _report("s2_divfree", lhs, rhs, 0.5 * float(np.sum(w * np.abs(d.curvature) * bg**2)),
+                   {"n_radial": n_radial})
 
 
 def identity_suite(sol, n_radial=24):

@@ -20,11 +20,20 @@ Im Phi_- = -Re S/2 pi - mu'/M are spectrally accurate on the M grid.  The
 boundary normal derivative of h is the tangential derivative of the
 conjugate, d_n h = -d_s Im Phi_-, one real FFT pair.  Interior values,
 gradients and Hessians of h come from Phi, Phi' and Phi''.  The 4M-point
-grid carries only the interpolant of Phi_-: one `spectral.jet` of its
-modes gives Phi_- and its theta-derivatives, and the chain rule through z'
-and z'' turns them into Phi_-' and Phi_-''.  The barycentric Cauchy formula
-sum_j w_j F_j / (z_j - z) / sum_j w_j / (z_j - z) continues them inside
-and stays accurate up to the boundary.
+grid carries the interpolant of Phi_-: one `spectral.jet` of its modes
+gives Phi_- and its theta-derivatives, and the chain rule through z' and
+z'' turns them into Phi_-' and Phi_-''.  The barycentric Cauchy formula
+sum_j w_j F_j / (z_j - z) / sum_j w_j / (z_j - z) (Helsing & Ojala, J.
+Comput. Phys. 227, 2008) continues them inside and stays accurate up to
+the boundary.  Each target sums over the coarsest of the grids of M, 2M
+and 4M points, every fourth, every second and every point of the 4M grid,
+whose error estimate (`_depth_bounds`) is below _GRID_TOL: in the
+barycentric form only the part of the data that is not the trace of a
+function analytic inside is left, bounded by the modes of the columns
+above M/3, and the N-point rule sees mode p of it through the kernel's
+decay e^{-(N - p) eta} (Barnett, SIAM J. Sci. Comput. 36, 2014), eta the
+target's complex-parameter distance from the curve.  Deep targets take
+the M grid, targets near the curve the 4M grid.
 
 Only the real M x M system and Re C are ever held whole.  The complex
 Cauchy matrix is formed in row blocks of about _BLOCK_ENTRIES entries in
@@ -39,9 +48,10 @@ names reach the same routines through Python wrappers that cost more than a
 small factorization), from _KRYLOV_M
 up it is solved by GMRES, whose iteration count the second-kind system
 keeps independent of M, so the solve costs O(M^2) there.
-The barycentric sums from the 4M grid to the interior targets run through
-the same blocks, so their memory does not grow with M or with the number of
-targets, and the reported values do not depend on the blocking.
+The barycentric sums to interior targets run through the same blocks, so
+their memory does not grow with M or with the number of targets, and a
+target's values depend only on the target and the solution, not on the
+other targets of the call.
 """
 from __future__ import annotations
 
@@ -120,6 +130,62 @@ def _difference_blocks(zs, zt):
         yield slice(lo, hi), k
 
 
+# A grid of M or 2M points serves a target whose error estimate
+# (`_depth_bounds`) is below _GRID_TOL relative to the columns' scale; the
+# 4M grid serves every other target.
+_GRID_TOL = 4e-15
+
+
+def _depth_bounds(d, f, rq):
+    """Depth fractions s = |x - c|/r up to which the M and 2M grids serve;
+    -inf where even the center's estimate is not below _GRID_TOL.
+
+    f holds the columns Phi_-, Phi_-' and Phi_-'' on the 4M grid, each
+    scaled here by the larger of its largest value and R^(2-k), R the
+    largest radius sample, and rq is r'/r there.  a_p is the largest of
+    |c_p| and |c_-p| over the scaled columns' Fourier coefficients c, p up
+    to 2M, whose bin on the 4M grid also holds the modes beyond it.  The
+    modes p > M/3 bound the part of the data that is not the trace of a
+    function analytic inside, which alone the barycentric form does not
+    cancel (taking p > M/2 instead let M-grid targets at depth fraction
+    0.99 come out 5x less accurate than on the 4M grid).  The N-point
+    estimate at complex-parameter distance eta is
+
+        E_N(eta)^2 = sum_{p > M/3} a_p^2 e^{-2 eta max(N - p, 0)},
+
+    the modes from N up aliasing whole.  Each term falls with N, so no
+    coarser grid's estimate is below the 4M grid's, and a grid serves where
+    its estimate is below _GRID_TOL.  A point at radial gap g below
+    gamma(theta) is gamma(theta + i eta) with eta = g r/(r^2 + r'^2) to
+    first order; with the largest r'/r on the curve, eta is at least
+    (1 - s)/(1 + max (r'/r)^2), from the depth fraction alone.  log E_N^2 is
+    a convex, falling function of eta, so Newton's method from eta = 0
+    climbs to where E_N meets _GRID_TOL without passing it; each step is
+    lengthened by 0.1 %, so the last one ends just past it (a grid whose
+    climb has not ended in 64 steps serves no target).  Costs O(M log M),
+    whatever the number of targets.
+    """
+    m = d.m
+    scale = np.maximum(np.abs(f).max(axis=1), d.radii.max() ** np.array([2.0, 1.0, 0.0]))
+    c = np.abs(np.fft.fft(f / scale[:, None], axis=1)) / f.shape[1]
+    p = np.arange(m // 3 + 1, 2 * m + 1)
+    a2 = np.maximum(c[:, p], c[:, -p]).max(axis=0) ** 2
+    tol2 = _GRID_TOL**2
+    q = 1.0 + float((rq**2).max())
+    bounds = []
+    for n in (m, 2 * m):
+        k = 2.0 * np.maximum(n - p, 0)
+        eta = 0.0
+        for _ in range(64):
+            t = a2 * np.exp(-eta * k)
+            e2, slope = t.sum(), t @ k
+            if e2 <= tol2 or eta * q >= 1.0 or slope == 0.0:
+                break
+            eta += 1.001 * e2 * math.log(e2 / tol2) / slope
+        bounds.append(1.0 - q * eta if e2 <= tol2 else -np.inf)
+    return np.array(bounds)
+
+
 class TorsionSolution:
     """Solved torsion problem; exposes boundary fields and interior evaluation.
 
@@ -159,7 +225,15 @@ class TorsionSolution:
     # -- interior evaluation ---------------------------------------------------
 
     def _cauchy_sources(self):
-        """4M-grid nodes z_j and columns w_j * (Phi_-, Phi_-', Phi_-'', 1)."""
+        """(bounds, grids): the source grids of M, 2M and 4M points, each a
+        pair of nodes z_j and columns w_j * (Phi_-, Phi_-', Phi_-'', 1), and
+        the depth fractions up to which the M and 2M grids serve
+        (`_depth_bounds`), all built once per solution.
+
+        The coarser grids are every fourth and every second point of the 4M
+        grid, their weights those of the 4M grid: a power of two that the
+        barycentric ratio cancels exactly.
+        """
         if self._sources is None:
             d = self.domain
             mq = 4 * d.m
@@ -175,19 +249,31 @@ class TorsionSolution:
             d1 = phi_t / zp
             d2 = (phi_tt - d1 * zpp) / zp**2
             w = zp * (2.0 * np.pi / mq)
-            cols = np.column_stack([phi, d1, d2, np.ones(mq)])
-            self._sources = (zq, w[:, None] * cols)
+            cols = w[:, None] * np.column_stack([phi, d1, d2, np.ones(mq)])
+            bounds = _depth_bounds(d, np.stack([phi, d1, d2]), rp / r)
+            grids = [(zq[::k].copy(), cols[::k].copy()) for k in (4, 2)]
+            self._sources = (bounds, grids + [(zq, cols)])
         return self._sources
 
-    def _harmonic_parts(self, zt):
-        """Barycentric h = -Re Phi, Psi' = -Phi' and Psi'' = -Phi'' at targets."""
-        zq, cols = self._cauchy_sources()
+    def _harmonic_parts(self, zt, s):
+        """Barycentric h = -Re Phi, Psi' = -Phi' and Psi'' = -Phi'' at targets
+        zt at depth fractions s, each summed over the coarsest grid of
+        `_cauchy_sources` that serves its depth."""
+        bounds, grids = self._cauchy_sources()
+        grid = (s[:, None] > bounds).sum(axis=1)
         sums = np.empty((zt.size, 4), dtype=complex)
-        # 1/(zeta_j - z) is formed in place in the thread's block buffer of
-        # about _BLOCK_ENTRIES entries, so memory stays bounded for any M
-        for rows, k in _difference_blocks(zq, zt):
-            np.divide(1.0, k, out=k)
-            np.matmul(k, cols, out=sums[rows])
+        for g, (zs, cols) in enumerate(grids):
+            idx = np.flatnonzero(grid == g)
+            # a lone target takes a twin: numpy would send its one-row
+            # product to gemv, whose rounding differs from gemm's
+            zg = zt[np.repeat(idx, 2) if idx.size == 1 else idx]
+            part = np.empty((zg.size, 4), dtype=complex)
+            # 1/(zeta_j - z) is formed in place in the thread's block buffer
+            # of about _BLOCK_ENTRIES entries, so memory stays bounded for any M
+            for rows, k in _difference_blocks(zs, zg):
+                np.divide(1.0, k, out=k)
+                np.matmul(k, cols, out=part[rows])
+            sums[idx] = part[:idx.size]
         f = sums[:, :3] / sums[:, 3:]
         return -f[:, 0].real, -f[:, 1], -f[:, 2]
 
@@ -196,10 +282,13 @@ class TorsionSolution:
 
         A point is rejected with EvaluationError when it lies less than
         1e-9 times the largest radius sample inside the boundary along its
-        ray from the domain's center (`StarDomain.contains` with that negative
-        tolerance): every point outside or on the curve, and inside only
-        points that close to it, since the depth along the ray is never
-        below the distance to the curve.
+        ray from the domain's center (the test of `StarDomain.contains` with
+        that negative tolerance): every point outside or on the curve, and
+        inside only points that close to it, since the depth along the ray
+        is never below the distance to the curve.  The same ray gives the
+        point's depth fraction s = |x - c|/r, which picks its source grid
+        (`_harmonic_parts`), so a point's values do not depend on the other
+        points of the call.
 
         Parameters
         ----------
@@ -212,13 +301,14 @@ class TorsionSolution:
         d = self.domain
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         depth = 1e-9 * d.radii.max()
-        bad = np.nonzero(~d.contains(pts, tol=-depth))[0]
+        rho, r = d._ray(pts)
+        bad = np.nonzero(~(rho <= r - depth))[0]
         if bad.size:
             raise EvaluationError(
                 f"{bad.size} evaluation points outside the domain or less "
                 f"than {depth:g} inside its boundary", bad_indices=bad)
         zt = pts[:, 0] + 1j * pts[:, 1]
-        h, p1, p2 = self._harmonic_parts(zt)
+        h, p1, p2 = self._harmonic_parts(zt, rho / r)
         rel = zt - d.zc
         lam = self.lambda_
         u = lam * (-np.abs(rel) ** 2 / 4.0 + h)

@@ -7,15 +7,29 @@ The plain functions below are reference implementations that tests compare
 the package against: they take the trigonometric interpolant of samples by
 their own route, not through `spectral.jet`, and `scipy_lu_solve` runs the
 solve's LU through scipy's own wrappers; `first_exit_reflection_radius`
-finds the reflection radius's first exits by marching along each ray.
+finds the reflection radius's first exits by marching along each ray; and
+`saint_venant_domain` with `saint_venant_fields` is an exact torsion
+solution on a domain that is not an ellipse.
 """
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
-from dropflow import build_star_domain, solve_torsion, torsion
+from dropflow import (FourierShape, StarDomain, build_star_domain, solve_torsion,
+                      torsion)
+
+# random smooth shapes for hypothesis: modes 2...8 of relative amplitude up
+# to 0.08 about a base radius 0.5...2 (`smooth_shape`), at M = 64
+SMOOTH_SHAPES = dict(modes=st.lists(st.tuples(st.integers(2, 8), st.floats(-0.08, 0.08)),
+                                    max_size=3, unique_by=lambda km: km[0]),
+                     base=st.floats(0.5, 2.0), m=st.just(64))
+
+
+def smooth_shape(modes, base):
+    return FourierShape(base, tuple((k, base * eps) for k, eps in modes))
 
 
 @pytest.fixture(scope="session")
@@ -128,3 +142,36 @@ def first_exit_reflection_radius(d, step=1e-3):
         ok = inside(x - mid * e)
         t_in, t_out = np.where(ok, mid, t_in), np.where(ok, t_out, mid)
     return max(lead, float((proj - 0.5 * t_in).max(initial=0.0)))
+
+
+# Saint-Venant's torsion function u0 = a - |x|^2/4 + Re(c3 z^3): -Delta u0 = 1,
+# and u0 vanishes on the boundary of {u0 > 0}, a rounded triangle
+SAINT_VENANT_A, SAINT_VENANT_C3 = 0.25, 0.05
+
+
+def saint_venant_domain(m):
+    """StarDomain of {u0 > 0} about the origin from its radii at the M
+    grid angles: the roots of r^2/4 - c3 r^3 cos(3 theta) = a nearest to
+    2 sqrt(a), by Newton's method."""
+    a, c3 = SAINT_VENANT_A, SAINT_VENANT_C3
+    cos3 = np.cos(3.0 * 2.0 * np.pi * np.arange(m) / m)
+    r = np.full(m, 2.0 * np.sqrt(a))
+    for _ in range(50):
+        r -= (r**2 / 4.0 - c3 * r**3 * cos3 - a) / (r / 2.0 - 3.0 * c3 * r**2 * cos3)
+    return StarDomain((0.0, 0.0), r)
+
+
+def saint_venant_fields(pts):
+    """u0, Du0 and D^2 u0 at (n, 2) points: the torsion function phi, with
+    lambda = 1, of `saint_venant_domain`."""
+    a, c3 = SAINT_VENANT_A, SAINT_VENANT_C3
+    z = pts[:, 0] + 1j * pts[:, 1]
+    u = a - np.abs(z) ** 2 / 4.0 + c3 * (z**3).real
+    d1 = 3.0 * c3 * z**2        # u_x - i u_y of the cubic
+    d2 = 6.0 * c3 * z           # u_xx - i u_xy of the cubic
+    grad = np.column_stack([-pts[:, 0] / 2.0 + d1.real, -pts[:, 1] / 2.0 - d1.imag])
+    hess = np.empty((len(pts), 2, 2))
+    hess[:, 0, 0] = -0.5 + d2.real
+    hess[:, 0, 1] = hess[:, 1, 0] = -d2.imag
+    hess[:, 1, 1] = -0.5 - d2.real
+    return u, grad, hess

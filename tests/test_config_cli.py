@@ -130,6 +130,23 @@ def test_cli_verify_halts_on_a_solver_failure(capsys):
     assert "config error on 'fourier(1;2:1.5)'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad, code", [("ellipse(3,0.4)", 3), ("fourier(1;2:1.5)", 2)])
+def test_cli_verify_halt_keeps_the_finished_reports(tmp_path, capsys, bad, code):
+    # a battery halted by a shape it cannot solve (exit 3) or build (exit 2)
+    # still writes the reports of the shapes before it
+    jsonl = tmp_path / "verify.jsonl"
+    assert main(["verify", "--shape", "circle(1)", "--shape", bad, "--m", "32",
+                 "--json", str(jsonl)]) == code
+    out = capsys.readouterr().out
+    assert out.count(" PASS") == 14
+    reports = [json.loads(line) for line in jsonl.read_text().splitlines()]
+    assert len(reports) == 14 and all(r["pass"] for r in reports)
+    assert reports[0]["identity"] == "pohozaev"
+    # halted on the first shape, the file is written and empty
+    assert main(["verify", "--shape", bad, "--m", "32", "--json", str(jsonl)]) == code
+    assert jsonl.read_text() == ""
+
+
 def test_cli_stability_sweep_and_failures(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(["stability", "--modes", "2", "--eps-grid", "0.05:0.1:2",

@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from conftest import SMOOTH_SHAPES, smooth_shape
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dropflow import build_star_domain, identity_suite, solve_torsion
-from dropflow.identities import (check_cube, check_fund_est, check_kappa_cube,
-                                 check_pohozaev, check_s2_divfree, check_trace)
+from dropflow.identities import (DEFAULT_TOLERANCES, check_cube, check_fund_est,
+                                 check_kappa_cube, check_pohozaev, check_s2_divfree,
+                                 check_trace)
 
 R_STAR = (4.0 / math.pi) ** (1.0 / 3.0)
 
@@ -84,6 +88,15 @@ def test_fund_est_vanishes_on_equilibrium_ball():
     assert rep.passed
 
 
+@pytest.mark.parametrize("vol", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("radius", [0.3, 0.5, 1.0, 2.0, 3.7])
+def test_fund_est_passes_on_every_disk(radius, vol):
+    # both sides vanish on every disk; an absolute residual floor of 1e-12
+    # once failed 7 of these 15 at M = 128 (circle(0.5) at vol 1 read 2e-2)
+    sol = solve_torsion(build_star_domain(f"circle({radius})", 128), vol)
+    assert check_fund_est(sol, 24).passed
+
+
 @pytest.mark.parametrize("fixture, a, b", [("disk_sol", 1.0, 1.0),
                                             ("ellipse_sol", 1.2, 0.8)],
                          ids=["disk_sol", "ellipse_sol"])
@@ -132,3 +145,19 @@ def test_rotation_invariance_of_scalar_identities(rng):
         ra = check(sa)
         rb = check(sb)
         assert abs(ra.lhs - rb.lhs) < 1e-9 * max(1.0, abs(ra.lhs))
+
+
+# At M = 64, about a third of these shapes fail pohozaev, cube or s2_divfree
+# (the solve is under-resolved there, and the verdicts say so), and at
+# M = 128 the wiggliest still fail s2_divfree; at M = 256 every report of
+# 300 random draws and of the 560 three-mode shapes at amplitude 0.08 (35
+# mode triples, 8 sign patterns, base 0.5 and 2) stayed within a quarter
+# of its tolerance.
+@settings(max_examples=40, deadline=None)
+@given(**{**SMOOTH_SHAPES, "m": st.just(256)})
+def test_identity_suite_passes_on_random_smooth_shapes(modes, base, m):
+    reports = identity_suite(solve_torsion(build_star_domain(smooth_shape(modes, base), m), 1.0))
+    assert len(reports) == 14
+    for rep in reports:
+        family = "trace" if rep.identity.startswith("trace_") else rep.identity
+        assert rep.passed and rep.residual <= DEFAULT_TOLERANCES[family], rep

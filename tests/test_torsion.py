@@ -7,7 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import eval_at_angles, scipy_lu_solve
+from conftest import (SMOOTH_SHAPES, eval_at_angles, saint_venant_domain,
+                      saint_venant_fields, scipy_lu_solve, smooth_shape)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -43,23 +44,19 @@ def test_lambda_scales_with_volume():
     assert abs(s2.lambda_ - 2.5 * s1.lambda_) < 1e-12 * s2.lambda_
 
 
-# random smooth shapes: modes 2...8 of relative amplitude up to 0.08 about a
-# base radius 0.5...2, at M = 64; the examples at M = 256 take the GMRES path
-_SMOOTH = dict(modes=st.lists(st.tuples(st.integers(2, 8), st.floats(-0.08, 0.08)),
-                              max_size=3, unique_by=lambda km: km[0]),
-               base=st.floats(0.5, 2.0), m=st.just(64))
+# random smooth shapes (`SMOOTH_SHAPES`) at M = 64; the examples at M = 256
+# take the GMRES path
 _GMRES_SHAPES = ({"modes": [(3, 0.08), (7, -0.05)], "base": 1.3, "m": 256},
                  {"modes": [(2, -0.06), (5, 0.04), (8, 0.02)], "base": 0.6, "m": 256})
 
 
 def _smooth_lambda(modes, base, m, center=(0.0, 0.0), roll=0, scale=1.0):
-    shape = FourierShape(base, tuple((k, base * eps) for k, eps in modes))
-    d = build_star_domain(shape, m, center=center)
+    d = build_star_domain(smooth_shape(modes, base), m, center=center)
     return solve_torsion(StarDomain(d.center, scale * np.roll(d.radii, roll)), 1.0).lambda_
 
 
 @settings(max_examples=40, deadline=None)
-@given(**_SMOOTH, center=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+@given(**SMOOTH_SHAPES, center=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
 @example(**_GMRES_SHAPES[0], center=(1.5, -0.7))
 @example(**_GMRES_SHAPES[1], center=(-0.3, 1.9))
 def test_lambda_is_invariant_under_translation(modes, base, m, center):
@@ -68,7 +65,7 @@ def test_lambda_is_invariant_under_translation(modes, base, m, center):
 
 
 @settings(max_examples=40, deadline=None)
-@given(**_SMOOTH, steps=st.integers(1, 63))
+@given(**SMOOTH_SHAPES, steps=st.integers(1, 63))
 @example(**_GMRES_SHAPES[0], steps=37)
 @example(**_GMRES_SHAPES[1], steps=200)
 def test_lambda_is_invariant_under_grid_rotation(modes, base, m, steps):
@@ -79,7 +76,7 @@ def test_lambda_is_invariant_under_grid_rotation(modes, base, m, steps):
 
 
 @settings(max_examples=40, deadline=None)
-@given(**_SMOOTH, t=st.floats(0.5, 2.0))
+@given(**SMOOTH_SHAPES, t=st.floats(0.5, 2.0))
 @example(**_GMRES_SHAPES[0], t=1.7)
 @example(**_GMRES_SHAPES[1], t=0.55)
 def test_lambda_scales_as_the_inverse_fourth_power(modes, base, m, t):
@@ -166,6 +163,33 @@ def test_interior_evaluation_ellipse_at_quadrature_nodes(a, b, m, tol_u, tol_gra
     assert np.abs(hess - h0).max() < tol_hess
 
 
+@pytest.mark.parametrize("m, pinned", [
+    # max |error| of u, Du, D^2u (over lambda) at the 24-ring rule's nodes,
+    # then at depth fractions 1 - 10^-k, k = 1...6; measured 2.85e-9,
+    # 6.60e-7, 1.90e-5 and 2.44e-8, 7.20e-7, 2.33e-5 at M = 64 (the curve is
+    # under-resolved there), 1.54e-15, 3.68e-13, 2.73e-11 and 8.94e-15,
+    # 4.64e-13, 3.29e-11 at M = 128
+    (64, ((1e-8, 3e-6, 1e-4), (1e-7, 3e-6, 1e-4))),
+    (128, ((1e-14, 2e-12, 1e-10), (5e-14, 2e-12, 1e-10))),
+])
+def test_interior_evaluation_matches_saint_venant_torsion(m, pinned):
+    # u0 = 1/4 - |x|^2/4 + Re(0.05 z^3) is the torsion function of {u0 > 0},
+    # a rounded triangle: u = lambda u0 inside, at the quadrature nodes and
+    # up to 1e-6 of the radius from the curve
+    d = saint_venant_domain(m)
+    sol = solve_torsion(d, 1.0)
+    quad, *fields = sol.quadrature_data(24)
+    ang = np.random.default_rng(m).uniform(0.0, 2.0 * np.pi, m)
+    s = 1.0 - 10.0 ** -np.arange(1.0, 7.0)
+    rho = np.outer(s, eval_at_angles(d.radii, ang)).ravel()
+    ang = np.tile(ang, s.size)
+    near = np.column_stack([rho * np.cos(ang), rho * np.sin(ang)])
+    for pts, got, bounds in ((quad.nodes, fields, pinned[0]),
+                             (near, sol.eval_interior(near), pinned[1])):
+        for x, exact, bound in zip(got, saint_venant_fields(pts), bounds):
+            assert np.abs(x / sol.lambda_ - exact).max() < bound
+
+
 def test_interior_evaluation_converges_to_fine_solve(fourier35_sol):
     # the M = 512 solve carries about 2e-10 of round-off in its Hessians
     ref = solve_torsion(build_star_domain("fourier(1;3:0.1,5:0.03)", 512), 1.0)
@@ -192,23 +216,41 @@ def test_cauchy_weights_sum_to_two_pi_i_inside(modes, base, center, s, angle):
     assert abs(np.sum(w / (d.z - z)) - 2j * np.pi) < 1e-12
 
 
+def _one_shot_parts(sol, zt, s):
+    """h, Phi' and Phi'' at targets zt of depth fractions s from whole
+    (unblocked) barycentric sums, each over the grid of `_cauchy_sources`
+    that its depth picks; every row is summed twice, so even a single
+    target's product is a matrix product, as in `_harmonic_parts`."""
+    bounds, grids = sol._cauchy_sources()
+    grid = (s[:, None] > bounds).sum(axis=1)
+    f = np.empty((zt.size, 3), dtype=complex)
+    for g, (zs, cols) in enumerate(grids):
+        zg = np.repeat(zt[grid == g], 2)
+        sums = ((1.0 / (zs[None, :] - zg[:, None])) @ cols)[::2]
+        f[grid == g] = sums[:, :3] / sums[:, 3:]
+    return -f[:, 0].real, -f[:, 1], -f[:, 2]
+
+
 def test_interior_evaluation_is_independent_of_the_blocking(fourier35_sol, rng):
-    # targets at and around the block size b must give exactly the one-shot
-    # barycentric sums over the 4M grid
+    # targets at every depth, in batches at and around the block sizes of
+    # the three grids, give exactly the one-shot barycentric sums over the
+    # grid that each one's depth picks, alone or in a batch
     sol, d = fourier35_sol, fourier35_sol.domain
-    zq, cols = sol._cauchy_sources()
-    b = torsion._BLOCK_ENTRIES // zq.size
-    assert b > 2
-    for n in (0, 1, b - 1, b, b + 1, 3 * b + 7):
+    bounds, grids = sol._cauchy_sources()
+    assert [zs.size for zs, _ in grids] == [d.m, 2 * d.m, 4 * d.m]
+    assert 0.0 < bounds[0] < bounds[1] < 1.0
+    blocks = [torsion._BLOCK_ENTRIES // zs.size for zs, _ in grids]
+    assert min(blocks) > 2
+    for n in sorted({0, 1, 2, 3 * blocks[0] + 7, *(b + i for b in blocks for i in (-1, 0, 1))}):
         ang = rng.uniform(0.0, 2.0 * np.pi, n)
-        rho = np.sqrt(rng.uniform(0.0, 0.9, n)) * eval_at_angles(d.radii, ang)
+        s = rng.uniform(0.0, 0.999, n)
+        rho = s * eval_at_angles(d.radii, ang)
         pts = d.center + np.column_stack([rho * np.cos(ang), rho * np.sin(ang)])
         u, grad, hess = sol.eval_interior(pts)
         zt = pts[:, 0] + 1j * pts[:, 1]
-        sums = (1.0 / (zq[None, :] - zt[:, None])) @ cols
-        f = sums[:, :3] / sums[:, 3:]
-        h, p1, p2 = -f[:, 0].real, -f[:, 1], -f[:, 2]
         rel, lam = zt - d.zc, sol.lambda_
+        rho, r = d._ray(pts)
+        h, p1, p2 = _one_shot_parts(sol, zt, rho / r)
         assert np.array_equal(u, lam * (-np.abs(rel) ** 2 / 4.0 + h))
         assert np.array_equal(grad, lam * np.column_stack(
             [-rel.real / 2.0 + p1.real, -rel.imag / 2.0 - p1.imag]))
@@ -216,6 +258,11 @@ def test_interior_evaluation_is_independent_of_the_blocking(fourier35_sol, rng):
         assert np.array_equal(hess[:, 0, 1], lam * (-p2.imag))
         assert np.array_equal(hess[:, 1, 0], lam * (-p2.imag))
         assert np.array_equal(hess[:, 1, 1], lam * (-0.5 - p2.real))
+        for i in range(min(n, 5)):
+            one = sol.eval_interior(pts[i:i + 1])
+            assert np.array_equal(one[0], u[i:i + 1])
+            assert np.array_equal(one[1], grad[i:i + 1])
+            assert np.array_equal(one[2], hess[i:i + 1])
 
 
 @pytest.mark.parametrize("fixture", ["disk_sol", "ellipse_sol", "fourier2_sol",
@@ -223,7 +270,9 @@ def test_interior_evaluation_is_independent_of_the_blocking(fourier35_sol, rng):
 def test_boundary_values_match_the_full_cauchy_matrix(fixture, request):
     # the Phi_- column, interpolated from the M-grid sum of the solve, equals
     # mu + (C mu - mu rowsum(C) + mu' 2pi/M) / 2pi i summed on the 4M grid
-    # with the whole (4M)^2 matrix C_ij = w_j / (z_j - z_i), 0 on the diagonal
+    # with the whole (4M)^2 matrix C_ij = w_j / (z_j - z_i), 0 on the diagonal;
+    # the M and 2M grids are every fourth and every second point of it, with
+    # its weights
     sol = request.getfixturevalue(fixture)
     d = sol.domain
     mq = 4 * d.m
@@ -237,28 +286,37 @@ def test_boundary_values_match_the_full_cauchy_matrix(fixture, request):
     s = (c @ mu.astype(complex) - mu * c.sum(axis=1)
          + dmu * (2.0 * np.pi / mq))
     ref = mu + s / (2j * np.pi)
-    zs, cols = sol._cauchy_sources()
+    _, grids = sol._cauchy_sources()
+    zs, cols = grids[-1]
     assert np.array_equal(zs, zq)
     assert np.abs(cols[:, 0] / w - ref).max() < 1e-13 * np.abs(ref).max()
+    for step, (zs, sub) in zip((4, 2), grids):
+        assert np.array_equal(zs, zq[::step])
+        assert np.array_equal(sub, cols[::step])
 
 
 def test_interior_sources_make_no_cauchy_sum(monkeypatch):
     # the boundary values are summed once, in the solve (which assembles its
     # system through the same blocks); only the interior targets go through
-    # the blocked Cauchy sums afterwards
+    # the blocked Cauchy sums afterwards, one call per source grid that
+    # their depths pick, and a lone target takes a twin
     calls = []
     blocks = torsion._difference_blocks
 
     def spy(zs, zt):
-        calls.append(zt.size)
+        calls.append((zs.size, zt.size))
         return blocks(zs, zt)
 
-    sol = solve_torsion(build_star_domain("fourier(1;3:0.1,5:0.03)", 64), 1.0)
+    sol = solve_torsion(build_star_domain("fourier(1;3:0.1,5:0.03)", 128), 1.0)
     monkeypatch.setattr(torsion, "_difference_blocks", spy)
-    sol._cauchy_sources()
+    bounds, _ = sol._cauchy_sources()
     assert calls == []
-    sol.eval_interior(np.zeros((3, 2)))
-    assert calls == [3]
+    # depth fractions 0, 0.5, (s_M + s_2M)/2 and 0.99
+    s = np.array([0.0, 0.0, 0.5, bounds.mean(), 0.99])
+    assert bounds[0] < s[3] < bounds[1] < s[4]
+    pts = np.column_stack([s * sol.domain.radii[0], np.zeros(5)])
+    sol.eval_interior(pts)
+    assert calls == [(128, 3), (256, 2), (512, 2)]
 
 
 def test_quadrature_data_memory_is_bounded():
@@ -386,6 +444,63 @@ STANDARD_SHAPES = ("circle(1)", "ellipse(1.2,0.8)", "fourier(1;2:0.1)",
 
 def _rel(x, ref):
     return np.abs(x - ref).max() / np.abs(ref).max()
+
+
+def _fine_columns(sol, mq):
+    """Nodes and columns w_j (Phi_-, Phi_-', Phi_-'', 1) of the same
+    interpolants as `_cauchy_sources`, on an mq-point grid."""
+    d = sol.domain
+    e = spectral.unit_circle(mq)
+    r, rp, rpp = spectral.jet(d.modes, mq, 2)
+    zp, zpp = (rp + 1j * r) * e, (rpp - r + 2j * rp) * e
+    re_phi = np.fft.rfft(sol.density) + np.fft.rfft(sol._im_s) / (2.0 * np.pi)
+    f = spectral.jet(np.stack([re_phi, sol._im_phi]), mq, 2)
+    phi, phi_t, phi_tt = f[:, 0] + 1j * f[:, 1]
+    d1 = phi_t / zp
+    d2 = (phi_tt - d1 * zpp) / zp**2
+    cols = np.column_stack([phi, d1, d2, np.ones(mq)])
+    return d.zc + r * e, zp[:, None] * cols
+
+
+def _barycentric(zs, cols, zt):
+    """Re Phi, Phi' and Phi'' at targets zt from whole barycentric sums."""
+    f = np.empty((zt.size, 3), dtype=complex)
+    step = 2**16 // zs.size
+    for lo in range(0, zt.size, step):
+        k = zs[None, :] - zt[lo:lo + step, None]
+        sums = np.divide(1.0, k, out=k) @ cols
+        f[lo:lo + step] = sums[:, :3] / sums[:, 3:]
+    f[:, 0] = f[:, 0].real
+    return f
+
+
+@pytest.mark.parametrize("m", [64, 128, 256])
+@pytest.mark.parametrize("shape", STANDARD_SHAPES)
+def test_interior_sums_are_never_less_accurate_than_the_4m_grid(shape, m):
+    # against the barycentric sums of the same interpolants over 16M points,
+    # at every node of the 24-ring rule and at depth fractions 1 - 10^-k,
+    # k = 2...6, at random angles, each of Re Phi, Phi' and Phi'' is as
+    # accurate on the grid its depth picks as on the 4M grid, or within
+    # 4e-15 of its column's scale (the larger of its largest boundary
+    # value and R^(2-k))
+    sol = solve_torsion(build_star_domain(shape, m), 1.0)
+    d = sol.domain
+    ang = np.random.default_rng(m).uniform(0.0, 2.0 * np.pi, m)
+    s = 1.0 - 10.0 ** -np.arange(2.0, 7.0)
+    near = d.zc + np.outer(s, eval_at_angles(d.radii, ang) * np.exp(1j * ang)).ravel()
+    pts = np.vstack([interior_quadrature(d, 24).nodes,
+                     np.column_stack([near.real, near.imag])])
+    zt = pts[:, 0] + 1j * pts[:, 1]
+    rho, r = d._ray(pts)
+    h, p1, p2 = sol._harmonic_parts(zt, rho / r)
+    got = np.column_stack([-h, -p1, -p2])
+    zq, cols = sol._cauchy_sources()[1][-1]
+    ref = _barycentric(*_fine_columns(sol, 16 * m), zt)
+    scale = np.maximum(np.abs(cols[:, :3] / cols[:, 3:]).max(axis=0),
+                       d.radii.max() ** np.array([2.0, 1.0, 0.0]))
+    err = np.abs(got - ref) / scale
+    err_4m = np.abs(_barycentric(zq, cols, zt) - ref) / scale
+    assert (err <= np.maximum(err_4m, 4e-15)).all()
 
 
 @pytest.mark.parametrize("m", [32, 64, 128, 192])

@@ -79,7 +79,7 @@ def cmd_run(args):
     try:
         domain = build_star_domain(cfg.shape, m=cfg.m)
         law = cfg.velocity_law()
-        traj = run_flow(domain, cfg.vol, law=law, t_end=cfg.t_end, cfl=cfg.cfl,
+        traj = run_flow(domain, cfg.vol, law=law, t_end=cfg.t_end,
                         tol_stationary=cfg.tol_stationary,
                         snapshot_stride=cfg.snapshot_stride)
     except (ShapeError, SolverError) as exc:

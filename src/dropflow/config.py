@@ -8,7 +8,6 @@ Keys (defaults in parentheses):
     vol              prescribed torsion mass, (0, 1e6]          (1.0)
     m                boundary samples, even, 16..2048           (128)
     law              "quadratic" or "poly:c0,c1,..."            (quadratic)
-    cfl              CFL fraction, (0, 1]                       (0.4)
     t_end            final time, (0, 1e4]                       (10)
     tol_stationary   stationarity threshold on max |V|, (0, 1)  (1e-7)
     snapshot_stride  steps between stored snapshots, >= 1       (50)
@@ -33,7 +32,6 @@ class ScenarioConfig:
     vol: float = 1.0
     m: int = 128
     law: str = "quadratic"
-    cfl: float = 0.4
     t_end: float = 10.0
     tol_stationary: float = 1e-7
     snapshot_stride: int = 50
@@ -69,7 +67,6 @@ _PARSERS = get_type_hints(ScenarioConfig)
 RANGES = {
     "vol": (lambda v: 0.0 < v <= 1e6, "positive and <= 1e6"),
     "m": (lambda v: 16 <= v <= 2048 and v % 2 == 0, "even and >= 16 and <= 2048"),
-    "cfl": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     "t_end": (lambda v: 0.0 < v <= 1e4, "in (0, 1e4]"),
     "tol_stationary": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     "snapshot_stride": (lambda v: v >= 1, ">= 1"),

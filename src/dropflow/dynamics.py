@@ -11,10 +11,14 @@ About a ball, radius mode k >= 1 decays at sigma_k = F'(|Du|) (lambda/2)
 The stepper is Lawson's integrating-factor RK4 in the radius's Fourier
 modes: that linear damping is integrated exactly and only the nonlinear
 remainder is explicit; the stages are domains built from the modes, and a
-low-pass factor on the top third of them controls aliasing growth.  Every
-step takes the smallest of an advective CFL bound, a fixed fraction of the
-mode-2 damping time, dt_max and the time left; a rejected step (an energy
-increase under any law, or a degenerate stage) is retried at half its size.
+low-pass factor on the top third of them controls aliasing growth.  The
+step size is error-controlled: the rate at the new state, whose solve the
+energy check makes anyway, gives Balac and Mahe's embedded third-order
+companion (RK4(3)IP) at no extra solve, and a PI controller turns its error
+into the next step; the step is also capped by dt_max and the time left.
+A step whose error is too large is rejected and retried at the controller's
+size; one rejected for an energy increase under any law, or a degenerate
+stage, is retried at half its size.
 """
 from __future__ import annotations
 
@@ -33,7 +37,13 @@ from .torsion import solve_torsion
 log = logging.getLogger(__name__)
 
 _J_SLACK = 1e-10
-_ACCURACY = 0.2             # step cap, in units of the mode-2 damping time
+_FIRST_DT = 0.2             # first attempt, in units of the mode-2 damping time
+_ERROR_TOL = 1e-2           # embedded error, relative to the step's own change
+_PI_EXPONENTS = (0.7 / 4, 0.4 / 4)  # of this step's error ratio and the last's
+_SAFETY = 0.9
+_STEP_FACTOR = (0.2, 2.0)   # least and largest change of dt from one attempt
+_ERROR_FLOOR = 1e-4         # least error ratio the controller takes
+_RATE_FLOOR = 1e-9          # rounding in the rates, per sigma_2 times the radius
 _LAW_CHECK_RANGE = (0.1, 10.0)
 _DT_MIN_FRACTION = 1e-12
 _RECENTER_FRACTION = 0.1    # barycenter drift, in least radius samples, to recenter
@@ -190,7 +200,7 @@ def _solve(domain, vol, stats):
     return sol
 
 
-def advance_step(domain, vol, law, dt, sol=None, stats=None):
+def advance_step(domain, vol, law, dt, sol=None, stats=None, stages=None):
     """One integrating-factor RK4 step of the radius law; returns the new
     domain, its top third of modes damped by the exponential filter.
 
@@ -200,7 +210,10 @@ def advance_step(domain, vol, law, dt, sol=None, stats=None):
     remainder rate(r) + sigma * r.  `sol` may pass in the already-solved
     state at `domain` to avoid one of the four stage solves; `stats`, a
     Counter, counts them ("solves", "stage_solves") and their range of
-    condition estimates ("cond_min", "cond_max").
+    condition estimates ("cond_min", "cond_max").  `stages`, a dict, is
+    given what the embedded error estimate of `_error_ratio` needs: the
+    rate modes at `domain` ("rate"), the damping rates ("sigma") and the
+    last stage's remainder ("k4").
     """
     c = domain.center
     m = domain.m
@@ -209,22 +222,43 @@ def advance_step(domain, vol, law, dt, sol=None, stats=None):
     sigma = _damping_slope(sol, law) * np.maximum(np.arange(m // 2 + 1) - 1.0, 0.0)
     e = np.exp(-0.5 * dt * sigma)
 
-    def remainder(d, s, rh):
-        return np.fft.rfft(_radius_rate(d, s, law)) + sigma * rh
+    def rate(d, s):
+        return np.fft.rfft(_radius_rate(d, s, law))
 
     def stage(rh):
         d = _stage_domain(c, rh)
         if stats is not None:
             stats["stage_solves"] += 1
-        return remainder(d, _solve(d, vol, stats), rh)
+        return rate(d, _solve(d, vol, stats)) + sigma * rh
 
     r0 = domain.modes
-    k1 = remainder(domain, sol, r0)
+    rate0 = rate(domain, sol)
+    k1 = rate0 + sigma * r0
     k2 = stage(e * (r0 + 0.5 * dt * k1))
     k3 = stage(e * r0 + 0.5 * dt * k2)
     k4 = stage(e * e * r0 + dt * e * k3)
+    if stages is not None:
+        stages.update(rate=rate0, sigma=sigma, k4=k4)
     r_new = e * e * (r0 + (dt / 6.0) * k1) + (dt / 6.0) * (2.0 * e * (k2 + k3) + k4)
     return _stage_domain(c, r_new * spectral.exp_filter_factor(m))
+
+
+def _error_ratio(stages, domain, sol, law):
+    """The embedded RK4(3)IP error of a step that ended at `domain`, over
+    _ERROR_TOL times the step's own change: the step passes at <= 1.
+
+    Balac and Mahe's companion of the step is third order; it differs from
+    the step by (dt/10)(k4 - k5), where k5 is the remainder rate at the new
+    state with the step's own sigma, built from that state's solve `sol`.
+    The change is dt times the rate modes at the step's start, so dt cancels.
+    Both norms leave out mode 1, which moves the shape and does not decay.
+    """
+    sigma = stages["sigma"]
+    k5 = np.fft.rfft(_radius_rate(domain, sol, law)) + sigma * domain.modes
+    err = np.linalg.norm(np.delete(stages["k4"] - k5, 1))
+    change = (np.linalg.norm(np.delete(stages["rate"], 1))
+              + _RATE_FLOOR * sigma[2] * np.linalg.norm(domain.modes) + 1e-300)
+    return float(err / (10.0 * _ERROR_TOL * change))
 
 
 def _diagnose(t, domain, sol, law, r_star, asym_center, stats):
@@ -256,20 +290,24 @@ def _energy_halt_reason(*sols):
             f"law is checked to increase only on [{lo:g}, {hi:g}]")
 
 
-def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf, cfl=0.4,
+def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
              tol_stationary=1e-7, snapshot_stride=50):
     """Evolve a star domain under the normal-velocity law.
 
-    Step size: the smallest of the advective CFL bound cfl * min node
-    spacing / max |V|, the accuracy bound of a fixed fraction of the mode-2
-    damping time 1/sigma_2, dt_max and the time left to t_end.  After a
-    rejected step (an energy increase under any law, or a degenerate stage)
-    the next attempt is also capped at half the rejected step ("retry"), a
-    cap dropped once a step is accepted.  There is no stiffness cap: the
-    integrating-factor step damps the high modes exactly, so the step count
-    to stationarity hardly depends on M.  The domain is recentered when its
-    barycenter drifts from the center by a tenth of its smallest radius
-    sample about that center.
+    Step size: the least of the error-controlled step ("error"), dt_max and
+    the time left to t_end.  The first attempt is a fifth of the mode-2
+    damping time 1/sigma_2.  Each step's embedded RK4(3)IP error, taken
+    from the solve at the new state that the energy check makes anyway,
+    is measured against the step's own change (`_error_ratio`); a step
+    whose ratio is above 1 is rejected ("error"), and a PI controller sets
+    the next attempt from this ratio and the last accepted one.  After any
+    other rejected step (an energy increase under any law, or a degenerate
+    stage) the next attempt is also capped at half the rejected step
+    ("retry"), a cap dropped once a step is accepted.  There is no
+    stiffness or CFL cap: the integrating-factor step damps the high modes
+    exactly, so the step count to stationarity hardly depends on M.  The
+    domain is recentered when its barycenter drifts from the center by a
+    tenth of its smallest radius sample about that center.
     The run ends at t_end, at stationarity (max |V| below tol_stationary),
     or with a halted trajectory recording the reason (41 rejects in a row,
     say); a failed recentering halts after keeping the accepted step it
@@ -291,17 +329,14 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf, cfl=0.4,
     rows, states = [_row(state, 0.0)], [state]
     status, halt_reason = "t_end", None
     t, retry, rejects = 0.0, np.inf, 0
+    dt_error = _FIRST_DT / max(_damping_slope(sol, law), 1e-300)
+    last_ratio = 1.0
+    shrink, grow = _STEP_FACTOR
     while t < t_end * (1.0 - 1e-12):
         if state.max_vn < tol_stationary:
             status = "stationary"
             break
-        caps = {
-            "cfl": cfl * domain.arc_weights.min() / max(state.max_vn, 1e-300),
-            "accuracy": _ACCURACY / max(_damping_slope(sol, law), 1e-300),
-            "dt_max": dt_max,
-            "t_end": t_end - t,
-            "retry": retry,
-        }
+        caps = {"error": dt_error, "dt_max": dt_max, "t_end": t_end - t, "retry": retry}
         bound = min(caps, key=caps.get)
         dt_try = caps[bound]
         if dt_try < _DT_MIN_FRACTION * t_end:
@@ -309,18 +344,28 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf, cfl=0.4,
             break
         counts["attempted_steps"] += 1
         dt_bound[bound] += 1
+        stages = {}
         try:
-            new_domain = advance_step(domain, vol, law, dt_try, sol=sol, stats=counts)
+            new_domain = advance_step(domain, vol, law, dt_try, sol=sol, stats=counts,
+                                      stages=stages)
             new_sol = _solve(new_domain, vol, counts)
             slack = _J_SLACK * max(1.0, abs(state.energy))
             if total_energy(new_sol) > state.energy + slack:
                 raise FlowHalt("energy_increase")
+            ratio = max(_error_ratio(stages, new_domain, new_sol, law), _ERROR_FLOOR)
+            gain = _SAFETY * ratio ** -_PI_EXPONENTS[0]
+            if ratio > 1.0:
+                raise FlowHalt("error")
         except (FlowHalt, ShapeError, SolverError) as exc:
             reason = exc.reason if isinstance(exc, FlowHalt) else type(exc).__name__
             reject_reasons[reason] += 1
             rejects += 1
-            retry = dt_try / 2.0
-            log.debug("step rejected at t=%.6g (%s); dt -> %.3g", t, exc, retry)
+            if reason == "error":
+                dt_error = dt_try * max(gain, shrink)
+            else:
+                retry = dt_try / 2.0
+            log.debug("step rejected at t=%.6g (%s); dt -> %.3g", t, exc,
+                      min(dt_error, retry))
             if rejects > _MAX_REJECTS:
                 status = "halted"
                 halt_reason = (_energy_halt_reason(sol, new_sol)
@@ -331,6 +376,9 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf, cfl=0.4,
 
         t += dt_try
         retry, rejects = np.inf, 0
+        gain *= last_ratio ** _PI_EXPONENTS[1]
+        dt_error = dt_try * min(max(gain, shrink), grow)
+        last_ratio = ratio
         domain, sol = new_domain, new_sol
         drift = np.linalg.norm(domain.barycenter - domain.center)
         if drift > _RECENTER_FRACTION * domain.radii.min():
@@ -365,9 +413,10 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf, cfl=0.4,
 class DissipationReport:
     """Energy balance residuals along a trajectory.
 
-    interval: per accepted interval, |dJ/dt - mean endpoint dissipation|
-    relative to the dissipation scale.  integrated: per state, the defect of
-    J against the time-integrated dissipation, relative to the total drop.
+    interval: per accepted interval, |dJ/dt - mean dissipation| relative to
+    the dissipation scale, the mean taken by the end-corrected trapezoid.
+    integrated: per state, the defect of J against the time-integrated
+    dissipation, relative to the total drop.
     """
 
     interval: np.ndarray
@@ -375,13 +424,21 @@ class DissipationReport:
 
 
 def dissipation_residuals(traj):
-    """Check dJ/dt = oint (1 - |Du|^2) F(|Du|) dsigma discretely."""
+    """Check dJ/dt = oint (1 - |Du|^2) F(|Du|) dsigma discretely.
+
+    The dissipation D is integrated over each interval of length h by the
+    end-corrected trapezoid h/2 (D0 + D1) + h^2/12 (D0' - D1'), exact for
+    cubics, with D' from the quadratic through each state and its
+    neighbours (one-sided at the ends; with two states it is the chord, and
+    the rule the trapezoid).
+    """
     tt, jj, dd = traj.times, traj.energy, traj.dissipations
     if len(tt) < 2:
         raise ValueError("need at least two accepted states")
     dt = np.diff(tt)
     rate = np.diff(jj) / dt
-    avg = 0.5 * (dd[1:] + dd[:-1])
+    slope = np.gradient(dd, tt, edge_order=min(2, len(tt) - 1))
+    avg = 0.5 * (dd[1:] + dd[:-1]) + dt / 12.0 * (slope[:-1] - slope[1:])
     floor = 1e-14 * max(1.0, np.abs(jj).max())
     interval = np.abs(rate - avg) / (np.abs(avg) + floor)
     cum = np.concatenate([[0.0], np.cumsum(avg * dt)])
@@ -404,8 +461,11 @@ class DecayFit:
 def fit_decay_rate(traj):
     """Fit log(asymmetry) = log(amplitude) - rate * t inside _FIT_WINDOW.
 
-    Returns a no-signal fit when the asymmetry never enters the window;
-    raises ValueError when it does but with fewer than 5 samples.
+    Each sample is weighted by the time it stands for (its trapezoid
+    weight), so the fit, and its R^2, are taken over the window's time
+    span and do not depend on where the steps fall.  Returns a no-signal
+    fit when the asymmetry never enters the window; raises ValueError when
+    it does but with fewer than 5 samples.
     """
     lo, hi = _FIT_WINDOW
     a = traj.asymmetries
@@ -417,10 +477,12 @@ def fit_decay_rate(traj):
         raise ValueError(f"only {n} samples inside the fit window; need >= 5")
     tt = traj.times[mask]
     ll = np.log(a[mask])
-    slope, icept = np.polyfit(tt, ll, 1)
+    h = np.diff(tt)
+    w = np.append(h, 0.0) + np.insert(h, 0, 0.0)    # twice the trapezoid weights
+    slope, icept = np.polyfit(tt, ll, 1, w=np.sqrt(w))
     pred = slope * tt + icept
-    ss_res = float(np.sum((ll - pred) ** 2))
-    ss_tot = float(np.sum((ll - ll.mean()) ** 2))
+    ss_res = float(np.sum(w * (ll - pred) ** 2))
+    ss_tot = float(np.sum(w * (ll - np.average(ll, weights=w)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return DecayFit(rate=float(-slope), amplitude=float(np.exp(icept)),
                     r_squared=float(r2), n_points=n, signal=True)

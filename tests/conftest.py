@@ -9,7 +9,8 @@ their own route, not through `spectral.jet`, and `scipy_lu_solve` runs the
 solve's LU through scipy's own wrappers; `first_exit_reflection_radius`
 finds the reflection radius's first exits by marching along each ray; and
 `saint_venant_domain` with `saint_venant_fields` is an exact torsion
-solution on a domain that is not an ellipse.
+solution on a domain that is not an ellipse; `energy_gap_rate` reads a
+flow's asymptotic decay rate off its energy balance.
 """
 from unittest import mock
 
@@ -18,8 +19,8 @@ import pytest
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
-from dropflow import (FourierShape, StarDomain, build_star_domain, solve_torsion,
-                      torsion)
+from dropflow import (FourierShape, StarDomain, ball_closed_forms, build_star_domain,
+                      solve_torsion, torsion)
 
 # random smooth shapes for hypothesis: modes 2...8 of relative amplitude up
 # to 0.08 about a base radius 0.5...2 (`smooth_shape`), at M = 64
@@ -175,3 +176,13 @@ def saint_venant_fields(pts):
     hess[:, 0, 1] = hess[:, 1, 0] = -d2.imag
     hess[:, 1, 1] = -0.5 - d2.real
     return u, grad, hess
+
+
+def energy_gap_rate(traj, window=(1e-10, 1e-8)):
+    """Median of |D| / (2 (J - J*)) over the states whose energy gap
+    J - J* lies in `window`.  Near the ball the gap decays like
+    exp(-2 sigma_k t) for the slowest radius mode k present, and D = dJ/dt,
+    so this reads sigma_k = (k - 1) lambda* of the flow."""
+    gap = traj.energy - ball_closed_forms(2, traj.vol).j_star
+    near = (window[0] < gap) & (gap < window[1])
+    return float(np.median(np.abs(traj.dissipations[near]) / (2.0 * gap[near])))

@@ -25,7 +25,6 @@ def test_parse_config_text_defaults_and_comments():
     # untouched keys keep their defaults
     assert cfg.vol == 1.0
     assert cfg.law == "quadratic"
-    assert cfg.cfl == 0.4
     assert cfg.tol_stationary == 1e-7
     assert cfg.outdir == "."
 
@@ -41,16 +40,17 @@ def test_parse_config_text_error_messages():
         parse_config_text("m = 64\n", source="t.cfg")
     with pytest.raises(ConfigError, match=r"expected 'key = value'"):
         parse_config_text("shape circle(1)\n", source="t.cfg")
-    # keys that dropflow run never read, and the first step and filter
-    # strength, which are fixed
-    for line in ("seed = 0", "n_radial = 24", "dt0 = 0.1", "filter_strength = 1"):
+    # keys that dropflow run never read, the first step and filter
+    # strength, which are fixed, and cfl: the flow has no CFL cap
+    for line in ("seed = 0", "n_radial = 24", "dt0 = 0.1", "filter_strength = 1",
+                 "cfl = 1.5"):
         key = line.split()[0]
         with pytest.raises(ConfigError, match=rf"t\.cfg:2: unknown key '{key}'"):
             parse_config_text(f"shape = circle(1)\n{line}\n", source="t.cfg")
 
 
 def test_parse_config_text_range_checks():
-    for line in ("m = 15", "m = 4096", "vol = 0", "cfl = 1.5", "t_end = 0",
+    for line in ("m = 15", "m = 4096", "vol = 0", "t_end = 0",
                  "tol_stationary = 1", "snapshot_stride = 0"):
         with pytest.raises(ConfigError, match="out of range"):
             parse_config_text(f"shape = circle(1)\n{line}\n")
@@ -82,7 +82,7 @@ def test_polynomial_law_from_config():
 def test_as_dict_covers_every_key():
     cfg = parse_config_text(GOOD_CONFIG)
     d = cfg.as_dict()
-    assert set(d) == {"shape", "vol", "m", "law", "cfl", "t_end",
+    assert set(d) == {"shape", "vol", "m", "law", "t_end",
                       "tol_stationary", "snapshot_stride", "outdir"}
     assert d["shape"] == cfg.shape
 

@@ -10,12 +10,13 @@ About a ball, radius mode k >= 1 decays at sigma_k = F'(|Du|) (lambda/2)
 (k - 1), a rate that grows with k and would tie an explicit step to 1/M.
 The stepper is Lawson's integrating-factor RK4 in the radius's Fourier
 modes: that linear damping is integrated exactly and only the nonlinear
-remainder is explicit; the stages are domains built from the modes, and a
-low-pass factor on the top third of them controls aliasing growth.  The
-step size is error-controlled: the rate at the new state, whose solve the
-energy check makes anyway, gives Balac and Mahe's embedded third-order
-companion (RK4(3)IP) at no extra solve, and a PI controller turns its error
-into the next step; the step is also capped by dt_max and the time left.
+remainder is explicit; the stages are domains built from the modes.  The
+integrating factor is the only damping; the Nyquist mode, which the rate
+map grows, is set to 0 in each new state.  The step size is
+error-controlled: the rate at the new state, whose solve the energy check
+makes anyway, gives Balac and Mahe's embedded third-order companion
+(RK4(3)IP) at no extra solve, and a PI controller turns its error into the
+next step; the step is also capped by dt_max and the time left.
 A step whose error is too large is rejected and retried at the controller's
 size; one rejected for an energy increase under any law, or a degenerate
 stage, is retried at half its size.
@@ -46,7 +47,7 @@ _ERROR_FLOOR = 1e-4         # least error ratio the controller takes
 _RATE_FLOOR = 1e-9          # rounding in the rates, per sigma_2 times the radius
 _LAW_CHECK_RANGE = (0.1, 10.0)
 _DT_MIN_FRACTION = 1e-12
-_RECENTER_FRACTION = 0.1    # barycenter drift, in least radius samples, to recenter
+_RECENTER_FRACTION = 0.03   # barycenter drift, in least radius samples, to recenter
 _MAX_REJECTS = 40           # consecutive rejected steps before a halt
 _FIT_WINDOW = (1e-4, 1e-1)  # asymmetry range of the decay fit
 
@@ -202,18 +203,19 @@ def _solve(domain, vol, stats):
 
 def advance_step(domain, vol, law, dt, sol=None, stats=None, stages=None):
     """One integrating-factor RK4 step of the radius law; returns the new
-    domain, its top third of modes damped by the exponential filter.
+    domain, its Nyquist mode set to 0.
 
     Lawson's scheme in the Fourier modes of the radius: the linear damping
     sigma_k = (k - 1) * sigma_2 of mode k >= 1 about the ball is integrated
     exactly by the factors exp(-sigma_k dt/2), and RK4 treats only the
-    remainder rate(r) + sigma * r.  `sol` may pass in the already-solved
-    state at `domain` to avoid one of the four stage solves; `stats`, a
-    Counter, counts them ("solves", "stage_solves") and their range of
-    condition estimates ("cond_min", "cond_max").  `stages`, a dict, is
-    given what the embedded error estimate of `_error_ratio` needs: the
-    rate modes at `domain` ("rate"), the damping rates ("sigma") and the
-    last stage's remainder ("k4").
+    remainder rate(r) + sigma * r.  The Nyquist mode cos(M theta/2) is not
+    damped: the rate map grows it, so the new state drops it.  `sol` may
+    pass in the already-solved state at `domain` to avoid one of the four
+    stage solves; `stats`, a Counter, counts them ("solves",
+    "stage_solves") and their range of condition estimates ("cond_min",
+    "cond_max").  `stages`, a dict, is given what the embedded error
+    estimate of `_error_ratio` needs: the rate modes at `domain` ("rate"),
+    the damping rates ("sigma") and the last stage's remainder ("k4").
     """
     c = domain.center
     m = domain.m
@@ -240,7 +242,8 @@ def advance_step(domain, vol, law, dt, sol=None, stats=None, stages=None):
     if stages is not None:
         stages.update(rate=rate0, sigma=sigma, k4=k4)
     r_new = e * e * (r0 + (dt / 6.0) * k1) + (dt / 6.0) * (2.0 * e * (k2 + k3) + k4)
-    return _stage_domain(c, r_new * spectral.exp_filter_factor(m))
+    r_new[-1] = 0.0
+    return _stage_domain(c, r_new)
 
 
 def _error_ratio(stages, domain, sol, law):
@@ -306,8 +309,8 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
     ("retry"), a cap dropped once a step is accepted.  There is no
     stiffness or CFL cap: the integrating-factor step damps the high modes
     exactly, so the step count to stationarity hardly depends on M.  The
-    domain is recentered when its barycenter drifts from the center by a
-    tenth of its smallest radius sample about that center.
+    domain is recentered when its barycenter drifts from the center by 3 %
+    of its smallest radius sample about that center.
     The run ends at t_end, at stationarity (max |V| below tol_stationary),
     or with a halted trajectory recording the reason (41 rejects in a row,
     say); a failed recentering halts after keeping the accepted step it

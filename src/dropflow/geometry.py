@@ -196,11 +196,6 @@ class StarDomain:
         u = spectral.unit_circle(factor * self.m)
         return self.zc + self.refined_radii(factor) * u
 
-    @cached_property
-    def spectral_tail(self):
-        """Relative l2 weight of the top third of the radius modes."""
-        return spectral.mode_tail_fraction(self.modes)
-
     # -- scalar geometry ----------------------------------------------------
 
     @cached_property

@@ -69,22 +69,3 @@ def mode_tail_fraction(fh):
     if total == 0.0:
         return 0.0
     return float(np.sqrt(power[kcut + 1:].sum() / total))
-
-
-@lru_cache(maxsize=16)
-def exp_filter_factor(m):
-    """Order-8 exponential low-pass factor on the real FFT of M samples
-    (cached, read-only).
-
-    The bottom two thirds of the modes are kept untouched; the top mode is
-    damped to machine epsilon.
-    """
-    alpha = -np.log(np.finfo(float).eps)
-    kmax = m // 2
-    k = np.arange(kmax + 1)
-    kcut = 2 * kmax // 3
-    sigma = np.ones(k.size)
-    hi = k > kcut
-    sigma[hi] = np.exp(-alpha * ((k[hi] - kcut) / (kmax - kcut)) ** 8)
-    sigma.flags.writeable = False
-    return sigma

@@ -86,8 +86,8 @@ def test_advance_step_halts_on_radius_collapse():
 
 
 def test_advance_step_stays_in_mode_space(monkeypatch):
-    # the stages, the step and the filter never go back to samples to
-    # differentiate, resample or integrate them: a step makes exactly the
+    # the stages and the step never go back to samples to differentiate,
+    # resample or integrate them: a step makes exactly the
     # transforms of its four solves (the DtN pair and the 4M radii each)
     # and four domains built from modes (one inverse each), plus one
     # forward transform of each of the four radius rates
@@ -185,23 +185,25 @@ def _offset_disk(dist, m):
 
 
 def test_flow_recenters_drifting_domain():
+    from dropflow import dynamics
     # the parameterization center starts far from the barycenter
     d = _offset_disk(0.3, 64)
-    assert np.linalg.norm(d.barycenter - d.center) > 0.1 * d.radii.min()
+    frac = dynamics._RECENTER_FRACTION
+    assert np.linalg.norm(d.barycenter - d.center) > frac * d.radii.min()
     traj = run_flow(d, 1.0, t_end=0.2)
     final = traj.final_state.domain
     assert np.linalg.norm(final.center) > 0.1
-    assert np.linalg.norm(final.barycenter - final.center) <= 0.1 * final.radii.min() + 1e-9
+    assert np.linalg.norm(final.barycenter - final.center) <= frac * final.radii.min() + 1e-9
 
 
-# fourier(1;1:0.05,2:0.1) is parameterized off its barycentre: its radius
-# modes other than k = 1 keep a norm of ~0.027 that never decays, and an
-# error measured against them let steps cycle between accepted and rejected,
-# short of stationarity at t = 20
+# fourier(1;1:0.05,2:0.1) is parameterized off its barycentre, by less
+# than a tenth of its least radius: unrecentered, its ball keeps an offset
+# that Lawson's scheme does not hold fixed, and the flow took 40 steps with
+# 2 rejects; recentered at 3 % drift it takes 30 and none
 @pytest.mark.parametrize("start, m, t_end, status, recenters, steps", [
     (0.3, 64, 0.2, "t_end", 1, 3),
     (0.5, 64, 0.2, "t_end", 1, 3),
-    ("fourier(1;1:0.05,2:0.1)", 32, 20.0, "stationary", 0, 40),
+    ("fourier(1;1:0.05,2:0.1)", 32, 20.0, "stationary", 1, 30),
     ("fourier(1;1:0.1,3:0.15)", 32, 20.0, "stationary", 1, 28),
 ])
 def test_pinned_recenter_and_step_counts(start, m, t_end, status, recenters, steps):
@@ -422,6 +424,22 @@ def test_step_beyond_the_explicit_bound_damps_high_modes():
     assert abs(ratio / math.exp(-38.0 * dt / R_STAR) - 1.0) < 1e-3
 
 
+@pytest.mark.parametrize("start, m, tail", [
+    ("fourier(1;12:0.05)", 32, 0.34210967),
+    ("fourier(1;12:0.05)", 48, 0.08415858),
+    ("fourier(1;8:0.05)", 32, 0.04528235),
+])
+def test_flow_drops_the_nyquist_mode_at_the_resolution_limit(start, m, tail):
+    # the integrating factor does not damp the Nyquist mode, which the rate
+    # map grows; each new state sets it to 0, else these starts halt on
+    # failed solves with that mode grown to about 5
+    traj = run_flow(build_star_domain(start, m), 1.0, t_end=20.0, snapshot_stride=1)
+    assert traj.status == "stationary"
+    assert len(traj.states) == len(traj.times)
+    assert all(s.domain.modes[-1] == 0 for s in traj.states[1:])
+    assert traj.stats["grad_tail_max"] <= tail * (1 + 1e-6)
+
+
 def test_flow_stats_add_up():
     # the drifting disk of test_flow_recenters_drifting_domain recenters
     traj = run_flow(_offset_disk(0.3, 64), 1.0, t_end=0.2)
@@ -467,10 +485,10 @@ def test_pinned_mode_three_flow():
     traj = run_flow(build_star_domain("fourier(1;3:0.1)", 32), 1.0, t_end=20.0)
     assert traj.status == "stationary"
     assert len(traj.times) - 1 == 26
-    pinned = {"solves": 105, "stage_solves": 78, "ball_evals": 27,
+    pinned = {"solves": 105, "stage_solves": 78, "ball_evals": 30,
               "dt_bound": {"error": 26}, "rejects": {}}
     assert {k: traj.stats[k] for k in pinned} == pinned
-    assert abs(fit_decay_rate(traj).rate / 3.806153195103504 - 1.0) < 1e-10
+    assert abs(fit_decay_rate(traj).rate / 3.8061526066454165 - 1.0) < 1e-10
     assert abs(traj.lambdas[-1] - 1.8452701488635432) < 1e-13
 
 

@@ -93,17 +93,6 @@ def test_tail_fraction_detects_high_modes():
     assert spectral.mode_tail_fraction(np.fft.rfft(rough)) > 0.1
 
 
-def test_exp_filter_preserves_low_modes_damps_top():
-    theta = spectral.angle_grid(64)
-    f = trig_poly(theta) + 0.1 * np.cos(31 * theta) + 0.1 * np.cos(32 * theta)
-    g = np.fft.irfft(np.fft.rfft(f) * spectral.exp_filter_factor(64), 64)
-    gh = np.fft.rfft(g) / 64
-    fh = np.fft.rfft(f) / 64
-    assert np.allclose(gh[:6], fh[:6], atol=1e-13)
-    assert abs(gh[31]) < 1e-6 * abs(fh[31])
-    assert abs(gh[32]) < 1e-14  # Nyquist mode damped to machine zero
-
-
 def test_dealiased_power_sum_is_exact():
     # (2pi/M) * sum r^4 aliases for band-limited r unless the grid is refined;
     # the dealiased sum must match the closed form for r = 1 + e cos k t:

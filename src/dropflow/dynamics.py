@@ -6,24 +6,32 @@ parameterization this is the radius law
 
     dr/dt(theta) = F(|Du|(theta)) * sqrt(r^2 + r_theta^2) / r.
 
-About a ball, radius mode k >= 1 decays at sigma_k = F'(|Du|) (lambda/2)
-(k - 1), a rate that grows with k and would tie an explicit step to 1/M.
-The stepper is Lawson's integrating-factor RK4 in the radius's Fourier
-modes: that linear damping is integrated exactly and only the nonlinear
-remainder is explicit; the stages are domains built from the modes.  The
-integrating factor is the only damping; the Nyquist mode, which the rate
-map grows, is set to 0 in each new state.  The step size is
-error-controlled: the rate at the new state, whose solve the energy check
-makes anyway, gives Balac and Mahe's embedded third-order companion
-(RK4(3)IP) at no extra solve, and a PI controller turns its error into the
-next step; the step is also capped by dt_max and the time left.
+About the ball B_{r*}, radius mode k >= 1 decays at sigma_k = F'(|Du|)
+(lambda/2) (k - 1), a rate that grows with k and would tie an explicit step
+to 1/M, and mode 0 at sigma_0 = 3 sigma_2 (|Du| = 4 vol/(pi r^3) on a
+disk, so d/dr F(|Du|) = -3 F'(1)/r*).  The stepper is Lawson's
+integrating-factor RK4 on the departure delta of the radius's Fourier
+modes from the ball's: that linear damping is integrated exactly and only
+the nonlinear remainder is explicit, so the ball is a fixed point of every
+step; the stages are domains built from the modes.  The integrating factor
+is the only damping; the Nyquist mode, which the rate map grows, is set to
+0 in each new state.  The step size is error-controlled: the rate at the
+new state, whose solve the energy check makes anyway, gives Balac and
+Mahe's embedded third-order companion (RK4(3)IP) at no extra solve, and a
+PI controller turns its error into the next step; the step is also capped
+by dt_max and the time left.
 A step whose error is too large is rejected and retried at the controller's
 size; one rejected for an energy increase under any law, or a degenerate
-stage, is retried at half its size.
+stage, is retried at half its size.  Each accepted step keeps a dense
+output that costs no solve (`Trajectory.domain_at`): the exact linear part
+plus the remainder's quadratic through its start, mid-step and end values,
+integrated against the integrating factor; the decay fit samples it
+between the accepted states.
 """
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -129,7 +137,8 @@ class FlowState:
 
 @dataclass
 class Trajectory:
-    """Dense per-step diagnostics plus sparse state snapshots."""
+    """Dense per-step diagnostics plus sparse state snapshots, and each
+    accepted step's continuous output (`domain_at`)."""
 
     times: np.ndarray
     energy: np.ndarray
@@ -144,10 +153,73 @@ class Trajectory:
     halt_reason: str | None = None
     vol: float = 1.0
     stats: dict = field(default_factory=dict)
+    dense: list = field(default_factory=list)   # one _DenseStep per accepted step
 
     @property
     def final_state(self):
         return self.states[-1]
+
+    def domain_at(self, t):
+        """The flow's domain at time t, from the dense output of the accepted
+        step whose interval holds t (the earlier one at an accepted time)."""
+        n = len(self.dense)
+        if n == 0 or not self.times[0] <= t <= self.times[n]:
+            raise ValueError(f"no accepted step covers t = {t!r}")
+        i = int(np.searchsorted(self.times, t)) - 1
+        return self.dense[max(i, 0)].domain(t)
+
+
+def _phi(z):
+    """phi_1, phi_2, phi_3 of z <= 0, elementwise: phi_k(z) = sum_j z^j/(j + k)!.
+
+    Taylor sums by Horner's rule where |z| < 1 (18 terms reach rounding),
+    and phi_1 = expm1(z)/z, phi_{k+1} = (phi_k - 1/k!)/z elsewhere.
+    """
+    small = np.abs(z) < 1.0
+    zs = np.where(small, z, 0.0)
+    zb = np.where(small, -1.0, z)
+    out = []
+    big = np.expm1(zb) / zb
+    for k in (1, 2, 3):
+        if k > 1:
+            big = (big - 1.0 / math.factorial(k - 1)) / zb
+        v = np.full_like(zs, 1.0 / math.factorial(17 + k))
+        for j in range(16, -1, -1):
+            v = 1.0 / math.factorial(j + k) + zs * v
+        out.append(np.where(small, v, big))
+    return out
+
+
+class _DenseStep:
+    """The continuous output of one accepted Lawson step, at no solve.
+
+    By variation of constants the departure from the ball is
+
+        delta(tau) = e^{-sigma tau} delta_0 + tau phi_1(-sigma tau) N_0
+                     + tau^2 phi_2(-sigma tau) a + 2 tau^3 phi_3(-sigma tau) b,
+
+    where N(s) = N_0 + a s + b s^2 is the quadratic through the step's
+    remainders k1 at 0, (k2 + k3)/2 at dt/2 and k5 at dt: exact for the
+    linear part and stable for every sigma dt.  Its Nyquist mode is 0, as
+    in the states the step makes.
+    """
+
+    def __init__(self, t0, stages):
+        h = stages["dt"]
+        k1, km, k5 = stages["k1"], stages["k23"], stages["k5"]
+        self.t0, self.center = t0, stages["center"]
+        self.ref, self.delta, self.sigma = stages["ref"], stages["delta"], stages["sigma"]
+        self.quad = (k1, (4.0 * km - 3.0 * k1 - k5) / h, 2.0 * (k1 - 2.0 * km + k5) / h**2)
+
+    def domain(self, t):
+        tau = t - self.t0
+        z = -self.sigma * tau
+        p1, p2, p3 = _phi(z)
+        n0, a, b = self.quad
+        modes = (self.ref + np.exp(z) * self.delta
+                 + tau * (p1 * n0 + tau * (p2 * a + 2.0 * tau * p3 * b)))
+        modes[-1] = 0.0
+        return StarDomain(self.center, modes=modes)
 
 
 def save_timeseries_csv(traj, path):
@@ -170,14 +242,16 @@ def _radius_rate(domain, sol, law):
     return vn * domain.speed / domain.radii
 
 
-def _damping_slope(sol, law):
-    """sigma_2 = F'(|Du|) * lambda/2, the damping rate of radius mode 2.
+def _damping_rates(sol, law, m):
+    """sigma_k, k = 0 ... M/2: the damping rates of the radius modes about
+    the ball, (k - 1) * sigma_2 for k >= 1 and 3 * sigma_2 for k = 0.
 
-    About a ball, radius mode k >= 1 decays at (k - 1) * sigma_2; |Du| is
-    taken at its boundary mean.
+    sigma_2 = F'(|Du|) * lambda/2, with |Du| taken at its boundary mean.
     """
     s = float(np.mean(sol.boundary_grad))
-    return max(float(law.deriv(s)), 0.0) * 0.5 * abs(sol.lambda_)
+    sigma2 = max(float(law.deriv(s)), 0.0) * 0.5 * abs(sol.lambda_)
+    k = np.arange(m // 2 + 1) - 1.0
+    return sigma2 * np.where(k < 0.0, 3.0, k)
 
 
 def _stage_domain(center, modes):
@@ -201,47 +275,75 @@ def _solve(domain, vol, stats):
     return sol
 
 
+def _ball_modes(r_star, modes):
+    """The radius modes of the ball B_{r*} centred where the mode 1 of
+    `modes` puts it, in rfft scaling.
+
+    Seen from the origin, the disk of radius R about p has the radius
+    p.e + sqrt(R^2 - (p x e)^2): its mode 1 is exactly p.e, and to second
+    order in |p|/R its modes 0 and 2 carry -|p|^2/(4R) and
+    (|p|^2/(4R)) cos 2(theta - arg p), up to O(|p|^4/R^3).  So a ball that
+    sits off the star center, where a flow settles while its drift stays
+    below the recentering threshold, is a fixed point of the step too.
+    """
+    m = 2 * modes.size - 2
+    m1 = modes[1]
+    ref = np.zeros_like(modes)
+    ref[0] = r_star * m - abs(m1) ** 2 / (r_star * m)
+    ref[1] = m1
+    ref[2] = m1 * m1 / (2.0 * r_star * m)
+    return ref
+
+
 def advance_step(domain, vol, law, dt, sol=None, stats=None, stages=None):
     """One integrating-factor RK4 step of the radius law; returns the new
     domain, its Nyquist mode set to 0.
 
-    Lawson's scheme in the Fourier modes of the radius: the linear damping
-    sigma_k = (k - 1) * sigma_2 of mode k >= 1 about the ball is integrated
-    exactly by the factors exp(-sigma_k dt/2), and RK4 treats only the
-    remainder rate(r) + sigma * r.  The Nyquist mode cos(M theta/2) is not
-    damped: the rate map grows it, so the new state drops it.  `sol` may
-    pass in the already-solved state at `domain` to avoid one of the four
-    stage solves; `stats`, a Counter, counts them ("solves",
-    "stage_solves") and their range of condition estimates ("cond_min",
-    "cond_max").  `stages`, a dict, is given what the embedded error
-    estimate of `_error_ratio` needs: the rate modes at `domain` ("rate"),
-    the damping rates ("sigma") and the last stage's remainder ("k4").
+    Lawson's scheme on delta, the departure of the radius's Fourier modes
+    from those of the ball B_{r*} that `_ball_modes` centres by the
+    domain's mode 1: the linear damping of mode k about the ball,
+    sigma_k = (k - 1) * sigma_2 for k >= 1 and sigma_0 = 3 * sigma_2, is
+    integrated exactly by the factors exp(-sigma_k dt/2), and RK4 treats
+    only the remainder rate(r) + sigma * delta, which is 0 at the ball:
+    the ball is a fixed point of every step.  The Nyquist mode
+    cos(M theta/2) is not damped: the rate map grows it, so the new state
+    drops it.  `sol` may pass in the already-solved state at `domain` to
+    avoid one of the four stage solves; `stats`, a Counter, counts them
+    ("solves", "stage_solves") and their range of condition estimates
+    ("cond_min", "cond_max").
+    `stages`, a dict, is given what the embedded error estimate of
+    `_error_ratio` and the dense output `_DenseStep` need: the rate modes
+    at `domain` ("rate"), the damping rates ("sigma"), the ball's modes
+    ("ref"), the start's departure ("delta"), the step ("dt"), the center,
+    and the remainders k1, (k2 + k3)/2 ("k23") and k4.
     """
     c = domain.center
     m = domain.m
     if sol is None:
         sol = _solve(domain, vol, stats)
-    sigma = _damping_slope(sol, law) * np.maximum(np.arange(m // 2 + 1) - 1.0, 0.0)
+    sigma = _damping_rates(sol, law, m)
+    ref = _ball_modes(ball_closed_forms(2, vol).r_star, domain.modes)
     e = np.exp(-0.5 * dt * sigma)
 
     def rate(d, s):
         return np.fft.rfft(_radius_rate(d, s, law))
 
-    def stage(rh):
-        d = _stage_domain(c, rh)
+    def stage(dh):
+        d = _stage_domain(c, ref + dh)
         if stats is not None:
             stats["stage_solves"] += 1
-        return rate(d, _solve(d, vol, stats)) + sigma * rh
+        return rate(d, _solve(d, vol, stats)) + sigma * dh
 
-    r0 = domain.modes
+    d0 = domain.modes - ref
     rate0 = rate(domain, sol)
-    k1 = rate0 + sigma * r0
-    k2 = stage(e * (r0 + 0.5 * dt * k1))
-    k3 = stage(e * r0 + 0.5 * dt * k2)
-    k4 = stage(e * e * r0 + dt * e * k3)
+    k1 = rate0 + sigma * d0
+    k2 = stage(e * (d0 + 0.5 * dt * k1))
+    k3 = stage(e * d0 + 0.5 * dt * k2)
+    k4 = stage(e * e * d0 + dt * e * k3)
     if stages is not None:
-        stages.update(rate=rate0, sigma=sigma, k4=k4)
-    r_new = e * e * (r0 + (dt / 6.0) * k1) + (dt / 6.0) * (2.0 * e * (k2 + k3) + k4)
+        stages.update(rate=rate0, sigma=sigma, ref=ref, delta=d0, dt=dt, center=c,
+                      k1=k1, k23=0.5 * (k2 + k3), k4=k4)
+    r_new = ref + e * e * (d0 + (dt / 6.0) * k1) + (dt / 6.0) * (2.0 * e * (k2 + k3) + k4)
     r_new[-1] = 0.0
     return _stage_domain(c, r_new)
 
@@ -251,15 +353,18 @@ def _error_ratio(stages, domain, sol, law):
     _ERROR_TOL times the step's own change: the step passes at <= 1.
 
     Balac and Mahe's companion of the step is third order; it differs from
-    the step by (dt/10)(k4 - k5), where k5 is the remainder rate at the new
-    state with the step's own sigma, built from that state's solve `sol`.
-    The change is dt times the rate modes at the step's start, so dt cancels.
-    Both norms leave out mode 1, which moves the shape and does not decay.
+    the step by (dt/10)(k4 - k5), where k5, kept in `stages`, is the
+    remainder rate at the new state with the step's own sigma and ball,
+    built from that state's solve `sol`.  The change is dt times the rate
+    modes at the step's start, so dt cancels.  Both norms leave out mode 1,
+    which moves the shape and does not decay, and the Nyquist mode, which
+    the new state drops.
     """
     sigma = stages["sigma"]
-    k5 = np.fft.rfft(_radius_rate(domain, sol, law)) + sigma * domain.modes
-    err = np.linalg.norm(np.delete(stages["k4"] - k5, 1))
-    change = (np.linalg.norm(np.delete(stages["rate"], 1))
+    k5 = np.fft.rfft(_radius_rate(domain, sol, law)) + sigma * (domain.modes - stages["ref"])
+    stages["k5"] = k5
+    err = np.linalg.norm(np.delete(stages["k4"] - k5, [1, -1]))
+    change = (np.linalg.norm(np.delete(stages["rate"], [1, -1]))
               + _RATE_FLOOR * sigma[2] * np.linalg.norm(domain.modes) + 1e-300)
     return float(err / (10.0 * _ERROR_TOL * change))
 
@@ -307,10 +412,13 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
     other rejected step (an energy increase under any law, or a degenerate
     stage) the next attempt is also capped at half the rejected step
     ("retry"), a cap dropped once a step is accepted.  There is no
-    stiffness or CFL cap: the integrating-factor step damps the high modes
-    exactly, so the step count to stationarity hardly depends on M.  The
+    stiffness or CFL cap: the integrating-factor step damps the high modes,
+    and mode 0 about the ball, exactly, so the step count to stationarity
+    hardly depends on M and the steps grow as the flow settles.  The
     domain is recentered when its barycenter drifts from the center by 3 %
-    of its smallest radius sample about that center.
+    of its smallest radius sample about that center.  Each accepted step
+    leaves its dense output in `Trajectory.dense`, read by
+    `Trajectory.domain_at` and the decay fit; it costs no solve.
     The run ends at t_end, at stationarity (max |V| below tol_stationary),
     or with a halted trajectory recording the reason (41 rejects in a row,
     say); a failed recentering halts after keeping the accepted step it
@@ -329,10 +437,10 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
     reject_reasons, dt_bound = Counter(), Counter()
     state, asym_center = _diagnose(0.0, domain, sol, law, b.r_star,
                                    domain.barycenter, counts)
-    rows, states = [_row(state, 0.0)], [state]
+    rows, states, dense = [_row(state, 0.0)], [state], []
     status, halt_reason = "t_end", None
     t, retry, rejects = 0.0, np.inf, 0
-    dt_error = _FIRST_DT / max(_damping_slope(sol, law), 1e-300)
+    dt_error = _FIRST_DT / max(_damping_rates(sol, law, domain.m)[2], 1e-300)
     last_ratio = 1.0
     shrink, grow = _STEP_FACTOR
     while t < t_end * (1.0 - 1e-12):
@@ -377,6 +485,7 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
                 break
             continue
 
+        dense.append(_DenseStep(t, stages))
         t += dt_try
         retry, rejects = np.inf, 0
         gain *= last_ratio ** _PI_EXPONENTS[1]
@@ -405,7 +514,8 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
     return Trajectory(
         *map(np.array, zip(*rows)), states=states, status=status,
         halt_reason=halt_reason, vol=vol,
-        stats=dict(counts, rejects=dict(reject_reasons), dt_bound=dict(dt_bound)))
+        stats=dict(counts, rejects=dict(reject_reasons), dt_bound=dict(dt_bound)),
+        dense=dense)
 
 
 # ----------------------------------------------------------------------------
@@ -417,7 +527,7 @@ class DissipationReport:
     """Energy balance residuals along a trajectory.
 
     interval: per accepted interval, |dJ/dt - mean dissipation| relative to
-    the dissipation scale, the mean taken by the end-corrected trapezoid.
+    the dissipation scale, the mean taken by the logarithmic mean.
     integrated: per state, the defect of J against the time-integrated
     dissipation, relative to the total drop.
     """
@@ -429,19 +539,20 @@ class DissipationReport:
 def dissipation_residuals(traj):
     """Check dJ/dt = oint (1 - |Du|^2) F(|Du|) dsigma discretely.
 
-    The dissipation D is integrated over each interval of length h by the
-    end-corrected trapezoid h/2 (D0 + D1) + h^2/12 (D0' - D1'), exact for
-    cubics, with D' from the quadratic through each state and its
-    neighbours (one-sided at the ends; with two states it is the chord, and
-    the rule the trapezoid).
+    The dissipation D is averaged over each interval by the logarithmic
+    mean (D1 - D0)/ln(D1/D0) of its ends, exact for D = c exp(-rate t)
+    whatever the interval's length, as near the ball, where the flow's long
+    steps fall; where D changes sign or vanishes, by the plain mean.
     """
     tt, jj, dd = traj.times, traj.energy, traj.dissipations
     if len(tt) < 2:
         raise ValueError("need at least two accepted states")
     dt = np.diff(tt)
     rate = np.diff(jj) / dt
-    slope = np.gradient(dd, tt, edge_order=min(2, len(tt) - 1))
-    avg = 0.5 * (dd[1:] + dd[:-1]) + dt / 12.0 * (slope[:-1] - slope[1:])
+    d0, d1 = dd[:-1], dd[1:]
+    x = np.divide(d1, d0, out=np.ones_like(d0), where=d0 * d1 > 0.0)
+    plain = x == 1.0
+    avg = np.where(plain, 0.5 * (d0 + d1), d0 * (x - 1.0) / np.log(np.where(plain, 2.0, x)))
     floor = 1e-14 * max(1.0, np.abs(jj).max())
     interval = np.abs(rate - avg) / (np.abs(avg) + floor)
     cum = np.concatenate([[0.0], np.cumsum(avg * dt)])
@@ -464,6 +575,9 @@ class DecayFit:
 def fit_decay_rate(traj):
     """Fit log(asymmetry) = log(amplitude) - rate * t inside _FIT_WINDOW.
 
+    The samples are the accepted states and, for each accepted interval
+    whose end asymmetries reach into the window, the asymmetry of the dense
+    output at its midpoint (`Trajectory.domain_at`; a search, no solve).
     Each sample is weighted by the time it stands for (its trapezoid
     weight), so the fit, and its R^2, are taken over the window's time
     span and do not depend on where the steps fall.  Returns a no-signal
@@ -471,14 +585,24 @@ def fit_decay_rate(traj):
     it does but with fewer than 5 samples.
     """
     lo, hi = _FIT_WINDOW
-    a = traj.asymmetries
+    tt, a = traj.times, traj.asymmetries
+    mid_t, mid_a = [], []
+    r_star = ball_closed_forms(2, traj.vol).r_star
+    for i, step in enumerate(traj.dense):
+        if max(a[i], a[i + 1]) >= lo and min(a[i], a[i + 1]) <= hi:
+            mid_t.append(0.5 * (tt[i] + tt[i + 1]))
+            mid_a.append(asymmetry_to_ball(step.domain(mid_t[-1]), r_star)[0])
+    tt = np.concatenate([tt, mid_t])
+    a = np.concatenate([a, mid_a])
+    order = np.argsort(tt)
+    tt, a = tt[order], a[order]
     mask = (a >= lo) & (a <= hi)
     n = int(mask.sum())
     if n == 0:
         return DecayFit(None, None, None, 0, signal=False)
     if n < 5:
         raise ValueError(f"only {n} samples inside the fit window; need >= 5")
-    tt = traj.times[mask]
+    tt = tt[mask]
     ll = np.log(a[mask])
     h = np.diff(tt)
     w = np.append(h, 0.0) + np.insert(h, 0, 0.0)    # twice the trapezoid weights

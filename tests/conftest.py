@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
 from dropflow import (FourierShape, StarDomain, ball_closed_forms, build_star_domain,
-                      solve_torsion, torsion)
+                      quadratic_law, solve_torsion, torsion, total_energy)
 
 # random smooth shapes for hypothesis: modes 2...8 of relative amplitude up
 # to 0.08 about a base radius 0.5...2 (`smooth_shape`), at M = 64
@@ -182,7 +182,31 @@ def energy_gap_rate(traj, window=(1e-10, 1e-8)):
     """Median of |D| / (2 (J - J*)) over the states whose energy gap
     J - J* lies in `window`.  Near the ball the gap decays like
     exp(-2 sigma_k t) for the slowest radius mode k present, and D = dJ/dt,
-    so this reads sigma_k = (k - 1) lambda* of the flow."""
-    gap = traj.energy - ball_closed_forms(2, traj.vol).j_star
+    so this reads sigma_k = (k - 1) lambda* of the flow.
+
+    Where no accepted state lies in the window, the states are the flow's
+    dense output (`Trajectory.domain_at`) at five times inside the interval
+    whose gap falls across it, placed by interpolating log(J - J*) linearly
+    in t, and solved here under the default law F(s) = s^2 - 1; those whose
+    gap lies in the window count.
+    """
+    j_star = ball_closed_forms(2, traj.vol).j_star
+    gap = traj.energy - j_star
+    dd = traj.dissipations
     near = (window[0] < gap) & (gap < window[1])
-    return float(np.median(np.abs(traj.dissipations[near]) / (2.0 * gap[near])))
+    if not near.any():
+        i = int(np.argmax(gap < window[0])) - 1
+        lg0, lg1 = np.log(gap[i]), np.log(max(gap[i + 1], 1e-300))
+        targets = np.log(np.geomspace(*window, 7)[1:-1])
+        times = traj.times[i] + (targets - lg0) / (lg1 - lg0) * (traj.times[i + 1] - traj.times[i])
+        law = quadratic_law()
+        gap, dd = [], []
+        for t in times:
+            d = traj.domain_at(t)
+            sol = solve_torsion(d, traj.vol)
+            bg = sol.boundary_grad
+            gap.append(total_energy(sol) - j_star)
+            dd.append(np.sum((1.0 - bg**2) * law(bg) * d.arc_weights))
+        gap, dd = np.array(gap), np.array(dd)
+        near = (window[0] < gap) & (gap < window[1])
+    return float(np.median(np.abs(dd[near]) / (2.0 * gap[near])))

@@ -199,12 +199,13 @@ def test_flow_recenters_drifting_domain():
 # fourier(1;1:0.05,2:0.1) is parameterized off its barycentre, by less
 # than a tenth of its least radius: unrecentered, its ball keeps an offset
 # that Lawson's scheme does not hold fixed, and the flow took 40 steps with
-# 2 rejects; recentered at 3 % drift it takes 30 and none
+# 2 rejects; recentered at 3 % drift it takes 9 and none (30 before mode 0
+# was damped about the ball)
 @pytest.mark.parametrize("start, m, t_end, status, recenters, steps", [
     (0.3, 64, 0.2, "t_end", 1, 3),
     (0.5, 64, 0.2, "t_end", 1, 3),
-    ("fourier(1;1:0.05,2:0.1)", 32, 20.0, "stationary", 1, 30),
-    ("fourier(1;1:0.1,3:0.15)", 32, 20.0, "stationary", 1, 28),
+    ("fourier(1;1:0.05,2:0.1)", 32, 20.0, "stationary", 1, 9),
+    ("fourier(1;1:0.1,3:0.15)", 32, 20.0, "stationary", 1, 9),
 ])
 def test_pinned_recenter_and_step_counts(start, m, t_end, status, recenters, steps):
     # offset disks and mode-1 starts; a drift threshold scaled by the
@@ -327,16 +328,16 @@ def _trapezoid_residuals(traj):
 
 
 def test_dissipation_residuals_end_corrected_rule():
-    # at uneven steps of 0.1-0.3 the end-corrected rule reads the exact
-    # balance far below the trapezoid
+    # at uneven steps of 0.1-0.3 the corrected rule (now the logarithmic
+    # mean) reads the exact balance far below the trapezoid
     traj = _exponential_trajectory(np.tile([0.1, 0.3, 0.2], 10))
     rep = dissipation_residuals(traj)
     assert np.median(rep.interval) * 20.0 < np.median(_trapezoid_residuals(traj))
     assert rep.integrated[-1] < 1e-3
-    # with two states the slopes are the chord's, and the rule the trapezoid
-    two = _exponential_trajectory([0.2])
-    assert dissipation_residuals(two).interval == pytest.approx(_trapezoid_residuals(two),
-                                                                rel=1e-12)
+    # the logarithmic mean is exact for an exponential D, with two states and
+    # over long intervals too, where the trapezoid is far off
+    two = _exponential_trajectory([5.0])
+    assert dissipation_residuals(two).interval[0] < 1e-12 < _trapezoid_residuals(two)[0]
 
 
 def test_dissipation_residuals_needs_two_states():
@@ -385,13 +386,14 @@ def _mode_amplitude(domain, k):
 
 def test_step_count_to_stationarity_hardly_depends_on_m():
     # the explicit stepper's stiffness bound doubled the steps with M; the
-    # error-controlled steps reach the ball in at most 300 solves at every M
+    # error-controlled steps, with mode 0 damped about the ball, reach it in
+    # at most 40 solves at every M
     steps = []
     for m in (32, 64, 128, 256):
         traj = run_flow(normalized_domain("fourier(1;2:0.1)", m=m), 1.0,
                         t_end=20.0)
         assert traj.status == "stationary"
-        assert traj.stats["rejects"] == {} and traj.stats["solves"] <= 300
+        assert traj.stats["rejects"] == {} and traj.stats["solves"] <= 40
         steps.append(len(traj.times) - 1)
     assert max(steps) <= 1.1 * min(steps), steps
 
@@ -405,6 +407,61 @@ def test_step_damps_mode_three_at_the_linear_ball_rate():
     d2 = advance_step(d, 1.0, quadratic_law(), dt)
     ratio = _mode_amplitude(d2, 3) / _mode_amplitude(d, 3)
     assert abs(ratio / math.exp(-4.0 * dt / R_STAR) - 1.0) < 1e-4
+
+
+def test_step_damps_mode_zero_at_three_lambda_star():
+    # about the ball the volume-normalized mode 0 decays at 3 lambda*; the
+    # integrating factor takes it exactly, at twice explicit RK4's bound
+    b = ball_closed_forms(2, 1.0)
+    d = build_star_domain(f"circle({R_STAR * (1.0 + 1e-6)!r})", 64)
+    dt = 1.0                    # explicit RK4's bound is 2.785 / (3 lambda*) = 0.50
+    d2 = advance_step(d, 1.0, quadratic_law(), dt)
+    ratio = (d2.radii.mean() - b.r_star) / (d.radii.mean() - b.r_star)
+    assert abs(ratio / math.exp(-3.0 * b.lambda_star * dt) - 1.0) < 1e-4
+    # the exact ball is a fixed point of every step, however long
+    ball = build_star_domain(f"circle({R_STAR!r})", 64)
+    d5 = advance_step(ball, 1.0, quadratic_law(), 5.0)
+    assert np.abs(d5.radii - ball.radii).max() < 1e-13
+
+
+def test_step_holds_a_ball_off_the_star_center():
+    # a flow settles on a ball about its barycentre, off the star center by
+    # less than the recentering drift; the step's reference ball is centred
+    # by mode 1, so that ball stays put over a long step up to O(offset^4)
+    # (1e-4 with the reference ball about the star center)
+    m, dist = 64, 0.01
+    psi = 2 * np.pi * np.arange(m) / m
+    r = dist * np.cos(psi) + np.sqrt(R_STAR**2 - dist**2 * np.sin(psi) ** 2)
+    d = build_star_domain(Samples(tuple(r)), m)
+    d2 = advance_step(d, 1.0, quadratic_law(), 5.0)
+    assert np.abs(d2.radii - d.radii).max() < 1e-8
+
+
+def test_phi_functions_match_their_exact_series():
+    from fractions import Fraction
+    from dropflow.dynamics import _phi
+    z = np.array([0.0, -1e-9, -0.3, -0.999, -1.0, -1.001, -4.0, -40.0])
+    got = _phi(z)
+    for i, zi in enumerate(z):
+        x = Fraction(zi)
+        for k in (1, 2, 3):
+            exact = sum(x**j / math.factorial(j + k) for j in range(200))
+            assert abs(got[k - 1][i] / float(exact) - 1.0) < 1e-14, (zi, k)
+
+
+def test_dense_output_reproduces_the_accepted_states(decay_traj):
+    # at each accepted time the dense output of the step that ends there
+    # has the accepted state's asymmetry, and at the start it is the start
+    from dropflow.geometry import asymmetry_to_ball
+    traj = decay_traj
+    assert len(traj.dense) == len(traj.times) - 1
+    for t, a in zip(traj.times, traj.asymmetries):
+        dense_a, _ = asymmetry_to_ball(traj.domain_at(t), R_STAR)
+        assert abs(dense_a / a - 1.0) < 1e-2, t
+    start = traj.states[0].domain
+    assert np.abs(traj.domain_at(0.0).radii - start.radii).max() < 1e-13
+    with pytest.raises(ValueError):
+        traj.domain_at(traj.times[-1] + 1.0)
 
 
 def test_step_beyond_the_explicit_bound_damps_high_modes():
@@ -435,6 +492,8 @@ def test_flow_drops_the_nyquist_mode_at_the_resolution_limit(start, m, tail):
     # failed solves with that mode grown to about 5
     traj = run_flow(build_star_domain(start, m), 1.0, t_end=20.0, snapshot_stride=1)
     assert traj.status == "stationary"
+    # the error estimate leaves out the dropped Nyquist mode too
+    assert traj.stats["rejects"] == {}
     assert len(traj.states) == len(traj.times)
     assert all(s.domain.modes[-1] == 0 for s in traj.states[1:])
     assert traj.stats["grad_tail_max"] <= tail * (1 + 1e-6)
@@ -484,24 +543,24 @@ def test_pinned_mode_three_flow():
     # of error-controlled steps
     traj = run_flow(build_star_domain("fourier(1;3:0.1)", 32), 1.0, t_end=20.0)
     assert traj.status == "stationary"
-    assert len(traj.times) - 1 == 26
-    pinned = {"solves": 105, "stage_solves": 78, "ball_evals": 30,
-              "dt_bound": {"error": 26}, "rejects": {}}
+    assert len(traj.times) - 1 == 8
+    pinned = {"solves": 33, "stage_solves": 24, "ball_evals": 13,
+              "dt_bound": {"error": 8}, "rejects": {}}
     assert {k: traj.stats[k] for k in pinned} == pinned
-    assert abs(fit_decay_rate(traj).rate / 3.8061526066454165 - 1.0) < 1e-10
-    assert abs(traj.lambdas[-1] - 1.8452701488635432) < 1e-13
+    assert abs(fit_decay_rate(traj).rate / 3.813089996673744 - 1.0) < 1e-10
+    assert abs(traj.lambdas[-1] - 1.845270148644029) < 1e-13
 
 
 def test_pinned_mode_three_flow_at_m64():
     # the benchmark's heavy flow start: M = 64, where the LU path runs too
     traj = run_flow(build_star_domain("fourier(1;3:0.1)", 64), 1.0, t_end=20.0)
     assert traj.status == "stationary"
-    assert len(traj.times) - 1 == 26
-    pinned = {"solves": 105, "stage_solves": 78, "ball_evals": 27,
-              "dt_bound": {"error": 26}, "rejects": {}}
+    assert len(traj.times) - 1 == 8
+    pinned = {"solves": 33, "stage_solves": 24, "ball_evals": 9,
+              "dt_bound": {"error": 8}, "rejects": {}}
     assert {k: traj.stats[k] for k in pinned} == pinned
-    assert abs(fit_decay_rate(traj).rate / 3.8061526257518343 - 1.0) < 1e-10
-    assert abs(traj.lambdas[-1] - 1.8452701488635432) < 1e-13
+    assert abs(fit_decay_rate(traj).rate / 3.813092833910159 - 1.0) < 1e-10
+    assert abs(traj.lambdas[-1] - 1.845270148644029) < 1e-13
 
 
 def test_trajectory_stats_default_empty():

@@ -93,7 +93,8 @@ def cmd_run(args):
         fit = fit_decay_rate(traj)
         fit_obj = (None if not fit.signal else
                    {"rate": fit.rate, "amplitude": fit.amplitude,
-                    "r_squared": fit.r_squared, "n_points": fit.n_points})
+                    "r_squared": fit.r_squared, "n_points": fit.n_points,
+                    "samples": fit.samples.tolist()})
     except ValueError:
         fit_obj = None
     summary = {

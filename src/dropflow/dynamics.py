@@ -17,14 +17,14 @@ step; the stages are domains built from the modes.  The integrating factor
 is the only damping; the Nyquist mode, which the rate map grows, is set to
 0 in each new state.  The step size is error-controlled: the rate at the
 new state, whose solve the energy check makes anyway, gives Balac and
-Mahe's embedded third-order companion (RK4(3)IP) at no extra solve, and a
-PI controller turns its error into the next step; the step is also capped
-by dt_max and the time left.
-A step whose error is too large is rejected and retried at the controller's
-size; one rejected for an energy increase under any law, or a degenerate
-stage, is retried at half its size.  Each accepted step keeps a dense
-output that costs no solve (`Trajectory.domain_at`): the exact linear part
-plus the remainder's quadratic through its start, mid-step and end values,
+Mahe's embedded third-order companion (RK4(3)IP) at no extra solve, and
+the elementary controller of that order turns its error into the next
+step; the step is also capped by dt_max and the time left.  A step whose
+error is too large is retried at the controller's size; one rejected for
+an energy increase under any law, or a degenerate stage, is retried at
+half its size.  Each accepted step keeps a dense output that costs no
+solve (`Trajectory.domain_at`): the exact linear part plus the
+remainder's quadratic through its start, mid-step and end values,
 integrated against the integrating factor; the decay fit samples it
 between the accepted states.
 """
@@ -48,10 +48,9 @@ log = logging.getLogger(__name__)
 _J_SLACK = 1e-10
 _FIRST_DT = 0.2             # first attempt, in units of the mode-2 damping time
 _ERROR_TOL = 1e-2           # embedded error, relative to the step's own change
-_PI_EXPONENTS = (0.7 / 4, 0.4 / 4)  # of this step's error ratio and the last's
+_ERROR_EXPONENT = 1.0 / 4   # 1/(q + 1) for the third-order embedded companion
 _SAFETY = 0.9
 _STEP_FACTOR = (0.2, 2.0)   # least and largest change of dt from one attempt
-_ERROR_FLOOR = 1e-4         # least error ratio the controller takes
 _RATE_FLOOR = 1e-9          # rounding in the rates, per sigma_2 times the radius
 _LAW_CHECK_RANGE = (0.1, 10.0)
 _DT_MIN_FRACTION = 1e-12
@@ -406,18 +405,18 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
     the time left to t_end.  The first attempt is a fifth of the mode-2
     damping time 1/sigma_2.  Each step's embedded RK4(3)IP error, taken
     from the solve at the new state that the energy check makes anyway,
-    is measured against the step's own change (`_error_ratio`); a step
-    whose ratio is above 1 is rejected ("error"), and a PI controller sets
-    the next attempt from this ratio and the last accepted one.  After any
-    other rejected step (an energy increase under any law, or a degenerate
-    stage) the next attempt is also capped at half the rejected step
-    ("retry"), a cap dropped once a step is accepted.  There is no
-    stiffness or CFL cap: the integrating-factor step damps the high modes,
-    and mode 0 about the ball, exactly, so the step count to stationarity
-    hardly depends on M and the steps grow as the flow settles.  The
-    domain is recentered when its barycenter drifts from the center by 3 %
-    of its smallest radius sample about that center.  Each accepted step
-    leaves its dense output in `Trajectory.dense`, read by
+    is measured against the step's own change (`_error_ratio`), and the
+    next attempt is dt * min(max(0.9 * ratio^(-1/4), 0.2), 2), the
+    elementary controller of the third-order estimate.  A step whose ratio
+    is above 1 is rejected ("error") and retried at that size, which is
+    then below 0.9 dt; a step rejected for any other reason (an energy
+    increase under any law, or a degenerate stage) is retried at dt/2.
+    There is no stiffness or CFL cap: the integrating-factor step damps
+    the high modes, and mode 0 about the ball, exactly, so the step count
+    to stationarity hardly depends on M and the steps grow as the flow
+    settles.  The domain is recentered when its barycenter drifts from the
+    center by 3 % of its smallest radius sample about that center.  Each
+    accepted step leaves its dense output in `Trajectory.dense`, read by
     `Trajectory.domain_at` and the decay fit; it costs no solve.
     The run ends at t_end, at stationarity (max |V| below tol_stationary),
     or with a halted trajectory recording the reason (41 rejects in a row,
@@ -439,15 +438,14 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
                                    domain.barycenter, counts)
     rows, states, dense = [_row(state, 0.0)], [state], []
     status, halt_reason = "t_end", None
-    t, retry, rejects = 0.0, np.inf, 0
+    t, rejects = 0.0, 0
     dt_error = _FIRST_DT / max(_damping_rates(sol, law, domain.m)[2], 1e-300)
-    last_ratio = 1.0
     shrink, grow = _STEP_FACTOR
     while t < t_end * (1.0 - 1e-12):
         if state.max_vn < tol_stationary:
             status = "stationary"
             break
-        caps = {"error": dt_error, "dt_max": dt_max, "t_end": t_end - t, "retry": retry}
+        caps = {"error": dt_error, "dt_max": dt_max, "t_end": t_end - t}
         bound = min(caps, key=caps.get)
         dt_try = caps[bound]
         if dt_try < _DT_MIN_FRACTION * t_end:
@@ -463,20 +461,16 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
             slack = _J_SLACK * max(1.0, abs(state.energy))
             if total_energy(new_sol) > state.energy + slack:
                 raise FlowHalt("energy_increase")
-            ratio = max(_error_ratio(stages, new_domain, new_sol, law), _ERROR_FLOOR)
-            gain = _SAFETY * ratio ** -_PI_EXPONENTS[0]
+            ratio = _error_ratio(stages, new_domain, new_sol, law)
+            gain = _SAFETY * ratio ** -_ERROR_EXPONENT if ratio > 0.0 else grow
             if ratio > 1.0:
                 raise FlowHalt("error")
         except (FlowHalt, ShapeError, SolverError) as exc:
             reason = exc.reason if isinstance(exc, FlowHalt) else type(exc).__name__
             reject_reasons[reason] += 1
             rejects += 1
-            if reason == "error":
-                dt_error = dt_try * max(gain, shrink)
-            else:
-                retry = dt_try / 2.0
-            log.debug("step rejected at t=%.6g (%s); dt -> %.3g", t, exc,
-                      min(dt_error, retry))
+            dt_error = dt_try * max(gain, shrink) if reason == "error" else dt_try / 2.0
+            log.debug("step rejected at t=%.6g (%s); dt -> %.3g", t, exc, dt_error)
             if rejects > _MAX_REJECTS:
                 status = "halted"
                 halt_reason = (_energy_halt_reason(sol, new_sol)
@@ -487,10 +481,8 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
 
         dense.append(_DenseStep(t, stages))
         t += dt_try
-        retry, rejects = np.inf, 0
-        gain *= last_ratio ** _PI_EXPONENTS[1]
+        rejects = 0
         dt_error = dt_try * min(max(gain, shrink), grow)
-        last_ratio = ratio
         domain, sol = new_domain, new_sol
         drift = np.linalg.norm(domain.barycenter - domain.center)
         if drift > _RECENTER_FRACTION * domain.radii.min():
@@ -563,13 +555,15 @@ def dissipation_residuals(traj):
 
 @dataclass
 class DecayFit:
-    """Least-squares exponential decay fit of the asymmetry history."""
+    """Least-squares exponential decay fit of the asymmetry history, with
+    the (t, asymmetry) samples it fitted, in time order (n_points x 2)."""
 
     rate: float | None
     amplitude: float | None
     r_squared: float | None
     n_points: int
     signal: bool
+    samples: np.ndarray
 
 
 def fit_decay_rate(traj):
@@ -597,13 +591,13 @@ def fit_decay_rate(traj):
     order = np.argsort(tt)
     tt, a = tt[order], a[order]
     mask = (a >= lo) & (a <= hi)
-    n = int(mask.sum())
+    samples = np.column_stack((tt[mask], a[mask]))
+    n = len(samples)
     if n == 0:
-        return DecayFit(None, None, None, 0, signal=False)
+        return DecayFit(None, None, None, 0, signal=False, samples=samples)
     if n < 5:
         raise ValueError(f"only {n} samples inside the fit window; need >= 5")
-    tt = tt[mask]
-    ll = np.log(a[mask])
+    tt, ll = samples[:, 0], np.log(samples[:, 1])
     h = np.diff(tt)
     w = np.append(h, 0.0) + np.insert(h, 0, 0.0)    # twice the trapezoid weights
     slope, icept = np.polyfit(tt, ll, 1, w=np.sqrt(w))
@@ -612,4 +606,4 @@ def fit_decay_rate(traj):
     ss_tot = float(np.sum(w * (ll - np.average(ll, weights=w)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return DecayFit(rate=float(-slope), amplitude=float(np.exp(icept)),
-                    r_squared=float(r2), n_points=n, signal=True)
+                    r_squared=float(r2), n_points=n, signal=True, samples=samples)

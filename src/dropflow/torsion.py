@@ -63,7 +63,7 @@ from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dlange
 
 from . import spectral
 from .errors import EvaluationError, SolverError
-from .geometry import interior_quadrature
+from .geometry import _BLOCK_ENTRIES, interior_quadrature
 
 _COND_LIMIT = 1e8   # largest accepted condition estimate of the boundary system
 
@@ -82,16 +82,10 @@ _KRYLOV_M = 256
 _KRYLOV_ITERATIONS = 64
 
 
-# A kernel block holds about 2**16 complex entries (1 MB, half of one core's
-# 2 MB L2 cache on the Xeon it was timed on), so it stays cache-resident from
-# the subtraction through the division to the product.  Budgets of 2**15 to
-# 2**20 entries timed within noise of each other at M = 128, 512 and 1024.
-# The buffer is kept per thread: touching fresh pages for every block, or
-# for every call, cost more than the arithmetic.
-_BLOCK_ENTRIES = 2**16
-
 # This thread's flat scratch arrays by name, each grown to the largest size
-# asked of it.  Freed at the end of every solve, the system, Re C and the
+# asked of it.  For the kernel block buffer (`_BLOCK_ENTRIES` entries),
+# touching fresh pages for every block, or for every call, cost more than
+# the arithmetic.  Freed at the end of every solve, the system, Re C and the
 # block buffer together passed glibc's trim threshold, so the next large
 # solve faulted fresh pages in again: in blocks of one M = 1024 and 24
 # M = 128 solves (one BLAS thread, 2-vCPU Xeon) the M = 1024 median was

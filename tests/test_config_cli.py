@@ -1,11 +1,14 @@
+import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from dropflow import ConfigError, ScenarioConfig, parse_config_text, quadratic_law
 from dropflow.cli import main
 from dropflow.config import parse_config
+from dropflow.dynamics import _FIT_WINDOW
 
 GOOD_CONFIG = """\
 # scenario: gentle mode-2 perturbation
@@ -316,3 +319,30 @@ def test_cli_run_summary_reports_blas_threads_and_ranges(tmp_path, capsys, monke
     stats = summary["stats"]
     assert 1.0 <= stats["cond_min"] <= stats["cond_max"]
     assert 0.0 <= stats["grad_tail_max"] < 1.0
+
+
+def test_cli_run_summary_carries_the_decay_fit_samples(tmp_path, capsys, monkeypatch):
+    # fourier(1;3:0.1) at m = 64 takes long steps: the fit samples the dense
+    # output between the accepted states, so timeseries.csv alone holds
+    # fewer rows inside the fit window than the fit used
+    monkeypatch.delenv("DROPFLOW_OUTDIR", raising=False)
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(f"shape = fourier(1;3:0.1)\nm = 64\nt_end = 20\noutdir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 0
+    fit = json.loads((tmp_path / "out" / "summary.json").read_text())["decay_fit"]
+    samples = [tuple(s) for s in fit["samples"]]
+    assert len(samples) == fit["n_points"]
+    with open(tmp_path / "out" / "timeseries.csv", newline="") as fh:
+        rows = [(float(r["t"]), float(r["asymmetry"])) for r in csv.DictReader(fh)]
+    lo, hi = _FIT_WINDOW
+    inside = [row for row in rows if lo <= row[1] <= hi]
+    assert 0 < len(inside) < 5 <= fit["n_points"]
+    row_times = {t for t, _ in rows}
+    assert [s for s in samples if s[0] in row_times] == inside
+    # the summary's own samples reproduce its rate with the trapezoid weights
+    tt, ll = np.array(samples).T
+    ll = np.log(ll)
+    h = np.diff(tt)
+    w = np.append(h, 0.0) + np.insert(h, 0, 0.0)
+    slope = np.polyfit(tt, ll, 1, w=np.sqrt(w))[0]
+    assert abs(-slope / fit["rate"] - 1.0) < 1e-12

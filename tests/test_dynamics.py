@@ -199,17 +199,16 @@ def test_flow_recenters_drifting_domain():
 # fourier(1;1:0.05,2:0.1) is parameterized off its barycentre, by less
 # than a tenth of its least radius: unrecentered, its ball keeps an offset
 # that Lawson's scheme does not hold fixed, and the flow took 40 steps with
-# 2 rejects; recentered at 3 % drift it takes 9 and none (30 before mode 0
-# was damped about the ball)
+# 2 rejects; recentered at 3 % drift it takes 8 and none
 @pytest.mark.parametrize("start, m, t_end, status, recenters, steps", [
     (0.3, 64, 0.2, "t_end", 1, 3),
     (0.5, 64, 0.2, "t_end", 1, 3),
-    ("fourier(1;1:0.05,2:0.1)", 32, 20.0, "stationary", 1, 9),
-    ("fourier(1;1:0.1,3:0.15)", 32, 20.0, "stationary", 1, 9),
+    ("fourier(1;1:0.05,2:0.1)", 32, 20.0, "stationary", 1, 8),
+    ("fourier(1;1:0.1,3:0.15)", 32, 20.0, "stationary", 1, 7),
 ])
 def test_pinned_recenter_and_step_counts(start, m, t_end, status, recenters, steps):
-    # offset disks and mode-1 starts; a drift threshold scaled by the
-    # in-radius instead of the least radius sample gives the same counts
+    # offset disks and mode-1 starts, each recentered once by the drift
+    # test against the least radius sample
     d = build_star_domain(start, m) if isinstance(start, str) else _offset_disk(start, m)
     traj = run_flow(d, 1.0, t_end=t_end)
     assert traj.status == status
@@ -275,10 +274,46 @@ def test_rejected_step_retries_at_half_size_once(monkeypatch):
     traj = run_flow(normalized_domain("fourier(1;2:0.1)", m=32), 1.0, t_end=1.0)
     assert traj.stats["rejects"] == {"forced": 1}
     assert dts[1] == dts[0] / 2.0 and traj.dts[1] == dts[1]
-    # the half-size cap holds for the one retry and is dropped once it is
-    # accepted: the next attempt is back at the least of the other caps
-    assert traj.stats["dt_bound"]["retry"] == 1
+    # the halved step is the controller's own: no separate cap holds it, and
+    # once it is accepted the controller grows the next attempt from it
+    assert "retry" not in traj.stats["dt_bound"]
     assert dts[2] > dts[1]
+
+
+def _flow_with_ratios(monkeypatch, ratio_of=None):
+    """The normalized mode-2 flow at M = 32 with each step's error ratio,
+    or with the ratio `ratio_of(true ratio)` put in its place."""
+    from dropflow import dynamics
+    real_ratio, ratios = dynamics._error_ratio, []
+
+    def error_ratio(*args):
+        r = real_ratio(*args)
+        ratios.append(r if ratio_of is None else ratio_of(r))
+        return ratios[-1]
+    monkeypatch.setattr(dynamics, "_error_ratio", error_ratio)
+    return run_flow(normalized_domain("fourier(1;2:0.1)", m=32), 1.0, t_end=20.0), ratios
+
+
+def test_accepted_steps_follow_the_elementary_controller(monkeypatch):
+    # dt_next = dt * min(max(0.9 r^(-1/4), 0.2), 2): the exponent is
+    # 1/(q + 1) for the third-order embedded estimate, and no memory of
+    # the last ratio holds the growth back
+    traj, ratios = _flow_with_ratios(monkeypatch)
+    assert traj.status == "stationary" and traj.stats["rejects"] == {}
+    dts = traj.dts[1:]
+    assert len(ratios) == len(dts) >= 5
+    for r, dt, dt_next in zip(ratios, dts, dts[1:]):
+        assert 0.0 < r <= 1.0
+        assert dt_next == pytest.approx(dt * min(max(0.9 * r ** -0.25, 0.2), 2.0),
+                                        rel=1e-13)
+
+
+def test_a_zero_error_ratio_doubles_the_step(monkeypatch):
+    traj, _ = _flow_with_ratios(monkeypatch, ratio_of=lambda r: 0.0)
+    assert traj.status != "halted" and traj.stats["rejects"] == {}
+    assert traj.stats["dt_bound"]["error"] >= 3
+    dts = traj.dts[1:]
+    assert dts[1] == 2.0 * dts[0] and dts[2] == 2.0 * dts[1]
 
 
 def test_timeseries_csv_roundtrip(tmp_path, decay_traj):
@@ -543,11 +578,11 @@ def test_pinned_mode_three_flow():
     # of error-controlled steps
     traj = run_flow(build_star_domain("fourier(1;3:0.1)", 32), 1.0, t_end=20.0)
     assert traj.status == "stationary"
-    assert len(traj.times) - 1 == 8
-    pinned = {"solves": 33, "stage_solves": 24, "ball_evals": 13,
-              "dt_bound": {"error": 8}, "rejects": {}}
+    assert len(traj.times) - 1 == 7
+    pinned = {"solves": 29, "stage_solves": 21, "ball_evals": 11,
+              "dt_bound": {"error": 7}, "rejects": {}}
     assert {k: traj.stats[k] for k in pinned} == pinned
-    assert abs(fit_decay_rate(traj).rate / 3.813089996673744 - 1.0) < 1e-10
+    assert abs(fit_decay_rate(traj).rate / 3.795921530327308 - 1.0) < 1e-10
     assert abs(traj.lambdas[-1] - 1.845270148644029) < 1e-13
 
 
@@ -555,11 +590,11 @@ def test_pinned_mode_three_flow_at_m64():
     # the benchmark's heavy flow start: M = 64, where the LU path runs too
     traj = run_flow(build_star_domain("fourier(1;3:0.1)", 64), 1.0, t_end=20.0)
     assert traj.status == "stationary"
-    assert len(traj.times) - 1 == 8
-    pinned = {"solves": 33, "stage_solves": 24, "ball_evals": 9,
-              "dt_bound": {"error": 8}, "rejects": {}}
+    assert len(traj.times) - 1 == 7
+    pinned = {"solves": 29, "stage_solves": 21, "ball_evals": 8,
+              "dt_bound": {"error": 7}, "rejects": {}}
     assert {k: traj.stats[k] for k in pinned} == pinned
-    assert abs(fit_decay_rate(traj).rate / 3.813092833910159 - 1.0) < 1e-10
+    assert abs(fit_decay_rate(traj).rate / 3.795921544828902 - 1.0) < 1e-10
     assert abs(traj.lambdas[-1] - 1.845270148644029) < 1e-13
 
 

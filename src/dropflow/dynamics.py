@@ -441,10 +441,7 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
     t, rejects = 0.0, 0
     dt_error = _FIRST_DT / max(_damping_rates(sol, law, domain.m)[2], 1e-300)
     shrink, grow = _STEP_FACTOR
-    while t < t_end * (1.0 - 1e-12):
-        if state.max_vn < tol_stationary:
-            status = "stationary"
-            break
+    while not state.max_vn < tol_stationary and t < t_end * (1.0 - 1e-12):
         caps = {"error": dt_error, "dt_max": dt_max, "t_end": t_end - t}
         bound = min(caps, key=caps.get)
         dt_try = caps[bound]
@@ -501,6 +498,8 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
             states.append(state)
         if status == "halted":
             break
+    if status == "t_end" and state.max_vn < tol_stationary:
+        status = "stationary"   # also when the step that got there ended at t_end
     if states[-1] is not state:
         states.append(state)
     return Trajectory(

@@ -45,9 +45,11 @@ not touch fresh pages; no result points into them.  Below _KRYLOV_M nodes
 the system is factored by LU, calling LAPACK's dgetrf, dgecon and dgetrs
 directly (this module's lu_factor and lu_solve; scipy's functions of those
 names reach the same routines through Python wrappers that cost more than a
-small factorization), from _KRYLOV_M
-up it is solved by GMRES, whose iteration count the second-kind system
-keeps independent of M, so the solve costs O(M^2) there.
+small factorization; `_lapack` loads the routines from scipy's compiled
+_flapack extension, because importing scipy.linalg cost each process more
+set-up time than a whole small flow), from _KRYLOV_M up it is solved by
+GMRES, whose iteration count the second-kind system keeps independent of
+M, so the solve costs O(M^2) there.
 The barycentric sums to interior targets run through the same blocks, so
 their memory does not grow with M or with the number of targets, and a
 target's values depend only on the target and the solution, not on the
@@ -55,15 +57,51 @@ other targets of the call.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 import threading
 
 import numpy as np
-from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dlange
 
 from . import spectral
 from .errors import EvaluationError, SolverError
 from .geometry import _BLOCK_ENTRIES, interior_quadrature
+
+
+def _lapack():
+    """(dgetrf, dgetrs, dgecon, dlange) from scipy's compiled LAPACK
+    extension, scipy/linalg/_flapack, loaded from its file.
+
+    Loading the file runs neither scipy's nor scipy.linalg's package
+    __init__.  `import scipy.linalg` pulls in scipy._lib, array_api_compat
+    and numpy.f2py: it took 0.17-0.18 s and 24 MB of each process's set-up
+    (`import dropflow, dropflow.cli` 0.30-0.36 s and 56.6 MB peak RSS, now
+    0.11-0.14 s and 32.7 MB, numpy's 0.06 s included; 2-vCPU Xeon, scipy
+    1.17.1), where the extension alone loads in 3-5 ms.  The routines are
+    the objects scipy.linalg.lapack exports, so results are bit-identical.
+    Where the file is missing or does not load, they come from
+    scipy.linalg.lapack.
+    """
+    scipy = importlib.util.find_spec("scipy")   # imports nothing
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES if scipy else ():
+        path = os.path.join(scipy.submodule_search_locations[0], "linalg",
+                            "_flapack" + suffix)
+        if not os.path.isfile(path):
+            continue
+        spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+        try:
+            flapack = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(flapack)
+        except ImportError:
+            break
+        return flapack.dgetrf, flapack.dgetrs, flapack.dgecon, flapack.dlange
+    from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dlange
+    return dgetrf, dgetrs, dgecon, dlange
+
+
+dgetrf, dgetrs, dgecon, dlange = _lapack()
 
 _COND_LIMIT = 1e8   # largest accepted condition estimate of the boundary system
 
@@ -391,8 +429,11 @@ def lu_factor(a):
     """(lu, piv): LAPACK's dgetrf of the Fortran-ordered square `a`, in place.
 
     scipy.linalg.lu_factor without its Python wrappers, which cost more
-    than a small factorization.  An exactly zero pivot is a SolverError
-    with condition_estimate inf, where scipy only warns.
+    than a small factorization, and without importing scipy.linalg: dgetrf
+    comes from scipy's compiled _flapack extension, loaded from its file
+    (`_lapack`), and is the object scipy.linalg.lapack exports.  An exactly
+    zero pivot is a SolverError with condition_estimate inf, where scipy
+    only warns.
     """
     lu, piv, info = dgetrf(a, overwrite_a=1)
     if info < 0:

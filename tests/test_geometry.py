@@ -154,13 +154,16 @@ def test_contains_inside_and_outside():
 
 def test_import_leaves_scipy_spatial_out():
     # membership needs no spatial index, so the package must not pull in
-    # scipy.spatial (and the scipy.sparse and scipy.special behind it)
+    # scipy.spatial (and the scipy.sparse and scipy.special behind it); the
+    # LAPACK routines come from scipy's compiled extension, so neither
+    # scipy.linalg's package nor the numpy.f2py it imports is loaded either
     src = str(pathlib.Path(dropflow.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, dropflow, dropflow.cli; print('scipy.spatial' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=path), check=True)
-    assert out.stdout.strip() == "False"
+    for module in ("scipy.spatial", "scipy.linalg", "numpy.f2py"):
+        code = f"import sys, dropflow, dropflow.cli; print({module!r} in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=path), check=True)
+        assert out.stdout.strip() == "False", module
 
 
 @settings(max_examples=40, deadline=None)

@@ -533,6 +533,62 @@ def test_zero_pivot_is_a_solver_error(monkeypatch):
     assert exc.value.condition_estimate == np.inf
 
 
+def _lapack_systems():
+    """(A^T in Fortran order, right-hand side): two small systems and the
+    transposed boundary system that `solve_torsion` factors at M = 64."""
+    rng = np.random.default_rng(29)
+    yield pytest.param(np.asfortranarray(rng.standard_normal((5, 5))),
+                       rng.standard_normal(5), id="random-5")
+    i = np.arange(8.0)
+    yield pytest.param(np.asfortranarray(1.0 / (i[:, None] + i + 1.0)), np.ones(8),
+                       id="hilbert-8")
+    d, seen = build_star_domain("fourier(1;3:0.1)", 64), []
+    with pytest.MonkeyPatch.context() as mp:
+        factor = torsion.lu_factor
+        mp.setattr(torsion, "lu_factor", lambda a: (seen.append(a.copy(order="F")), factor(a))[1])
+        solve_torsion(d, 1.0)
+    yield pytest.param(seen[0], np.abs(d.z - d.zc) ** 2 / 4.0, id="boundary-64")
+
+
+def _same(got, want):
+    """Equal LAPACK outputs: each array of the two tuples, bit for bit."""
+    return len(got) == len(want) and all(map(np.array_equal, got, want))
+
+
+@pytest.mark.parametrize("a, b", _lapack_systems())
+def test_lapack_routines_match_scipy_linalg_lapack(a, b):
+    # the routines loaded from scipy's compiled extension give the outputs
+    # of scipy.linalg.lapack's
+    from scipy.linalg import lapack
+    factors = torsion.dgetrf(a.copy(order="F"))
+    assert _same(factors, lapack.dgetrf(a.copy(order="F"))) and factors[2] == 0
+    lu, piv, _ = factors
+    for norm in ("I", "1"):
+        anorm = torsion.dlange(norm, a)
+        assert np.array_equal(anorm, lapack.dlange(norm, a))
+        assert _same(torsion.dgecon(lu, anorm, norm=norm), lapack.dgecon(lu, anorm, norm=norm))
+    for trans in (0, 1):
+        assert _same(torsion.dgetrs(lu, piv, b, trans=trans),
+                     lapack.dgetrs(lu, piv, b, trans=trans))
+
+
+@pytest.mark.parametrize("fail", ["no file", "load error"])
+def test_lapack_falls_back_to_scipy_linalg_lapack(fail, monkeypatch):
+    # with the extension's file not found, or failing to load, the routines
+    # come from scipy.linalg.lapack
+    import importlib.machinery
+    import importlib.util
+
+    from scipy.linalg import lapack
+    if fail == "no file":
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    else:
+        def broken(spec):
+            raise ImportError(f"cannot load {spec.origin}")
+        monkeypatch.setattr(importlib.util, "module_from_spec", broken)
+    assert torsion._lapack() == (lapack.dgetrf, lapack.dgetrs, lapack.dgecon, lapack.dlange)
+
+
 @pytest.mark.parametrize("m", [256, 1024])
 @pytest.mark.parametrize("shape", STANDARD_SHAPES)
 def test_krylov_solve_matches_a_dense_solve(shape, m, monkeypatch):

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import spectral
 from .errors import FlowHalt, ShapeError, SolverError
-from .geometry import StarDomain, asymmetry_to_ball
+from .geometry import StarDomain, _asymmetries
 from .stability import ball_closed_forms, serrin_deficit, total_energy
 from .torsion import solve_torsion
 
@@ -208,17 +208,26 @@ class _DenseStep:
         k1, km, k5 = stages["k1"], stages["k23"], stages["k5"]
         self.t0, self.center = t0, stages["center"]
         self.ref, self.delta, self.sigma = stages["ref"], stages["delta"], stages["sigma"]
-        self.quad = (k1, (4.0 * km - 3.0 * k1 - k5) / h, 2.0 * (k1 - 2.0 * km + k5) / h**2)
+        # N(s) = n0 + a s + b s^2
+        self.n0, self.a = k1, (4.0 * km - 3.0 * k1 - k5) / h
+        self.b = 2.0 * (k1 - 2.0 * km + k5) / h**2
 
     def domain(self, t):
-        tau = t - self.t0
-        z = -self.sigma * tau
-        p1, p2, p3 = _phi(z)
-        n0, a, b = self.quad
-        modes = (self.ref + np.exp(z) * self.delta
-                 + tau * (p1 * n0 + tau * (p2 * a + 2.0 * tau * p3 * b)))
-        modes[-1] = 0.0
-        return StarDomain(self.center, modes=modes)
+        return StarDomain(self.center, modes=_dense_modes([self], [t])[0])
+
+
+def _dense_modes(steps, times):
+    """The radius modes of the dense output of steps[i] at times[i], one
+    row each, from one stacked expression (one `_phi` call)."""
+    def rows(name):
+        return np.array([getattr(step, name) for step in steps])
+    tau = (np.asarray(times, dtype=float) - rows("t0"))[:, None]
+    z = -rows("sigma") * tau
+    p1, p2, p3 = _phi(z)
+    modes = (rows("ref") + np.exp(z) * rows("delta")
+             + tau * (p1 * rows("n0") + tau * (p2 * rows("a") + 2.0 * tau * p3 * rows("b"))))
+    modes[:, -1] = 0.0
+    return modes
 
 
 def save_timeseries_csv(traj, path):
@@ -368,23 +377,25 @@ def _error_ratio(stages, domain, sol, law):
     return float(err / (10.0 * _ERROR_TOL * change))
 
 
-def _diagnose(t, domain, sol, law, r_star, asym_center, stats):
+def _diagnose(t, domain, sol, law, stats):
+    """The accepted state at t; its asymmetry (NaN here) is searched with
+    all the others' at the end of the run."""
     bg = sol.boundary_grad
     vn = law(bg)
     dissipation = float(np.sum((1.0 - bg**2) * vn * domain.arc_weights))
     tail = spectral.mode_tail_fraction(np.fft.rfft(bg))
     stats["grad_tail_max"] = max(stats.get("grad_tail_max", tail), tail)
-    asym, center = asymmetry_to_ball(domain, r_star, center0=asym_center, stats=stats)
     return FlowState(
         t=t, domain=domain, solution=sol, energy=total_energy(sol),
-        deficit=serrin_deficit(sol), asymmetry=asym,
-        max_vn=float(np.abs(vn).max()), dissipation=dissipation), center
+        deficit=serrin_deficit(sol), asymmetry=math.nan,
+        max_vn=float(np.abs(vn).max()), dissipation=dissipation)
 
 
 def _row(state, dt):
-    """The dense diagnostics of one accepted state, in Trajectory's order."""
+    """The dense diagnostics of one accepted state, in Trajectory's order,
+    without the asymmetry; the domain's modes and center, for its search."""
     return (state.t, state.energy, state.solution.lambda_, state.deficit,
-            state.asymmetry, state.max_vn, dt, state.dissipation)
+            state.max_vn, dt, state.dissipation, state.domain.modes, state.domain.center)
 
 
 def _energy_halt_reason(*sols):
@@ -421,12 +432,17 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
     The run ends at t_end, at stationarity (max |V| below tol_stationary),
     or with a halted trajectory recording the reason (41 rejects in a row,
     say); a failed recentering halts after keeping the accepted step it
-    followed.  `Trajectory.stats` counts the solves (all of them) and stage
-    solves, the attempted and accepted steps, rejects by reason, recenters,
-    the ball-overlap evaluations of the asymmetry searches ("ball_evals"),
-    and per attempted step the bound that set dt, the condition-estimate
-    range of all solves ("cond_min", "cond_max") and the largest top-third
-    |Du| tail of the accepted states ("grad_tail_max").
+    followed.  The run keeps the radius modes and center of every accepted
+    state, and before it returns, on every exit, it searches their
+    asymmetries in one batch, each from the state's barycenter (the search
+    of `asymmetry_to_ball`, with the same result for each state).
+    `Trajectory.stats` counts the solves (all of them) and stage solves,
+    the attempted and accepted steps, rejects by reason, recenters, the
+    ball-overlap evaluations of each state's asymmetry search
+    ("ball_evals"), and per attempted step the bound that set dt, the
+    condition-estimate range of all solves ("cond_min", "cond_max") and
+    the largest top-third |Du| tail of the accepted states
+    ("grad_tail_max").
     """
     law = quadratic_law() if law is None else law
     b = ball_closed_forms(2, vol)
@@ -434,9 +450,9 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
                      accepted_steps=0, recenters=0, ball_evals=0)
     sol = _solve(domain, vol, counts)
     reject_reasons, dt_bound = Counter(), Counter()
-    state, asym_center = _diagnose(0.0, domain, sol, law, b.r_star,
-                                   domain.barycenter, counts)
+    state = _diagnose(0.0, domain, sol, law, counts)
     rows, states, dense = [_row(state, 0.0)], [state], []
+    snaps = [0]     # the row of each kept state
     status, halt_reason = "t_end", None
     t, rejects = 0.0, 0
     dt_error = _FIRST_DT / max(_damping_rates(sol, law, domain.m)[2], 1e-300)
@@ -490,20 +506,25 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
             except (ShapeError, SolverError) as exc:
                 # keep the accepted, un-recentered state and stop here
                 status, halt_reason = "halted", f"recenter_failed: {exc}"
-        state, asym_center = _diagnose(t, domain, sol, law, b.r_star, asym_center,
-                                       counts)
+        state = _diagnose(t, domain, sol, law, counts)
         counts["accepted_steps"] += 1
         rows.append(_row(state, dt_try))
         if counts["accepted_steps"] % snapshot_stride == 0:
             states.append(state)
+            snaps.append(len(rows) - 1)
         if status == "halted":
             break
     if status == "t_end" and state.max_vn < tol_stationary:
         status = "stationary"   # also when the step that got there ended at t_end
     if states[-1] is not state:
         states.append(state)
+        snaps.append(len(rows) - 1)
+    *cols, modes, centers = map(np.array, zip(*rows))
+    asym = _asymmetries(modes, centers, b.r_star, None, counts)[0]
+    for i, kept in zip(snaps, states):
+        kept.asymmetry = float(asym[i])
     return Trajectory(
-        *map(np.array, zip(*rows)), states=states, status=status,
+        *cols[:4], asym, *cols[4:], states=states, status=status,
         halt_reason=halt_reason, vol=vol,
         stats=dict(counts, rejects=dict(reject_reasons), dt_bound=dict(dt_bound)),
         dense=dense)
@@ -570,7 +591,10 @@ def fit_decay_rate(traj):
 
     The samples are the accepted states and, for each accepted interval
     whose end asymmetries reach into the window, the asymmetry of the dense
-    output at its midpoint (`Trajectory.domain_at`; a search, no solve).
+    output at its midpoint: all midpoints' radius modes come from one
+    stacked dense-output expression, and their asymmetries from one batch
+    of searches, each from the midpoint domain's barycenter, with no solve
+    and no `StarDomain` built.
     Each sample is weighted by the time it stands for (its trapezoid
     weight), so the fit, and its R^2, are taken over the window's time
     span and do not depend on where the steps fall.  Returns a no-signal
@@ -579,12 +603,14 @@ def fit_decay_rate(traj):
     """
     lo, hi = _FIT_WINDOW
     tt, a = traj.times, traj.asymmetries
-    mid_t, mid_a = [], []
-    r_star = ball_closed_forms(2, traj.vol).r_star
-    for i, step in enumerate(traj.dense):
-        if max(a[i], a[i + 1]) >= lo and min(a[i], a[i + 1]) <= hi:
-            mid_t.append(0.5 * (tt[i] + tt[i + 1]))
-            mid_a.append(asymmetry_to_ball(step.domain(mid_t[-1]), r_star)[0])
+    k = len(traj.dense)     # the intervals with a dense output
+    i = np.flatnonzero((np.maximum(a[:k], a[1:k + 1]) >= lo)
+                       & (np.minimum(a[:k], a[1:k + 1]) <= hi))
+    mid_t, mid_a = 0.5 * (tt[i] + tt[i + 1]), []
+    if i.size:
+        steps = [traj.dense[k] for k in i]
+        mid_a = _asymmetries(_dense_modes(steps, mid_t), [step.center for step in steps],
+                             ball_closed_forms(2, traj.vol).r_star, None, None)[0]
     tt = np.concatenate([tt, mid_t])
     a = np.concatenate([a, mid_a])
     order = np.argsort(tt)

@@ -22,9 +22,11 @@ is exact: the curve's crossings with the circle split the boundary of the
 intersection into curve arcs, whose area comes from the Fourier
 coefficients of r^2, and circle arcs; its gradient and Hessian in the ball
 center come in closed form from the same crossings, and the asymmetry
-search is Newton's method on them.  The reflection radius is the largest
-midpoint of a node and the first exit of its ray back along a sampled
-direction, the exits found on the 8M cloud and refined on the curve.
+search is Newton's method on them, run on a stack of same-M domains (one
+row each) so that a flow's or a sweep's searches share every numpy call.
+The reflection radius is the largest midpoint of a node and the first exit
+of its ray back along a sampled direction, the exits found on the 8M cloud
+and refined on the curve.
 """
 from __future__ import annotations
 
@@ -123,6 +125,53 @@ def _shape_radii(shape, theta):
 # the domain type
 # ----------------------------------------------------------------------------
 
+# Functions of the radius modes, along their last axis, shared by a domain
+# and the stacks of domains that the asymmetry search reads (`_Stack`).
+
+def _parseval_area(modes):
+    """(1/2) int r^2 dtheta by Parseval, the Nyquist mode a cosine."""
+    m = 2 * np.shape(modes)[-1] - 2
+    p = modes.real**2 + modes.imag**2
+    return np.pi * (p[..., 0] + 2.0 * p[..., 1:-1].sum(axis=-1) + 0.5 * p[..., -1]) / m**2
+
+
+def _radius_poly(modes):
+    """Coefficients c_k, k = 0..M/2, of r(theta) = Re sum_k c_k e^{i k theta}."""
+    m = 2 * np.shape(modes)[-1] - 2
+    c = modes * (2.0 / m)
+    c[..., 0] *= 0.5
+    c[..., -1] = 0.5 * c[..., -1].real
+    return c
+
+
+def _horner(c, u):
+    """Re sum_k c_k u^k by Horner's rule, so no trigonometric function is
+    taken: one polynomial (c of shape (M/2 + 1,)) at every u, or one per
+    u (c of shape u.shape + (M/2 + 1,))."""
+    p = np.zeros_like(u) + c[..., -1]
+    for k in range(c.shape[-1] - 2, -1, -1):
+        p *= u
+        p += c[..., k]
+    return p.real
+
+
+def _ray(c, rel):
+    """(|rel|, r): r is the radius interpolant of the coefficients c
+    (`_horner`) in the direction u = rel/|rel| of a point rel from the star
+    center; the center itself takes u = 1 (angle 0)."""
+    rho = np.abs(rel)
+    u = np.divide(rel, rho, out=np.ones_like(rel), where=(rho > 0.0) & (rho < np.inf))
+    return rho, _horner(c, u)
+
+
+def _moment_center(rel, center, area):
+    """Barycenter from the curve's dense cloud about the star center, rel
+    (..., n): the first moment (1/3) oint r^3 e^{i psi} dpsi, with
+    r^3 e^{i psi} = |g|^2 g."""
+    mom = np.sum(np.abs(rel) ** 2 * rel, axis=-1) * (2.0 * np.pi / (3.0 * rel.shape[-1]))
+    return center + np.asarray(mom)[..., None].view(float) / np.asarray(area)[..., None]
+
+
 class StarDomain:
     """Star-shaped domain from uniform-angle radius samples or their modes.
 
@@ -175,9 +224,7 @@ class StarDomain:
         self.curvature = -(np.conj(zpp) * self.normal_c).real / self.speed**2
         self.arc_weights = (2.0 * np.pi / m) * self.speed
 
-        # Parseval: (1/2) int r^2 dtheta, the Nyquist mode a cosine
-        p = modes.real**2 + modes.imag**2
-        self.area = float(np.pi * (p[0] + 2.0 * p[1:-1].sum() + 0.5 * p[-1]) / m**2)
+        self.area = float(_parseval_area(modes))
         self._refined = {}
 
     theta = cached_property(lambda self: spectral.angle_grid(self.m))
@@ -200,10 +247,7 @@ class StarDomain:
 
     @cached_property
     def barycenter(self):
-        # first moment (1/3) oint r^3 e^{i psi} dpsi, with r^3 e^{i psi} = |g|^2 g
-        g = self.dense_boundary(4) - self.zc
-        mom = np.sum(np.abs(g) ** 2 * g) * (2.0 * np.pi / (3.0 * g.size))
-        return self.center + np.array([mom.real, mom.imag]) / self.area
+        return _moment_center(self.dense_boundary(4) - self.zc, self.center, self.area)
 
     # -- curve evaluation at arbitrary parameter angles ----------------------
 
@@ -218,31 +262,12 @@ class StarDomain:
         r, rp, rpp = self._radius_jet(u)
         return self.zc + r * u, (rp + 1j * r) * u, (rpp + 2j * rp - r) * u
 
-    @cached_property
-    def _radius_poly(self):
-        """Coefficients c_k, k = 0..M/2, of r(theta) = Re sum_k c_k e^{i k theta}."""
-        c = self.modes * (2.0 / self.m)
-        c[0] *= 0.5
-        c[-1] = 0.5 * c[-1].real
-        return c
+    _radius_poly = cached_property(lambda self: _radius_poly(self.modes))
 
     @cached_property
     def _jet_poly(self):
         """r, r' and r'' as Re sum_k row_k u^k (rows of `spectral.jet_modes`)."""
         return spectral.jet_modes(self._radius_poly, 2)
-
-    @cached_property
-    def _sector_poly(self):
-        """(a_0, b_k for k = 0..M): the integral of r^2/2 from 0 to theta is
-        a_0 theta + Re sum_k b_k u^k up to a constant (b_0 = 0).
-
-        r^2 is a trigonometric polynomial of degree M, so one rfft of its
-        samples on the 4M grid gives its coefficients exactly.
-        """
-        a = np.fft.rfft(0.5 * self.refined_radii(4) ** 2)[: self.m + 1] * (0.5 / self.m)
-        b = np.zeros_like(a)
-        b[1:] = a[1:] / (1j * np.arange(1, self.m + 1))
-        return 0.5 * a[0].real, b
 
     def _radius_jet(self, u, order=2):
         """r, ..., r^(order) in the directions u = e^{i theta}, one row each.
@@ -255,28 +280,12 @@ class StarDomain:
 
     # -- membership ----------------------------------------------------------
 
-    def _radius_toward(self, u):
-        """r in the directions of unit complex numbers u, as Re P(u).
-
-        P(u) = sum_k c_k u^k is evaluated by Horner's rule, so no
-        trigonometric function is taken.
-        """
-        c = self._radius_poly
-        p = np.full_like(u, c[-1])
-        for ck in c[-2::-1]:
-            p *= u
-            p += ck
-        return p.real
-
     def _ray(self, pts):
         """(|x - center|, r) for (n, 2) points: r is the radius interpolant in
-        the point's direction u = (x - center)/|x - center|, from the Horner
-        form of `_radius_toward`; the center itself takes u = 1 (angle 0)."""
+        the point's direction, from `_ray`."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         rel = np.ascontiguousarray(pts - self.center).view(complex)[:, 0]
-        rho = np.abs(rel)
-        u = np.divide(rel, rho, out=np.ones_like(rel), where=(rho > 0.0) & (rho < np.inf))
-        return rho, self._radius_toward(u)
+        return _ray(self._radius_poly, rel)
 
     def contains(self, pts, tol=1e-10):
         """Point-in-domain test |x - center| <= r + tol, r from `_ray`.
@@ -384,6 +393,14 @@ def ray_radii(d, p, psi):
 # ball-comparison metrics
 # ----------------------------------------------------------------------------
 
+# A working block, a Cauchy kernel block of `torsion`, a block of rotated
+# cloud points here or the 4M clouds of a block of domains in the asymmetry
+# search, holds about 2**16 complex entries (1 MB, half of one core's 2 MB
+# L2 cache on the Xeon it was timed on), so it stays cache-resident from
+# the subtraction through the division to the product.  Budgets of 2**15
+# to 2**20 entries timed within noise of each other at M = 128, 512 and
+# 1024.
+_BLOCK_ENTRIES = 2**16
 _NEWTON_STEP_TOL = 1e-10    # stop at a step this short, in units of the radius
 _NEWTON_GAIN_TOL = 1e-15    # or at a predicted gain this small, in ball areas
 _NEWTON_MAX_EVALS = 60
@@ -392,142 +409,239 @@ _TANGENCY_FLOOR = 1e-13     # least dip of |gamma - p|^2/radius^2 - 1 seeding a 
 
 
 def _newton_2d(evaluate, p0, step_tol, gain_tol, max_step):
-    """Minimize a smooth function of a point in the plane: Newton's method
-    with backtracking.
+    """Minimize smooth functions of a point in the plane, one per row of
+    p0 (D, 2): Newton's method with backtracking, each row on its own.
 
-    evaluate(p) returns (value, gradient, Hessian).  Where the Hessian is
-    not positive definite the step goes max_step down the gradient
-    instead, so a start outside the basin of the minimum still reaches it.
-    The search ends at a zero gradient with such a Hessian, when halving
-    the step finds no decrease before it falls below step_tol, or when the
-    Newton step is shorter than step_tol or predicts a decrease below
-    gain_tol.  That last step is too small to measure against rounding, so
-    it is taken on the quadratic model without another evaluation.
-    Returns (point, value, evaluations).
+    evaluate(p, rows) returns the values (k,), gradients (k, 2) and
+    Hessians (k, 2, 2) of the functions `rows` (indices into p0) at the
+    points p (k, 2); each round evaluates, in one call, every row that
+    needs a point.  Where a Hessian is not positive definite the step goes
+    max_step down the gradient instead, so a start outside the basin of
+    the minimum still reaches it.  A row's search ends at a zero gradient
+    with such a Hessian, when halving its step finds no decrease before it
+    falls below step_tol, or when its Newton step is shorter than step_tol
+    or predicts a decrease below gain_tol.  That last step is too small to
+    measure against rounding, so it is taken on the quadratic model
+    without another evaluation.  Returns (points, values, evaluations),
+    one row each.
     """
-    p = np.asarray(p0, dtype=float).copy()
-    val, g, h = evaluate(p)
-    n = 1
-    while n < _NEWTON_MAX_EVALS:
-        det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
-        if h[0, 0] > 0.0 and det > 0.0:
-            step = np.array([h[0, 1] * g[1] - h[1, 1] * g[0],
-                             h[1, 0] * g[0] - h[0, 0] * g[1]]) / det
-            gain = -0.5 * float(g @ step)
-            size = float(np.hypot(step[0], step[1]))
-            if size <= step_tol or gain <= gain_tol:
-                return p + step, val - gain, n
-        else:
-            # no minimum in the quadratic model: steepest descent
-            gnorm = float(np.hypot(g[0], g[1]))
-            if gnorm == 0.0:
-                break
-            step, size = -g * (max_step / gnorm), max_step
-        t = 1.0
-        while True:
-            trial = evaluate(p + t * step)
-            n += 1
-            if trial[0] < val:
-                p = p + t * step
-                val, g, h = trial
-                break
-            t *= 0.5
-            if t * size <= step_tol or n >= _NEWTON_MAX_EVALS:
-                return p, val, n
-    return p, val, n
+    p = np.array(p0, dtype=float).reshape(-1, 2)
+    turn = np.arange(p.shape[0])            # rows whose last point was kept
+    val, g, h = evaluate(p, turn)
+    n = np.ones(p.shape[0], dtype=int)
+    step, size, t = np.zeros_like(p), np.zeros_like(val), np.ones_like(val)
+    trying = np.zeros(p.shape[0], dtype=bool)   # rows with a step to try
+    while True:
+        i = turn[n[turn] < _NEWTON_MAX_EVALS]
+        gi, hi = g[i], h[i]
+        (h00, h01), (h10, h11) = hi[:, 0].T, hi[:, 1].T
+        det = h00 * h11 - h01 * h10
+        newton = (h00 > 0.0) & (det > 0.0)
+        gnorm = np.hypot(gi[:, 0], gi[:, 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            si = np.where(newton[:, None],
+                          np.stack((h01 * gi[:, 1] - h11 * gi[:, 0],
+                                    h10 * gi[:, 0] - h00 * gi[:, 1]), axis=-1) / det[:, None],
+                          # no minimum in the quadratic model: steepest descent
+                          gi * (-max_step / gnorm[:, None]))
+        gain = -0.5 * (gi[:, 0] * si[:, 0] + gi[:, 1] * si[:, 1])
+        step[i], t[i] = si, 1.0
+        size[i] = np.where(newton, np.hypot(si[:, 0], si[:, 1]), max_step)
+        last = newton & ((size[i] <= step_tol) | (gain <= gain_tol))
+        p[i[last]] += si[last]
+        val[i[last]] -= gain[last]
+        trying[i[~last & (newton | (gnorm != 0.0))]] = True
+        live = np.flatnonzero(trying)
+        if live.size == 0:
+            return p, val, n
+        trial = evaluate(p[live] + t[live, None] * step[live], live)
+        n[live] += 1
+        better = trial[0] < val[live]
+        turn = live[better]
+        p[turn] += t[turn, None] * step[turn]
+        val[turn], g[turn], h[turn] = (part[better] for part in trial)
+        trying[turn] = False
+        j = live[~better]
+        t[j] *= 0.5
+        trying[j[(t[j] * size[j] <= step_tol) | (n[j] >= _NEWTON_MAX_EVALS)]] = False
 
 
-def _circle_f(d, pc, radius, th):
-    """f = |gamma - pc|^2 - radius^2 and its first two theta-derivatives."""
-    g, gp, gpp = d.curve_jet(th)
-    w = g - pc
-    f = w.real**2 + w.imag**2 - radius**2
-    fp = 2.0 * (np.conj(w) * gp).real
-    fpp = 2.0 * (gp.real**2 + gp.imag**2 + (np.conj(w) * gpp).real)
+class _Stack:
+    """Same-M domains as arrays, one row each, built from their radius
+    modes (D, M/2 + 1) and star centers (D, 2): what the ball overlap reads.
+
+    Per row: the center zc, the radius coefficients (`poly`, see
+    `_radius_poly`) with the rows of r, r' and r'' (`jet`, D x 3 x
+    (M/2 + 1)), the 4M cloud, the area and the barycenter, each from the
+    same function as a domain's, and the sector polynomial (a0, b): the
+    integral of r^2/2 from 0 to theta is a0 theta + Re sum_k b_k u^k,
+    k = 0..M, up to a constant (b_0 = 0).  r^2 is a trigonometric
+    polynomial of degree M, so one rfft of its samples on the 4M grid gives
+    its coefficients exactly.
+    """
+
+    def __init__(self, modes, centers):
+        modes = np.array(modes, dtype=complex)
+        modes[:, 0] = modes[:, 0].real
+        modes[:, -1] = modes[:, -1].real
+        self.m = m = 2 * modes.shape[1] - 2
+        self.center = np.asarray(centers, dtype=float)
+        self.zc = self.center[:, 0] + 1j * self.center[:, 1]
+        self.poly = _radius_poly(modes)
+        self.jet = np.ascontiguousarray(spectral.jet_modes(self.poly, 2).transpose(1, 0, 2))
+        r = spectral.jet(modes, 4 * m, 0)[0]
+        self.cloud = self.zc[:, None] + r * spectral.unit_circle(4 * m)
+        a = np.fft.rfft(0.5 * r**2)[:, : m + 1] * (0.5 / m)
+        self.a0 = 0.5 * a[:, 0].real
+        self.b = np.zeros_like(a)
+        self.b[:, 1:] = a[:, 1:] / (1j * np.arange(1, m + 1))
+        self.area = _parseval_area(modes)
+        self.barycenter = _moment_center(self.cloud - self.zc[:, None], self.center,
+                                         self.area)
+
+
+def _powers(u, n):
+    """u^k, k = 0..n-1, one row per u, by cumulative products (as `np.vander`)."""
+    p = np.empty((u.size, n), dtype=complex)
+    p[:, 0] = 1.0
+    p[:, 1:] = u[:, None]
+    return np.multiply.accumulate(p, axis=1, out=p)
+
+
+def _circle_f(coef, zp, radius, th):
+    """f = |gamma - p|^2 - radius^2 and its first two theta-derivatives at
+    angles th, one each on the curves whose rows of r, r', r'' are coef
+    (n, 3, M/2 + 1) and whose star centers lie at zp from the disks'.
+
+    In the frame of the ray, v = conj(u) (gamma - p) = conj(u) zp + r with
+    u = e^{i theta}, gamma' = (r' + i r) u and gamma'' = (r'' - r + 2i r') u,
+    so f = |v|^2 - radius^2, f' = 2 (Re v r' + Im v r) and
+    f'' = 2 (r'^2 + r^2 + Re v (r'' - r) + 2 Im v r').
+    """
+    u = np.exp(1j * th)
+    r, rp, rpp = (_powers(u, coef.shape[2])[:, None] * coef).sum(-1).real.T
+    v = np.conj(u) * zp
+    vr, vi = v.real + r, v.imag
+    f = vr * vr + vi * vi - radius**2
+    fp = 2.0 * (vr * rp + vi * r)
+    fpp = 2.0 * (rp * rp + r * r + vr * (rpp - r) + 2.0 * vi * rp)
     return f, fp, fpp
 
 
-def _circle_crossings(d, pc, radius):
-    """Parameter angles where the curve crosses the circle |z - pc| = radius.
+def _circle_crossings(st, rows, pc, radius):
+    """Parameter angles where the curves of stack rows `rows` cross the
+    circles |z - pc| = radius, one circle each.
 
     The crossings are the sign changes of f = |gamma - pc|^2 - radius^2 on
-    the 4M cloud, seeded by linear interpolation.  A pair closer than one
-    grid interval (a near-tangency) shows as a node triple whose parabola
-    dips to zero; Newton on f' finds its extremum, and where f changes sign
-    there by more than rounding (1e-13 radius^2; a shallower pair bounds a
-    sliver of area ~1e-20) the pair is seeded on either side.  Halley steps
-    (cubic convergence) refine them all; a step that leaves the crossing's
-    shrinking sign bracket, or stalls near a zero of f', is replaced by
-    bisection.  One step suffices, as good as two Newton steps, unless a
-    seed was off by more than 1 % of a grid interval, as on wiggly curves
-    at small M or near a tangency.  Returns the angles in increasing
-    order, whether the curve leaves the disk at each, and whether the
-    curve starts (theta = 0) inside it.
+    the 4M clouds, all rows in one scan, seeded by linear interpolation.  A
+    pair closer than one grid interval (a near-tangency) shows as a node
+    triple whose parabola dips to zero; Newton on f' finds its extremum,
+    and where f changes sign there by more than rounding (1e-13 radius^2;
+    a shallower pair bounds a sliver of area ~1e-20) the pair is seeded on
+    either side.  Halley steps (cubic convergence) refine them all; a step
+    that leaves the crossing's shrinking sign bracket, or stalls near a
+    zero of f', is replaced by bisection.  One step suffices, as good as
+    two Newton steps, unless a seed was off by more than 1 % of a grid
+    interval, as on wiggly curves at small M or near a tangency; a row's
+    crossings stop together, at the first step that suffices for all of
+    them.  Returns the angles, the position in `rows` of each one's curve,
+    in increasing (position, angle) order, whether the curve leaves the
+    disk there, and per row whether the curve starts (theta = 0) inside it.
     """
-    g = d.dense_boundary(4) - pc
+    k, n = rows.size, st.cloud.shape[1]
+    g = st.cloud[rows] - pc[:, None]
     f = g.real**2 + g.imag**2 - radius**2
-    h = 2.0 * np.pi / f.size
-    fe = np.concatenate((f[-1:], f, f[:1]))
-    fl, fr = fe[:-2], fe[2:]
-    j = np.flatnonzero((f < 0.0) != (fr < 0.0))
+    h = 2.0 * np.pi / n
+    fe = np.concatenate((f[:, -1:], f, f[:, :1]), axis=1)
+    fl, fr = fe[:, :-2], fe[:, 2:]
+    dom, j = np.divmod(np.flatnonzero((f < 0.0) != (fr < 0.0)), n)
     lo, hi = j * h, (j + 1) * h
-    th = lo + h * (f[j] / (f[j] - fr[j]))
-    exits = f[j] < 0.0
+    fj = f[dom, j]
+    th = lo + h * (fj / (fj - fr[dom, j]))
+    exits = fj < 0.0
     # near-tangencies: the parabola through three same-sign nodes has its
     # vertex within a step, bends toward zero and dips past zero there
     dd, sl = fr - 2.0 * f + fl, fr - fl
-    near = np.flatnonzero(np.abs(sl) < 2.0 * np.abs(dd))
-    fn, dn, sn = f[near], dd[near], sl[near]
-    near = near[(fn * dn > 0.0) & (8.0 * np.abs(fn * dn) - sn * sn < 8.0 * dn * dn)
-                & (fn * fl[near] > 0.0) & (fn * fr[near] > 0.0)]
-    if near.size:
-        tc = (near - 0.5 * sl[near] / dd[near]) * h
+    nd, near = np.divmod(np.flatnonzero(np.abs(sl) < 2.0 * np.abs(dd)), n)
+    fn, dn, sn = f[nd, near], dd[nd, near], sl[nd, near]
+    sel = ((fn * dn > 0.0) & (8.0 * np.abs(fn * dn) - sn * sn < 8.0 * dn * dn)
+           & (fn * fl[nd, near] > 0.0) & (fn * fr[nd, near] > 0.0))
+    if sel.any():
+        nd, near, fn = nd[sel], near[sel], fn[sel]
+        coef, zp = st.jet[rows[nd]], st.zc[rows[nd]] - pc[nd]
+        tc = (near - 0.5 * sn[sel] / dn[sel]) * h
         for _ in range(2):
-            _, fp, fpp = _circle_f(d, pc, radius, tc)
+            _, fp, fpp = _circle_f(coef, zp, radius, tc)
             step = np.divide(fp, fpp, out=np.zeros_like(fp), where=fpp != 0.0)
             tc = np.clip(tc - step, (near - 1) * h, (near + 1) * h)
-        fc, _, fpp = _circle_f(d, pc, radius, tc)
-        keep = ((fc * f[near] < 0.0) & (fpp * f[near] > 0.0)
-                & (np.abs(fc) > _TANGENCY_FLOOR * radius**2))
-        # neighbouring triples can find the same extremum: seed its pair once
+        fc, _, fpp = _circle_f(coef, zp, radius, tc)
+        keep = (fc * fn < 0.0) & (fpp * fn > 0.0) & (np.abs(fc) > _TANGENCY_FLOOR * radius**2)
+        # neighbouring triples can find the same extremum: seed its pair
+        # once, comparing each extremum with the next of its row and the
+        # row's last with its first
         kept = np.flatnonzero(keep)
-        t = np.append(tc[kept], tc[kept[:1]])
-        dup = np.abs(np.angle(np.exp(1j * np.diff(t)))) < 0.5 * h
-        keep[kept[1:][dup[:-1]]] = False
-        if kept.size > 2 and dup[-1]:
-            keep[kept[-1]] = False
+        first, last = _segments(nd[kept])
+        nxt = np.arange(1, kept.size + 1)
+        nxt[last] = first
+        dup = np.abs(np.angle(np.exp(1j * (tc[kept][nxt] - tc[kept])))) < 0.5 * h
+        wrap = dup[last] & (last - first >= 2)
+        dup[last] = False
+        drop = np.zeros_like(dup)
+        drop[1:] = dup[:-1]
+        drop[last] |= wrap
+        keep[kept[drop]] = False
         if keep.any():
-            near, tc, fin = near[keep], tc[keep], f[near[keep]] < 0.0
+            nd, near, tc, fin = nd[keep], near[keep], tc[keep], fn[keep] < 0.0
             half = np.sqrt(-2.0 * fc[keep] / fpp[keep])
-            th = np.concatenate((th, tc - half, tc + half))
-            lo = np.concatenate((lo, (near - 1) * h, tc))
-            hi = np.concatenate((hi, tc, (near + 1) * h))
-            exits = np.concatenate((exits, fin, ~fin))
-            order = np.argsort(th)
-            th, lo, hi, exits = th[order], lo[order], hi[order], exits[order]
+            parts = ((th, tc - half, tc + half), (dom, nd, nd), (lo, (near - 1) * h, tc),
+                     (hi, tc, (near + 1) * h), (exits, fin, ~fin))
+            th, dom, lo, hi, exits = map(np.concatenate, parts)
+            order = np.lexsort((th, dom))
+            th, dom, lo, hi, exits = th[order], dom[order], lo[order], hi[order], exits[order]
+    out, start_inside = th.copy(), f[:, 0] < 0.0
+    if th.size == 0:
+        return out, dom, exits, start_inside
+    at, d, ex = np.arange(th.size), dom, exits      # the crossings still refined
+    coef, zp = st.jet[rows[dom]], st.zc[rows[dom]] - pc[dom]
     for _ in range(_HALLEY_MAX_STEPS):
-        fv, fp, fpp = _circle_f(d, pc, radius, th)
+        fv, fp, fpp = _circle_f(coef, zp, radius, th)
         den = 2.0 * fp * fp - fv * fpp
         step = np.divide(2.0 * fv * fp, den, out=np.zeros_like(den), where=den != 0.0)
         new = th - step
         # Halley's step stalls where f' = 0 short of a root: trust it only
         # where it is at least half of Newton's step f/f'
         ok = 2.0 * np.abs(step * fp) >= np.abs(fv)
-        if (ok.all() and np.all((lo <= new) & (new <= hi))
-                and not np.abs(step).max(initial=0.0) > 1e-2 * h):
-            return new, exits, bool(f[0] < 0.0)
+        good = ok & (lo <= new) & (new <= hi) & ~(np.abs(step) > 1e-2 * h)
+        left = np.bincount(d, ~good, minlength=k)[d] != 0.0
+        out[at[~left]] = new[~left]
+        if not left.any():
+            break
         # f < 0 on the lo side exactly at an exit: shrink the brackets to th
         # and bisect where the step is not trusted or leaves them
-        below = (fv < 0.0) == exits
+        below = (fv < 0.0) == ex
         lo, hi = np.where(below, th, lo), np.where(below, hi, th)
         bad = ~(ok & (lo <= new) & (new <= hi))
         new[bad] = 0.5 * (lo[bad] + hi[bad])
-        th = new
-    return th, exits, bool(f[0] < 0.0)
+        at, th, d, lo, hi, ex, coef, zp = (
+            col[left] for col in (at, new, d, lo, hi, ex, coef, zp))
+    else:
+        out[at] = th
+    return out, dom, exits, start_inside
 
 
-def _ball_overlap_jet(d, p, radius):
-    """|domain  intersect  B_radius(p)| with its gradient and Hessian in p.
+def _segments(key):
+    """First and last index of each run of equal values in a sorted key."""
+    cut = np.empty(key.size + 1, dtype=bool)
+    cut[0] = cut[-1] = True
+    np.not_equal(key[1:], key[:-1], out=cut[1:-1])
+    edge = np.flatnonzero(cut)
+    return edge[:-1], edge[1:] - 1
+
+
+def _ball_overlap_jet(st, rows, p, radius):
+    """|domain  intersect  B_radius(p)| with its gradient and Hessian in p,
+    (k,), (k, 2) and (k, 2, 2), for the domains of stack rows `rows` and
+    the ball centers p (k, 2), one each.
 
     The boundary of the intersection is made of curve arcs inside the disk
     and circle arcs inside the domain, joined at the crossings theta_i.  By
@@ -540,38 +654,87 @@ def _ball_overlap_jet(d, p, radius):
     star-shaped about p.  Moving p moves the disk's edge, so the gradient
     is radius * int e^{i psi} dpsi over those arcs, i (sum over exits minus
     sum over entries of gamma_i); the Hessian follows from how each
-    crossing slides along the curve as p moves.
+    crossing slides along the curve as p moves.  A row's sums over its
+    crossings are one segment of `np.add.reduceat`, and its psi order one
+    segment of a `np.lexsort`.
     """
-    pc = p[0] + 1j * p[1]
-    th, exits, start_inside = _circle_crossings(d, pc, radius)
+    pc = p[:, 0] + 1j * p[:, 1]
+    th, dom, exits, start_inside = _circle_crossings(st, rows, pc, radius)
+    area = np.where(start_inside, st.area[rows], 0.0)
+    grad, hess = np.zeros((rows.size, 2)), np.zeros((rows.size, 2, 2))
+    first, last = _segments(dom)
+    i = dom[first]                      # the rows with crossings
+    # no crossing: the disk holds the curve, or lies inside or outside it
+    out = ~start_inside
+    out[i] = False
+    if out.any():
+        rho, r = _ray(st.poly[rows[out]], pc[out] - st.zc[rows[out]])
+        area[out] = np.where(rho <= r + 1e-10, np.pi * radius**2, 0.0)
     if th.size == 0:
-        if start_inside:
-            area = d.area
-        else:
-            area = np.pi * radius**2 if d.contains(np.asarray(p)[None, :])[0] else 0.0
-        return area, np.zeros(2), np.zeros((2, 2))
+        return area, grad, hess
+    rr = rows[dom]
     u = np.exp(1j * th)
-    powers = np.vander(u, d.m + 1, increasing=True)
-    r, rp = (powers[:, : d.m // 2 + 1] @ d._jet_poly[:2].T).real.T
-    w = d.zc + r * u - pc
+    powers = _powers(u, st.m + 1)
+    r, rp = (powers[:, None, : st.m // 2 + 1] * st.jet[rr, :2]).sum(-1).real.T
+    w = st.zc[rr] + r * u - pc[dom]
     gp = (rp + 1j * r) * u
     s = np.where(exits, 1.0, -1.0)
-    a0, b = d._sector_poly
-    sector = a0 * th + (powers @ b).real
-    sw = s @ w
-    curve = s @ sector + 0.5 * (np.conj(d.zc - pc) * sw).imag
-    if exits[0]:
-        curve += 2.0 * np.pi * a0           # the arc inside the disk wraps theta = 0
-    psi = np.angle(w)
-    order = np.argsort(psi, kind="stable")
-    psi = np.append(psi[order], psi[order[0]] + 2.0 * np.pi)
-    area = curve + 0.5 * radius**2 * np.diff(psi)[exits[order]].sum()
-    grad = 1j * sw
     dot = (np.conj(w) * gp).real
     q = np.divide(1j * s * gp, dot, out=np.zeros_like(gp), where=dot != 0.0)
-    hx, hy = q @ w.real, q @ w.imag
-    hess = np.array([[hx.real, hy.real], [hx.imag, hy.imag]])
-    return float(area), np.array([grad.real, grad.imag]), 0.5 * (hess + hess.T)
+    # the circle arc from each exit ends at the next crossing in psi
+    psi = np.angle(w)
+    order = np.lexsort((psi, dom))
+    psi = psi[order]
+    nxt = psi[np.append(np.arange(1, psi.size), 0)]
+    nxt[last] = psi[first] + 2.0 * np.pi
+    sector = s * (st.a0[rr] * th + (powers * st.b[rr]).sum(-1).real)
+    sw, sec, hx, hy = np.add.reduceat(np.array((
+        s * w, sector + 1j * np.where(exits[order], nxt - psi, 0.0),
+        q * w.real, q * w.imag)), first, axis=1)
+    curve = sec.real + 0.5 * (np.conj(st.zc[rows[i]] - pc[i]) * sw).imag
+    # the arc inside the disk wraps theta = 0
+    curve += np.where(exits[first], 2.0 * np.pi * st.a0[rows[i]], 0.0)
+    area[i] = curve + 0.5 * radius**2 * sec.imag
+    grad[i, 0], grad[i, 1] = -sw.imag, sw.real
+    # the symmetric part of [[Re hx, Re hy], [Im hx, Im hy]]
+    hess[i, 0, 0], hess[i, 1, 1] = hx.real, hy.imag
+    hess[i, 0, 1] = hess[i, 1, 0] = 0.5 * (hy.real + hx.imag)
+    return area, grad, hess
+
+
+def _asymmetries(modes, centers, radius, starts, stats):
+    """(asymmetries, centers, evaluations) of `asymmetry_to_ball` for the
+    same-M domains given by their radius modes (D, M/2 + 1) and star
+    centers (D, 2), searched together from `starts` (D, 2), or from their
+    barycenters where `starts` is None.
+
+    Each Newton round evaluates, in one pass, the overlap of every domain
+    that needs a point (`_newton_2d`), and a domain's result, its
+    evaluation count included, is the same bit for bit alone or in any
+    batch: every sum runs over one domain's row or segment.  The domains
+    go in blocks of about _BLOCK_ENTRIES cloud points.  `stats`, a dict or
+    None, counts the evaluations of every domain under "ball_evals".
+    """
+    modes, centers = np.asarray(modes), np.asarray(centers, dtype=float)
+    ball_area = np.pi * radius**2
+    asym, found = np.empty(len(modes)), np.empty((len(modes), 2))
+    evals = np.empty(len(modes), dtype=int)
+    block = max(1, _BLOCK_ENTRIES // (8 * modes.shape[-1] - 8))
+    for lo in range(0, len(modes), block):
+        part = slice(lo, lo + block)
+        st = _Stack(modes[part], centers[part])
+
+        def evaluate(p, rows, st=st):
+            area, grad, hess = _ball_overlap_jet(st, rows, p, radius)
+            return -area, -grad, -hess
+
+        found[part], neg_area, evals[part] = _newton_2d(
+            evaluate, st.barycenter if starts is None else starts[part],
+            _NEWTON_STEP_TOL * radius, _NEWTON_GAIN_TOL * ball_area, 0.25 * radius)
+        asym[part] = np.maximum((st.area + ball_area + 2.0 * neg_area) / ball_area, 0.0)
+    if stats is not None:
+        stats["ball_evals"] = stats.get("ball_evals", 0) + int(evals.sum())
+    return asym, found, evals
 
 
 def asymmetry_to_ball(d, radius, center0=None, stats=None):
@@ -582,28 +745,21 @@ def asymmetry_to_ball(d, radius, center0=None, stats=None):
     x, that is, maximizes the exact overlap of `_ball_overlap_jet`, by
     Newton's method with its analytic gradient and Hessian (steepest
     ascent, from steps of radius/4, where the overlap is not concave),
-    started at the barycenter (or `center0`, such as the previous center
-    in a flow).  The search stops at a step of 1e-10 radius or a predicted
-    gain of 1e-15 ball areas, below which rounding decides.  `stats`, a
-    dict, counts the overlap evaluations under "ball_evals".
+    started at the barycenter (or `center0`).  The search stops at a step
+    of 1e-10 radius or a predicted gain of 1e-15 ball areas, below which
+    rounding decides.  `stats`, a dict, counts the overlap evaluations
+    under "ball_evals".  It is `_asymmetries` on a stack of one domain:
+    the flow, its decay fit and the stability sweep search all their
+    domains in one batch, and each gets the same result as here.
 
     The value (|domain| + pi radius^2 - 2 overlap) / (pi radius^2) subtracts
     areas of order one, so it carries about 1e-16 absolute rounding: near
     stationarity, at an asymmetry of about 6e-8, only about 8 digits are
     meaningful.
     """
-    ball_area = np.pi * radius**2
-
-    def evaluate(p):
-        area, grad, hess = _ball_overlap_jet(d, p, radius)
-        return -area, -grad, -hess
-
-    x0 = d.barycenter if center0 is None else center0
-    center, neg_area, evals = _newton_2d(evaluate, x0, _NEWTON_STEP_TOL * radius,
-                                         _NEWTON_GAIN_TOL * ball_area, 0.25 * radius)
-    if stats is not None:
-        stats["ball_evals"] = stats.get("ball_evals", 0) + evals
-    return max((d.area + ball_area + 2.0 * neg_area) / ball_area, 0.0), center
+    starts = None if center0 is None else np.reshape(np.asarray(center0, dtype=float), (1, 2))
+    asym, center, _ = _asymmetries(d.modes[None], d.center[None], radius, starts, stats)
+    return float(asym[0]), center[0]
 
 
 def lemma_distance_check(d, radius):
@@ -612,7 +768,8 @@ def lemma_distance_check(d, radius):
     lhs = |domain DELTA B_radius(0)| / |B_radius|, from the exact overlap,
     rhs = sqrt(radius^{-1} * oint (|x|/radius - 1)^2 dsigma).
     """
-    ov = _ball_overlap_jet(d, np.zeros(2), radius)[0]
+    st = _Stack(d.modes[None], d.center[None])
+    ov = _ball_overlap_jet(st, np.zeros(1, dtype=int), np.zeros((1, 2)), radius)[0][0]
     ball_area = np.pi * radius**2
     lhs = (d.area + ball_area - 2.0 * ov) / ball_area
     rr = np.abs(d.z)
@@ -620,13 +777,6 @@ def lemma_distance_check(d, radius):
     return float(lhs), float(rhs)
 
 
-# A working block, a Cauchy kernel block of `torsion` or a block of rotated
-# cloud points here, holds about 2**16 complex entries (1 MB, half of one
-# core's 2 MB L2 cache on the Xeon it was timed on), so it stays
-# cache-resident from the subtraction through the division to the product.
-# Budgets of 2**15 to 2**20 entries timed within noise of each other at
-# M = 128, 512 and 1024.
-_BLOCK_ENTRIES = 2**16
 _EXIT_NEWTON_STEPS = 6      # five reached rounding on 200 random shapes, M = 32...128
 
 

@@ -591,7 +591,7 @@ def test_pinned_mode_three_flow():
     traj = run_flow(build_star_domain("fourier(1;3:0.1)", 32), 1.0, t_end=20.0)
     assert traj.status == "stationary"
     assert len(traj.times) - 1 == 7
-    pinned = {"solves": 29, "stage_solves": 21, "ball_evals": 11,
+    pinned = {"solves": 29, "stage_solves": 21, "ball_evals": 9,
               "dt_bound": {"error": 7}, "rejects": {}}
     assert {k: traj.stats[k] for k in pinned} == pinned
     assert abs(fit_decay_rate(traj).rate / 3.795921530327308 - 1.0) < 1e-10
@@ -631,3 +631,60 @@ def test_energy_halt_names_du_outside_the_checked_range(monkeypatch):
     assert traj.halt_reason.startswith("energy_increase: |Du| spans [")
     assert "[0.1, 10]" in traj.halt_reason
     assert traj.stats["rejects"] == {"energy_increase": 4}
+
+
+def _recenter_fails(monkeypatch):
+    from dropflow import ShapeError, StarDomain, dynamics
+
+    def recentered(self):
+        raise ShapeError("forced recentering failure")
+    monkeypatch.setattr(StarDomain, "recentered", recentered)
+    monkeypatch.setattr(dynamics, "_RECENTER_FRACTION", 0.0)
+
+
+def _energy_rises(monkeypatch):
+    from dropflow import StarDomain, dynamics
+
+    def shrink(domain, vol, law, dt, **kw):
+        return StarDomain(domain.center, 0.9 * domain.radii)
+    monkeypatch.setattr(dynamics, "advance_step", shrink)
+    monkeypatch.setattr(dynamics, "_MAX_REJECTS", 3)
+
+
+@pytest.mark.parametrize("start, m, t_end, patch, status", [
+    ("fourier(1;3:0.1)", 32, 20.0, None, "stationary"),
+    ("fourier(1;2:0.1)", 32, 0.3, None, "t_end"),
+    ("circle(0.4)", 32, 1.0, _energy_rises, "halted"),
+    ("fourier(1;1:0.05,2:0.1)", 32, 1.0, _recenter_fails, "halted"),
+])
+def test_every_exit_searches_the_asymmetry_of_every_state(monkeypatch, start, m, t_end,
+                                                          patch, status):
+    # the asymmetries are searched in one batch before run_flow's single
+    # return: each row and each kept state has its own, finite, and equal
+    # bit for bit to the state's search alone
+    from dropflow.geometry import asymmetry_to_ball
+    if patch is not None:
+        patch(monkeypatch)
+    traj = run_flow(build_star_domain(start, m), 1.0, t_end=t_end, snapshot_stride=1)
+    assert traj.status == status
+    assert traj.asymmetries.shape == traj.times.shape
+    assert np.all(np.isfinite(traj.asymmetries))
+    assert len(traj.states) == len(traj.times)
+    stats = {}
+    for state, t, a in zip(traj.states, traj.times, traj.asymmetries):
+        assert state.t == t and state.asymmetry == a
+        assert asymmetry_to_ball(state.domain, R_STAR, stats=stats)[0] == a
+    assert traj.stats["ball_evals"] == stats["ball_evals"]
+
+
+def test_decay_fit_samples_the_dense_output_at_midpoints():
+    # the fit's midpoint modes come from one stacked dense-output expression,
+    # with no domain built; each asymmetry equals the search on the domain
+    # that Trajectory.domain_at builds there, bit for bit
+    from dropflow.geometry import asymmetry_to_ball
+    traj = run_flow(build_star_domain("fourier(1;3:0.1)", 64), 1.0, t_end=20.0)
+    fit = fit_decay_rate(traj)
+    mids = [(t, a) for t, a in fit.samples if t not in traj.times]
+    assert len(mids) >= 3
+    for t, a in mids:
+        assert asymmetry_to_ball(traj.domain_at(t), R_STAR)[0] == a

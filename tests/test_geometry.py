@@ -19,7 +19,7 @@ from dropflow import (Circle, ConvergenceError, Ellipse, FourierShape, Samples,
                       lemma_distance_check, load_domain_csv, parse_shape,
                       ray_radii, rho_reflection_min, save_domain_csv,
                       spectral)
-from dropflow.geometry import _ball_overlap_jet
+from dropflow.geometry import _Stack, _asymmetries, _ball_overlap_jet, _horner
 
 R_STAR = (4.0 / math.pi) ** (1.0 / 3.0)
 
@@ -184,7 +184,7 @@ def test_contains_matches_trig_radius(modes, nyquist, base, m, center, seed):
     rng = np.random.default_rng(seed)
     psi = rng.uniform(-np.pi, np.pi, 400)
     u = np.exp(1j * psi)
-    assert np.abs(d._radius_toward(u) - eval_at_angles(radii, psi)).max() <= 1e-14
+    assert np.abs(_horner(d._radius_poly, u) - eval_at_angles(radii, psi)).max() <= 1e-14
     # points at random and within 1e-9..1e-15 of the boundary, both sides
     near = rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(-15, -9, 200)
     scale = np.concatenate([rng.uniform(0.0, 1.5, 200), 1.0 + near])
@@ -198,7 +198,7 @@ def test_contains_matches_trig_radius(modes, nyquist, base, m, center, seed):
         margin = np.abs(rel) - (eval_at_angles(radii, np.angle(rel)) + tol)
         got = d.contains(pts, tol=tol)
         # point for point the radial test of the Horner form
-        assert np.array_equal(got, rho <= d._radius_toward(u) + tol)
+        assert np.array_equal(got, rho <= _horner(d._radius_poly, u) + tol)
         far = np.abs(margin) > 1e-12
         assert np.array_equal(got[far], margin[far] <= 0.0)
         assert got[-1]
@@ -370,6 +370,12 @@ def test_refined_radii_is_the_resampled_interpolant():
     assert d.refined_radii(4) is d.refined_radii(4)
 
 
+def _overlap(d, p, r):
+    """|d intersect B_r(p)|, through a stack of one domain."""
+    st = _Stack(d.modes[None], d.center[None])
+    return _ball_overlap_jet(st, np.zeros(1, dtype=int), np.reshape(p, (1, 2)), r)[0][0]
+
+
 def _lens_area(c, r):
     """|B_1(0) intersect B_r((c, 0))| for circles that cross."""
     d1 = (c * c + 1.0 - r * r) / (2.0 * c)
@@ -382,14 +388,14 @@ def _lens_area(c, r):
 def test_ball_overlap_matches_lens_area(c, r):
     # centres outside the disk (not star-shaped about them) and one inside
     d = build_star_domain("circle(1)", 128)
-    assert abs(_ball_overlap_jet(d, np.array([c, 0.0]), r)[0] - _lens_area(c, r)) < 1e-5
+    assert abs(_overlap(d, np.array([c, 0.0]), r) - _lens_area(c, r)) < 1e-5
 
 
 @pytest.mark.parametrize("c, r", [(1.2, 0.5), (1.5, 1.0), (2.0, 1.5), (0.6, 0.7)])
 def test_ball_overlap_is_exact_lens_area(c, r):
     # the crossing-point formula has no quadrature error
     d = build_star_domain("circle(1)", 128)
-    assert abs(_ball_overlap_jet(d, np.array([c, 0.0]), r)[0] - _lens_area(c, r)) < 1e-13
+    assert abs(_overlap(d, np.array([c, 0.0]), r) - _lens_area(c, r)) < 1e-13
 
 
 @pytest.mark.parametrize("c, r", [(1.5 - 1e-5, 0.5), (0.5 + 1e-5, 0.5),
@@ -401,7 +407,7 @@ def test_ball_overlap_finds_crossings_between_nodes(c, r, node):
     d = build_star_domain("circle(1)", 128)
     ang = 2.0 * np.pi * node / 512
     p = np.array([c * math.cos(ang), c * math.sin(ang)])
-    assert abs(_ball_overlap_jet(d, p, r)[0] - _lens_area(c, r)) < 1e-13
+    assert abs(_overlap(d, p, r) - _lens_area(c, r)) < 1e-13
 
 
 @pytest.mark.parametrize("r", [1.0, 0.5])
@@ -414,7 +420,7 @@ def test_ball_overlap_crossings_near_an_extremum(r):
         c = math.cos(half) + math.sqrt(math.cos(half) ** 2 - 1.0 + r * r)
         for ang in (np.linspace(0.0, 1.0, 9) + 0.3) * h:
             p = np.array([c * math.cos(ang), c * math.sin(ang)])
-            assert abs(_ball_overlap_jet(d, p, r)[0] - _lens_area(c, r)) < 1e-13
+            assert abs(_overlap(d, p, r) - _lens_area(c, r)) < 1e-13
 
 
 def test_ball_overlap_matches_fine_quadrature():
@@ -434,7 +440,7 @@ def test_ball_overlap_matches_fine_quadrature():
                               center=tuple(rng.uniform(-0.5, 0.5, 2)))
         p, r = rng.uniform(-1.5, 1.5, 2), rng.uniform(0.1, 2.0)
         fine = (4.0 * trapezoid(d, p, r, 2048) - trapezoid(d, p, r, 1024)) / 3.0
-        assert abs(_ball_overlap_jet(d, p, r)[0] - fine) < 1e-8
+        assert abs(_overlap(d, p, r) - fine) < 1e-8
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -490,6 +496,46 @@ def test_asymmetry_counts_overlap_evaluations():
     d = build_star_domain("fourier(1;3:0.1,5:0.03)", 64)
     asymmetry_to_ball(d, 1.0, center0=d.barycenter + 0.05, stats=stats)
     assert stats["ball_evals"] > 2
+
+
+def test_asymmetry_search_is_batch_invariant():
+    # a domain's asymmetry, center and evaluation count are the same bit for
+    # bit searched alone or in any batch, in any order: every sum of the
+    # batched search runs over one domain's row or segment
+    near = 2.0 * math.pi * 57.5 / 256     # between two nodes of the 4M cloud
+    cases = [
+        # no crossings: 0.21 after one evaluation
+        ("circle(1.1)", None),
+        # the disk starts outside, near-tangent: a crossing pair between nodes
+        ("circle(2)", (3.0 - 2e-5) * np.array([math.cos(near), math.sin(near)])),
+        # a start outside the Newton basin, where steepest descent leads in
+        ("fourier(1;3:0.1,5:0.03)", 0.3 * np.array([math.cos(2.0), math.sin(2.0)])),
+        ("fourier(1;2:0.01)", None),
+        ("ellipse(1.2,0.8)", np.array([0.1, -0.2])),
+    ]
+    domains = [build_star_domain(spec, 64) for spec, _ in cases]
+    starts = np.array([d.barycenter if off is None else off
+                       for d, (_, off) in zip(domains, cases)])
+    alone = []
+    for d, start in zip(domains, starts):
+        stats = {}
+        val, center = asymmetry_to_ball(d, 1.0, center0=start, stats=stats)
+        alone.append((val, center, stats["ball_evals"]))
+    assert alone[0][0] == pytest.approx(0.21, abs=1e-12) and alone[0][2] == 1
+    assert alone[1][2] > 2 and alone[2][2] > 2
+    modes = np.array([d.modes for d in domains])
+    centers = np.array([d.center for d in domains])
+    rng = np.random.default_rng(5)
+    for batch in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [1, 1, 0], [2], *(
+            rng.permutation(5)[: rng.integers(2, 6)] for _ in range(4))):
+        vals, found, evals = _asymmetries(modes[batch], centers[batch], 1.0, starts[batch], None)
+        for k, i in enumerate(batch):
+            assert vals[k] == alone[i][0], (batch, i)
+            assert np.array_equal(found[k], alone[i][1]), (batch, i)
+            assert evals[k] == alone[i][2], (batch, i)
+    # barycenter starts, the flow's, are batch-invariant too
+    vals = _asymmetries(modes, centers, 1.0, None, None)[0]
+    assert [float(v) for v in vals] == [asymmetry_to_ball(d, 1.0)[0] for d in domains]
 
 
 def test_lemma_distance_annulus_anchor():

@@ -165,14 +165,19 @@ def test_normalized_domain_hits_ball_area():
 
 
 def test_sweep_rows_and_failure_isolation(tmp_path):
-    rows = sweep_stability(shapes=["circle(1)", "fourier(1;2:1.5)",
-                                   "fourier(1;3:0.1)"], m=64)
+    shapes = ["circle(1)", "fourier(1;2:1.5)", "fourier(1;3:0.1)"]
+    rows = sweep_stability(shapes=shapes, m=64)
     assert len(rows) == 3
     assert not rows[0]["failed"]
     assert rows[1]["failed"] and "error" in rows[1]
-    assert math.isnan(rows[1]["asymmetry"])
+    assert all(math.isnan(rows[1][key]) for key in SWEEP_HEADER[3:])
     assert not rows[2]["failed"]
     assert rows[2]["ratio_thm1"] > 0
+    # the solved rows' asymmetries are searched in one batch, which the
+    # failed row stays out of; each row is the row-by-row report bit for bit
+    for i in (0, 2):
+        rep = stability_report(solve_torsion(normalized_domain(shapes[i], m=64), 1.0))
+        assert [rows[i][key] for key in SWEEP_HEADER[3:]] == list(dataclasses.astuple(rep))
 
     path = tmp_path / "sweep.csv"
     write_sweep_csv(rows, path)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from dropflow import (EvaluationError, FourierShape, SolverError, StarDomain,
                       build_star_domain, interior_quadrature, solve_torsion,
                       spectral, torsion)
+from dropflow.geometry import _horner
 
 LAMBDA_DISK = 8.0 / math.pi
 LAMBDA_ELLIPSE = 4.0 * (1.2**2 + 0.8**2) / (math.pi * 1.2**3 * 0.8**3)
@@ -391,7 +392,7 @@ def test_interior_evaluation_rejects_points_on_and_just_inside_the_curve(fixture
     d = sol.domain
     psi = spectral.angle_grid(8 * d.m) + np.pi / (8 * d.m)
     for depth in (0.0, 1e-12, 1e-10):
-        rho = d._radius_toward(np.exp(1j * psi)) - depth
+        rho = _horner(d._radius_poly, np.exp(1j * psi)) - depth
         pts = d.center + np.column_stack([rho * np.cos(psi), rho * np.sin(psi)])
         with pytest.raises(EvaluationError) as exc:
             sol.eval_interior(pts)
@@ -416,7 +417,7 @@ def test_interior_evaluation_guard_is_the_radial_depth(modes, base, center, seed
     psi = rng.uniform(0.0, 2.0 * np.pi, 200)
     delta = np.concatenate([[0.0, 5e-10], 10.0 ** rng.uniform(-16.0, np.log10(5e-10), 98),
                             [2e-9], 10.0 ** rng.uniform(np.log10(2e-9), -1.0, 99)])
-    rho = d._radius_toward(np.exp(1j * psi)) - delta * d.radii.max()
+    rho = _horner(d._radius_poly, np.exp(1j * psi)) - delta * d.radii.max()
     pts = np.column_stack([center[0] + rho * np.cos(psi), center[1] + rho * np.sin(psi)])
     with pytest.raises(EvaluationError) as exc:
         sol.eval_interior(pts)

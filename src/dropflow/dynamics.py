@@ -13,18 +13,20 @@ disk, so d/dr F(|Du|) = -3 F'(1)/r*).  The stepper is Lawson's
 integrating-factor RK4 on the departure delta of the radius's Fourier
 modes from the ball's: that linear damping is integrated exactly and only
 the nonlinear remainder is explicit, so the ball is a fixed point of every
-step; the stages are domains built from the modes.  The integrating factor
-is the only damping; the Nyquist mode, which the rate map grows, is set to
-0 in each new state.  The step size is error-controlled: the rate at the
-new state, whose solve the energy check makes anyway, gives Balac and
+step, wherever mode 1 centres it (its modes are those of the exact disk);
+the stages are domains built from the modes.  The integrating factor is
+the only damping; the Nyquist mode, which the rate map grows, is set to 0
+in each new state.  Each step returns one record (`_Step`) of what it
+computed.  The step size is error-controlled: the rate at the new state,
+whose solve the energy check makes anyway, gives the record Balac and
 Mahe's embedded third-order companion (RK4(3)IP) at no extra solve, and
 the elementary controller of that order turns its error into the next
 step; the step is also capped by dt_max and the time left.  A step whose
 error is too large is retried at the controller's size; one rejected for
 an energy increase under any law, or a degenerate stage, is retried at
-half its size.  Each accepted step keeps a dense output that costs no
-solve (`Trajectory.domain_at`): the exact linear part plus the
-remainder's quadratic through its start, mid-step and end values,
+half its size.  The record of each accepted step is its dense output,
+which costs no solve (`Trajectory.domain_at`): the exact linear part plus
+the remainder's quadratic through its start, mid-step and end values,
 integrated against the integrating factor; the decay fit samples it
 between the accepted states.
 """
@@ -152,7 +154,7 @@ class Trajectory:
     halt_reason: str | None = None
     vol: float = 1.0
     stats: dict = field(default_factory=dict)
-    dense: list = field(default_factory=list)   # one _DenseStep per accepted step
+    dense: list = field(default_factory=list)   # one _Step per accepted step
 
     @property
     def final_state(self):
@@ -165,7 +167,8 @@ class Trajectory:
         if n == 0 or not self.times[0] <= t <= self.times[n]:
             raise ValueError(f"no accepted step covers t = {t!r}")
         i = int(np.searchsorted(self.times, t)) - 1
-        return self.dense[max(i, 0)].domain(t)
+        step = self.dense[max(i, 0)]
+        return StarDomain(step.center, modes=_dense_modes([step], [t])[0])
 
 
 def _phi(z):
@@ -189,36 +192,19 @@ def _phi(z):
     return out
 
 
-class _DenseStep:
-    """The continuous output of one accepted Lawson step, at no solve.
+def _dense_modes(steps, times):
+    """The radius modes of the dense output of steps[i] at times[i], one
+    row each, from one stacked expression (one `_phi` call).
 
     By variation of constants the departure from the ball is
 
         delta(tau) = e^{-sigma tau} delta_0 + tau phi_1(-sigma tau) N_0
                      + tau^2 phi_2(-sigma tau) a + 2 tau^3 phi_3(-sigma tau) b,
 
-    where N(s) = N_0 + a s + b s^2 is the quadratic through the step's
-    remainders k1 at 0, (k2 + k3)/2 at dt/2 and k5 at dt: exact for the
-    linear part and stable for every sigma dt.  Its Nyquist mode is 0, as
-    in the states the step makes.
+    tau = t - t0, where N(s) = N_0 + a s + b s^2 is the quadratic of
+    `_Step.error_ratio`: exact for the linear part and stable for every
+    sigma dt.  Its Nyquist mode is 0, as in the states the steps make.
     """
-
-    def __init__(self, t0, stages):
-        h = stages["dt"]
-        k1, km, k5 = stages["k1"], stages["k23"], stages["k5"]
-        self.t0, self.center = t0, stages["center"]
-        self.ref, self.delta, self.sigma = stages["ref"], stages["delta"], stages["sigma"]
-        # N(s) = n0 + a s + b s^2
-        self.n0, self.a = k1, (4.0 * km - 3.0 * k1 - k5) / h
-        self.b = 2.0 * (k1 - 2.0 * km + k5) / h**2
-
-    def domain(self, t):
-        return StarDomain(self.center, modes=_dense_modes([self], [t])[0])
-
-
-def _dense_modes(steps, times):
-    """The radius modes of the dense output of steps[i] at times[i], one
-    row each, from one stacked expression (one `_phi` call)."""
     def rows(name):
         return np.array([getattr(step, name) for step in steps])
     tau = (np.asarray(times, dtype=float) - rows("t0"))[:, None]
@@ -273,39 +259,77 @@ def _stage_domain(center, modes):
 
 def _solve(domain, vol, stats):
     """`solve_torsion`, counted in the stats with its condition estimate."""
-    if stats is not None:
-        stats["solves"] += 1
+    stats["solves"] += 1
     sol = solve_torsion(domain, vol)
-    if stats is not None:
-        cond = sol.condition_estimate
-        stats["cond_min"] = min(stats.get("cond_min", cond), cond)
-        stats["cond_max"] = max(stats.get("cond_max", cond), cond)
+    cond = sol.condition_estimate
+    stats["cond_min"] = min(stats.get("cond_min", cond), cond)
+    stats["cond_max"] = max(stats.get("cond_max", cond), cond)
     return sol
 
 
 def _ball_modes(r_star, modes):
     """The radius modes of the ball B_{r*} centred where the mode 1 of
-    `modes` puts it, in rfft scaling.
+    `modes` puts it, in rfft scaling, its Nyquist bin 0.
 
     Seen from the origin, the disk of radius R about p has the radius
-    p.e + sqrt(R^2 - (p x e)^2): its mode 1 is exactly p.e, and to second
-    order in |p|/R its modes 0 and 2 carry -|p|^2/(4R) and
-    (|p|^2/(4R)) cos 2(theta - arg p), up to O(|p|^4/R^3).  So a ball that
-    sits off the star center, where a flow settles while its drift stays
-    below the recentering threshold, is a fixed point of the step too.
+    p.e + sqrt(R^2 - (p x e)^2), whose mode 1 is exactly p.e: so
+    p = conj(2 modes[1]/M), and with q = conj(p) e^{i theta}, the radius
+    is R + Re q - (Im q)^2/(R + sqrt(R^2 - (Im q)^2)), in a form that
+    cancels nothing.  Its modes are one rfft of all but R, with R M added
+    to mode 0.  So a ball off the star center, where a flow settles while
+    its drift stays below the recentering threshold, is a fixed point of
+    the step too, at any offset and phase.
     """
     m = 2 * modes.size - 2
-    m1 = modes[1]
-    ref = np.zeros_like(modes)
-    ref[0] = r_star * m - abs(m1) ** 2 / (r_star * m)
-    ref[1] = m1
-    ref[2] = m1 * m1 / (2.0 * r_star * m)
+    q = (2.0 / m) * modes[1] * spectral.unit_circle(m)
+    ref = np.fft.rfft(q.real - q.imag**2 / (r_star + np.sqrt(r_star**2 - q.imag**2)))
+    ref[0] += r_star * m
+    ref[-1] = 0.0
     return ref
 
 
-def advance_step(domain, vol, law, dt, sol=None, stats=None, stages=None):
-    """One integrating-factor RK4 step of the radius law; returns the new
-    domain, its Nyquist mode set to 0.
+class _Step:
+    """One Lawson step of `advance_step`, as its embedded error estimate
+    and its dense output need it: the star center, the ball's modes `ref`,
+    the start's departure `delta` from them, the damping rates `sigma`,
+    the step `dt`, the rate modes at the start and the remainders k1,
+    (k2 + k3)/2 ("k23") and k4.  `error_ratio` adds the dense output's
+    coefficients n0, a and b, and `run_flow` the start time t0 of an
+    accepted step.
+    """
+
+    def __init__(self, center, ref, delta, sigma, dt, rate, k1, k23, k4):
+        self.center, self.ref, self.delta, self.sigma, self.dt = center, ref, delta, sigma, dt
+        self.rate, self.k1, self.k23, self.k4 = rate, k1, k23, k4
+
+    def error_ratio(self, domain, sol, law):
+        """The embedded RK4(3)IP error of the step, which ended at `domain`,
+        over _ERROR_TOL times its own change: the step passes at <= 1.
+
+        Balac and Mahe's companion of the step is third order; it differs
+        from the step by (dt/10)(k4 - k5), where k5 is the remainder rate
+        at the new state with the step's own sigma and ball, built from
+        that state's solve `sol`.  The change is dt times the rate modes at
+        the step's start, so dt cancels.  Both norms leave out mode 1,
+        which moves the shape and does not decay, and the Nyquist mode,
+        which the new state drops.  The dense output's remainder
+        N(s) = n0 + a s + b s^2 is the quadratic through k1 at 0, k23 at
+        dt/2 and k5 at dt.
+        """
+        h, k1, km, sigma = self.dt, self.k1, self.k23, self.sigma
+        k5 = np.fft.rfft(_radius_rate(domain, sol, law)) + sigma * (domain.modes - self.ref)
+        self.n0, self.a = k1, (4.0 * km - 3.0 * k1 - k5) / h
+        self.b = 2.0 * (k1 - 2.0 * km + k5) / h**2
+        err = np.linalg.norm(np.delete(self.k4 - k5, [1, -1]))
+        change = (np.linalg.norm(np.delete(self.rate, [1, -1]))
+                  + _RATE_FLOOR * sigma[2] * np.linalg.norm(domain.modes) + 1e-300)
+        return float(err / (10.0 * _ERROR_TOL * change))
+
+
+def advance_step(domain, vol, law, dt, sol, stats):
+    """One integrating-factor RK4 step of the radius law from `domain`,
+    whose solved state is `sol`; returns the new domain, its Nyquist mode
+    set to 0, and the step's `_Step` record.
 
     Lawson's scheme on delta, the departure of the radius's Fourier modes
     from those of the ball B_{r*} that `_ball_modes` centres by the
@@ -315,21 +339,12 @@ def advance_step(domain, vol, law, dt, sol=None, stats=None, stages=None):
     only the remainder rate(r) + sigma * delta, which is 0 at the ball:
     the ball is a fixed point of every step.  The Nyquist mode
     cos(M theta/2) is not damped: the rate map grows it, so the new state
-    drops it.  `sol` may pass in the already-solved state at `domain` to
-    avoid one of the four stage solves; `stats`, a Counter, counts them
+    drops it.  `stats`, a Counter, counts the three stage solves
     ("solves", "stage_solves") and their range of condition estimates
     ("cond_min", "cond_max").
-    `stages`, a dict, is given what the embedded error estimate of
-    `_error_ratio` and the dense output `_DenseStep` need: the rate modes
-    at `domain` ("rate"), the damping rates ("sigma"), the ball's modes
-    ("ref"), the start's departure ("delta"), the step ("dt"), the center,
-    and the remainders k1, (k2 + k3)/2 ("k23") and k4.
     """
     c = domain.center
-    m = domain.m
-    if sol is None:
-        sol = _solve(domain, vol, stats)
-    sigma = _damping_rates(sol, law, m)
+    sigma = _damping_rates(sol, law, domain.m)
     ref = _ball_modes(ball_closed_forms(2, vol).r_star, domain.modes)
     e = np.exp(-0.5 * dt * sigma)
 
@@ -338,8 +353,7 @@ def advance_step(domain, vol, law, dt, sol=None, stats=None, stages=None):
 
     def stage(dh):
         d = _stage_domain(c, ref + dh)
-        if stats is not None:
-            stats["stage_solves"] += 1
+        stats["stage_solves"] += 1
         return rate(d, _solve(d, vol, stats)) + sigma * dh
 
     d0 = domain.modes - ref
@@ -348,33 +362,10 @@ def advance_step(domain, vol, law, dt, sol=None, stats=None, stages=None):
     k2 = stage(e * (d0 + 0.5 * dt * k1))
     k3 = stage(e * d0 + 0.5 * dt * k2)
     k4 = stage(e * e * d0 + dt * e * k3)
-    if stages is not None:
-        stages.update(rate=rate0, sigma=sigma, ref=ref, delta=d0, dt=dt, center=c,
-                      k1=k1, k23=0.5 * (k2 + k3), k4=k4)
     r_new = ref + e * e * (d0 + (dt / 6.0) * k1) + (dt / 6.0) * (2.0 * e * (k2 + k3) + k4)
     r_new[-1] = 0.0
-    return _stage_domain(c, r_new)
-
-
-def _error_ratio(stages, domain, sol, law):
-    """The embedded RK4(3)IP error of a step that ended at `domain`, over
-    _ERROR_TOL times the step's own change: the step passes at <= 1.
-
-    Balac and Mahe's companion of the step is third order; it differs from
-    the step by (dt/10)(k4 - k5), where k5, kept in `stages`, is the
-    remainder rate at the new state with the step's own sigma and ball,
-    built from that state's solve `sol`.  The change is dt times the rate
-    modes at the step's start, so dt cancels.  Both norms leave out mode 1,
-    which moves the shape and does not decay, and the Nyquist mode, which
-    the new state drops.
-    """
-    sigma = stages["sigma"]
-    k5 = np.fft.rfft(_radius_rate(domain, sol, law)) + sigma * (domain.modes - stages["ref"])
-    stages["k5"] = k5
-    err = np.linalg.norm(np.delete(stages["k4"] - k5, [1, -1]))
-    change = (np.linalg.norm(np.delete(stages["rate"], [1, -1]))
-              + _RATE_FLOOR * sigma[2] * np.linalg.norm(domain.modes) + 1e-300)
-    return float(err / (10.0 * _ERROR_TOL * change))
+    step = _Step(c, ref, d0, sigma, dt, rate0, k1, 0.5 * (k2 + k3), k4)
+    return _stage_domain(c, r_new), step
 
 
 def _diagnose(t, domain, sol, law, stats):
@@ -416,8 +407,8 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
     the time left to t_end.  The first attempt is a fifth of the mode-2
     damping time 1/sigma_2.  Each step's embedded RK4(3)IP error, taken
     from the solve at the new state that the energy check makes anyway,
-    is measured against the step's own change (`_error_ratio`), and the
-    next attempt is dt * min(max(0.9 * ratio^(-1/4), 0.2), 2), the
+    is measured against the step's own change (`_Step.error_ratio`), and
+    the next attempt is dt * min(max(0.9 * ratio^(-1/4), 0.2), 2), the
     elementary controller of the third-order estimate.  A step whose ratio
     is above 1 is rejected ("error") and retried at that size, which is
     then below 0.9 dt; a step rejected for any other reason (an energy
@@ -426,9 +417,12 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
     the high modes, and mode 0 about the ball, exactly, so the step count
     to stationarity hardly depends on M and the steps grow as the flow
     settles.  The domain is recentered when its barycenter drifts from the
-    center by 3 % of its smallest radius sample about that center.  Each
-    accepted step leaves its dense output in `Trajectory.dense`, read by
-    `Trajectory.domain_at` and the decay fit; it costs no solve.
+    center by 3 % of its smallest radius sample about that center; below
+    that drift the step holds the ball about the barycenter exactly.  The
+    record (`_Step`) of each accepted step, with its start time, is its
+    dense output, kept in `Trajectory.dense` and read by
+    `Trajectory.domain_at` and the decay fit; it costs no solve and keeps
+    no domain.
     The run ends at t_end, at stationarity (max |V| below tol_stationary),
     or with a halted trajectory recording the reason (41 rejects in a row,
     say); a failed recentering halts after keeping the accepted step it
@@ -466,15 +460,13 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
             break
         counts["attempted_steps"] += 1
         dt_bound[bound] += 1
-        stages = {}
         try:
-            new_domain = advance_step(domain, vol, law, dt_try, sol=sol, stats=counts,
-                                      stages=stages)
+            new_domain, step = advance_step(domain, vol, law, dt_try, sol, counts)
             new_sol = _solve(new_domain, vol, counts)
             slack = _J_SLACK * max(1.0, abs(state.energy))
             if total_energy(new_sol) > state.energy + slack:
                 raise FlowHalt("energy_increase")
-            ratio = _error_ratio(stages, new_domain, new_sol, law)
+            ratio = step.error_ratio(new_domain, new_sol, law)
             gain = _SAFETY * ratio ** -_ERROR_EXPONENT if ratio > 0.0 else grow
             if ratio > 1.0:
                 raise FlowHalt("error")
@@ -492,7 +484,8 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
                 break
             continue
 
-        dense.append(_DenseStep(t, stages))
+        step.t0 = t
+        dense.append(step)
         t += dt_try
         rejects = 0
         dt_error = dt_try * min(max(gain, shrink), grow)

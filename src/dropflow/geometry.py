@@ -500,14 +500,6 @@ class _Stack:
                                          self.area)
 
 
-def _powers(u, n):
-    """u^k, k = 0..n-1, one row per u, by cumulative products (as `np.vander`)."""
-    p = np.empty((u.size, n), dtype=complex)
-    p[:, 0] = 1.0
-    p[:, 1:] = u[:, None]
-    return np.multiply.accumulate(p, axis=1, out=p)
-
-
 def _circle_f(coef, zp, radius, th):
     """f = |gamma - p|^2 - radius^2 and its first two theta-derivatives at
     angles th, one each on the curves whose rows of r, r', r'' are coef
@@ -519,7 +511,7 @@ def _circle_f(coef, zp, radius, th):
     f'' = 2 (r'^2 + r^2 + Re v (r'' - r) + 2 Im v r').
     """
     u = np.exp(1j * th)
-    r, rp, rpp = (_powers(u, coef.shape[2])[:, None] * coef).sum(-1).real.T
+    r, rp, rpp = (np.vander(u, coef.shape[2], increasing=True)[:, None] * coef).sum(-1).real.T
     v = np.conj(u) * zp
     vr, vi = v.real + r, v.imag
     f = vr * vr + vi * vi - radius**2
@@ -674,7 +666,7 @@ def _ball_overlap_jet(st, rows, p, radius):
         return area, grad, hess
     rr = rows[dom]
     u = np.exp(1j * th)
-    powers = _powers(u, st.m + 1)
+    powers = np.vander(u, st.m + 1, increasing=True)
     r, rp = (powers[:, None, : st.m // 2 + 1] * st.jet[rr, :2]).sum(-1).real.T
     w = st.zc[rr] + r * u - pc[dom]
     gp = (rp + 1j * r) * u
@@ -724,7 +716,7 @@ def _asymmetries(modes, centers, radius, starts, stats):
         part = slice(lo, lo + block)
         st = _Stack(modes[part], centers[part])
 
-        def evaluate(p, rows, st=st):
+        def evaluate(p, rows):
             area, grad, hess = _ball_overlap_jet(st, rows, p, radius)
             return -area, -grad, -hess
 
@@ -737,7 +729,7 @@ def _asymmetries(modes, centers, radius, starts, stats):
     return asym, found, evals
 
 
-def asymmetry_to_ball(d, radius, center0=None, stats=None):
+def asymmetry_to_ball(d, radius):
     """(asymmetry, center): the scaled symmetric difference to the
     best-matching ball of given radius, and that ball's center.
 
@@ -745,10 +737,9 @@ def asymmetry_to_ball(d, radius, center0=None, stats=None):
     x, that is, maximizes the exact overlap of `_ball_overlap_jet`, by
     Newton's method with its analytic gradient and Hessian (steepest
     ascent, from steps of radius/4, where the overlap is not concave),
-    started at the barycenter (or `center0`).  The search stops at a step
-    of 1e-10 radius or a predicted gain of 1e-15 ball areas, below which
-    rounding decides.  `stats`, a dict, counts the overlap evaluations
-    under "ball_evals".  It is `_asymmetries` on a stack of one domain:
+    started at the barycenter.  The search stops at a step of 1e-10
+    radius or a predicted gain of 1e-15 ball areas, below which rounding
+    decides.  It is `_asymmetries` on a stack of one domain:
     the flow, its decay fit and the stability sweep search all their
     domains in one batch, and each gets the same result as here.
 
@@ -757,8 +748,7 @@ def asymmetry_to_ball(d, radius, center0=None, stats=None):
     stationarity, at an asymmetry of about 6e-8, only about 8 digits are
     meaningful.
     """
-    starts = None if center0 is None else np.reshape(np.asarray(center0, dtype=float), (1, 2))
-    asym, center, _ = _asymmetries(d.modes[None], d.center[None], radius, starts, stats)
+    asym, center, _ = _asymmetries(d.modes[None], d.center[None], radius, None, None)
     return float(asym[0]), center[0]
 
 

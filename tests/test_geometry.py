@@ -443,6 +443,14 @@ def test_ball_overlap_matches_fine_quadrature():
         assert abs(_overlap(d, p, r) - fine) < 1e-8
 
 
+def _search(d, radius, start, stats=None):
+    """(asymmetry, center) of `asymmetry_to_ball` on d from `start` (the
+    barycenter where None), searched by `_asymmetries` on a stack of one."""
+    starts = None if start is None else np.reshape(start, (1, 2))
+    asym, center, _ = _asymmetries(d.modes[None], d.center[None], radius, starts, stats)
+    return float(asym[0]), center[0]
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_asymmetry_matches_first_order_closed_form(k):
     # normalized r*(1 + eps cos k theta): |Omega delta B|/|B| = 4 eps/pi + O(eps^3)
@@ -457,8 +465,7 @@ def test_best_center_follows_translation():
     val, center = asymmetry_to_ball(d, 1.0)
     shift = np.array([0.31, -0.17])
     start = center + shift + np.array([0.05, 0.0])
-    moved, center_t = asymmetry_to_ball(StarDomain(d.center + shift, d.radii), 1.0,
-                                        center0=start)
+    moved, center_t = _search(StarDomain(d.center + shift, d.radii), 1.0, start)
     assert np.abs(center_t - center - shift).max() < 1e-9
     assert abs(moved - val) < 1e-12
 
@@ -471,7 +478,7 @@ def test_asymmetry_from_a_start_outside_the_newton_basin(spec):
     ref = asymmetry_to_ball(d, R_STAR)[0]
     for ang in (0.0, 2.0, 4.0):
         start = d.barycenter + 0.3 * np.array([math.cos(ang), math.sin(ang)])
-        assert abs(asymmetry_to_ball(d, R_STAR, center0=start)[0] / ref - 1.0) < 1e-12
+        assert abs(_search(d, R_STAR, start)[0] / ref - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("spec", ["fourier(1;2:0.1)", "fourier(1;3:0.1,5:0.03)",
@@ -483,18 +490,18 @@ def test_asymmetry_does_not_depend_on_the_start(spec):
     d = d.scaled(R_STAR / math.sqrt(d.area / math.pi))
     ref = asymmetry_to_ball(d, R_STAR)[0]
     for off in ([1e-12, 0.0], [0.0, -1e-12], [7e-13, 7e-13]):
-        val = asymmetry_to_ball(d, R_STAR, center0=d.barycenter + np.array(off))[0]
+        val = _search(d, R_STAR, d.barycenter + np.array(off))[0]
         assert abs(val / ref - 1.0) < 1e-10
 
 
 def test_asymmetry_counts_overlap_evaluations():
     stats = {}
     # no crossings: gradient and Hessian vanish, the search stops at the start
-    assert abs(asymmetry_to_ball(build_star_domain("circle(1.1)", 64), 1.0,
-                                 stats=stats)[0] - 0.21) < 1e-12
+    assert abs(_search(build_star_domain("circle(1.1)", 64), 1.0, None, stats)[0]
+               - 0.21) < 1e-12
     assert stats == {"ball_evals": 1}
     d = build_star_domain("fourier(1;3:0.1,5:0.03)", 64)
-    asymmetry_to_ball(d, 1.0, center0=d.barycenter + 0.05, stats=stats)
+    _search(d, 1.0, d.barycenter + 0.05, stats)
     assert stats["ball_evals"] > 2
 
 
@@ -519,7 +526,7 @@ def test_asymmetry_search_is_batch_invariant():
     alone = []
     for d, start in zip(domains, starts):
         stats = {}
-        val, center = asymmetry_to_ball(d, 1.0, center0=start, stats=stats)
+        val, center = _search(d, 1.0, start, stats)
         alone.append((val, center, stats["ball_evals"]))
     assert alone[0][0] == pytest.approx(0.21, abs=1e-12) and alone[0][2] == 1
     assert alone[1][2] > 2 and alone[2][2] > 2

@@ -202,7 +202,7 @@ def _dense_modes(steps, times):
                      + tau^2 phi_2(-sigma tau) a + 2 tau^3 phi_3(-sigma tau) b,
 
     tau = t - t0, where N(s) = N_0 + a s + b s^2 is the quadratic of
-    `_Step.error_ratio`: exact for the linear part and stable for every
+    `_Step.accept`: exact for the linear part and stable for every
     sigma dt.  Its Nyquist mode is 0, as in the states the steps make.
     """
     def rows(name):
@@ -278,11 +278,15 @@ def _ball_modes(r_star, modes):
     cancels nothing.  Its modes are one rfft of all but R, with R M added
     to mode 0.  So a ball off the star center, where a flow settles while
     its drift stays below the recentering threshold, is a fixed point of
-    the step too, at any offset and phase.
+    the step too, at any offset and phase.  Where |p| >= r*, before a far
+    start's first recentering, no such disk holds the star center; the
+    square root is then taken at 0, which keeps the modes finite, as the
+    step's linearization point needs no more.
     """
     m = 2 * modes.size - 2
     q = (2.0 / m) * modes[1] * spectral.unit_circle(m)
-    ref = np.fft.rfft(q.real - q.imag**2 / (r_star + np.sqrt(r_star**2 - q.imag**2)))
+    root = np.sqrt(np.maximum(r_star**2 - q.imag**2, 0.0))
+    ref = np.fft.rfft(q.real - q.imag**2 / (r_star + root))
     ref[0] += r_star * m
     ref[-1] = 0.0
     return ref
@@ -293,9 +297,10 @@ class _Step:
     and its dense output need it: the star center, the ball's modes `ref`,
     the start's departure `delta` from them, the damping rates `sigma`,
     the step `dt`, the rate modes at the start and the remainders k1,
-    (k2 + k3)/2 ("k23") and k4.  `error_ratio` adds the dense output's
-    coefficients n0, a and b, and `run_flow` the start time t0 of an
-    accepted step.
+    (k2 + k3)/2 ("k23") and k4.  `error_ratio` reads them; `accept`, once
+    a step is accepted, replaces the rate modes and remainders by the
+    dense output's start time t0 and coefficients n0, a and b, which
+    `_dense_modes` reads.
     """
 
     def __init__(self, center, ref, delta, sigma, dt, rate, k1, k23, k4):
@@ -304,7 +309,8 @@ class _Step:
 
     def error_ratio(self, domain, sol, law):
         """The embedded RK4(3)IP error of the step, which ended at `domain`,
-        over _ERROR_TOL times its own change: the step passes at <= 1.
+        over _ERROR_TOL times its own change (the step passes at <= 1), and
+        the remainder rate k5 at `domain`, for `accept`.
 
         Balac and Mahe's companion of the step is third order; it differs
         from the step by (dt/10)(k4 - k5), where k5 is the remainder rate
@@ -312,18 +318,25 @@ class _Step:
         that state's solve `sol`.  The change is dt times the rate modes at
         the step's start, so dt cancels.  Both norms leave out mode 1,
         which moves the shape and does not decay, and the Nyquist mode,
-        which the new state drops.  The dense output's remainder
-        N(s) = n0 + a s + b s^2 is the quadratic through k1 at 0, k23 at
-        dt/2 and k5 at dt.
+        which the new state drops.
         """
-        h, k1, km, sigma = self.dt, self.k1, self.k23, self.sigma
+        sigma = self.sigma
         k5 = np.fft.rfft(_radius_rate(domain, sol, law)) + sigma * (domain.modes - self.ref)
-        self.n0, self.a = k1, (4.0 * km - 3.0 * k1 - k5) / h
-        self.b = 2.0 * (k1 - 2.0 * km + k5) / h**2
         err = np.linalg.norm(np.delete(self.k4 - k5, [1, -1]))
         change = (np.linalg.norm(np.delete(self.rate, [1, -1]))
                   + _RATE_FLOOR * sigma[2] * np.linalg.norm(domain.modes) + 1e-300)
-        return float(err / (10.0 * _ERROR_TOL * change))
+        return float(err / (10.0 * _ERROR_TOL * change)), k5
+
+    def accept(self, t0, k5):
+        """Make the record the dense output of the accepted step from t0:
+        its remainder N(s) = n0 + a s + b s^2 is the quadratic through k1
+        at 0, k23 at dt/2 and k5 at dt.  What only `error_ratio` reads is
+        dropped, so a record keeps no more than the dense output.
+        """
+        h, k1, km = self.dt, self.k1, self.k23
+        self.t0, self.n0, self.a = t0, k1, (4.0 * km - 3.0 * k1 - k5) / h
+        self.b = 2.0 * (k1 - 2.0 * km + k5) / h**2
+        del self.rate, self.k1, self.k23, self.k4
 
 
 def advance_step(domain, vol, law, dt, sol, stats):
@@ -419,9 +432,9 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
     settles.  The domain is recentered when its barycenter drifts from the
     center by 3 % of its smallest radius sample about that center; below
     that drift the step holds the ball about the barycenter exactly.  The
-    record (`_Step`) of each accepted step, with its start time, is its
-    dense output, kept in `Trajectory.dense` and read by
-    `Trajectory.domain_at` and the decay fit; it costs no solve and keeps
+    record (`_Step`) of each accepted step, completed by `_Step.accept`
+    with its start time, is its dense output, kept in `Trajectory.dense`
+    and read by `Trajectory.domain_at` and the decay fit; it costs no solve and keeps
     no domain.
     The run ends at t_end, at stationarity (max |V| below tol_stationary),
     or with a halted trajectory recording the reason (41 rejects in a row,
@@ -466,7 +479,7 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
             slack = _J_SLACK * max(1.0, abs(state.energy))
             if total_energy(new_sol) > state.energy + slack:
                 raise FlowHalt("energy_increase")
-            ratio = step.error_ratio(new_domain, new_sol, law)
+            ratio, k5 = step.error_ratio(new_domain, new_sol, law)
             gain = _SAFETY * ratio ** -_ERROR_EXPONENT if ratio > 0.0 else grow
             if ratio > 1.0:
                 raise FlowHalt("error")
@@ -484,7 +497,7 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
                 break
             continue
 
-        step.t0 = t
+        step.accept(t, k5)
         dense.append(step)
         t += dt_try
         rejects = 0

@@ -311,9 +311,9 @@ def _flow_with_ratios(monkeypatch, ratio_of=None):
     real_ratio, ratios = dynamics._Step.error_ratio, []
 
     def error_ratio(step, *args):
-        r = real_ratio(step, *args)
+        r, k5 = real_ratio(step, *args)
         ratios.append(r if ratio_of is None else ratio_of(r))
-        return ratios[-1]
+        return ratios[-1], k5
     monkeypatch.setattr(dynamics._Step, "error_ratio", error_ratio)
     return run_flow(normalized_domain("fourier(1;2:0.1)", m=32), 1.0, t_end=20.0), ratios
 
@@ -528,6 +528,29 @@ def test_flows_off_the_star_center_end_stationary(start, t_stationary, solves, m
     assert round(float(traj.times[-1]), 2) == t_stationary
     st = traj.stats
     assert (st["solves"], st["rejects"], st["recenters"]) == (solves, {}, 0)
+
+
+# starts whose mode 1 puts the disk's center beyond r* (|p| = 0.3 and 0.2
+# against r* = 0.234 and 0.108): no disk of radius r* about p holds the
+# star center, and the reference ball must stay finite until the first
+# recentering moves the center
+@pytest.mark.parametrize("shape, vol, steps, solves", [
+    ("fourier(1;1:0.3)", 0.01, 7, 45),
+    ("fourier(1;1:0.2)", 0.001, 8, 57),
+])
+def test_flows_from_mode_one_beyond_r_star_end_stationary(shape, vol, steps, solves):
+    from dropflow.dynamics import _ball_modes
+    d = build_star_domain(shape, 32)
+    r_star = ball_closed_forms(2, vol).r_star
+    assert 2.0 * abs(d.modes[1]) / d.m > r_star
+    assert np.all(np.isfinite(_ball_modes(r_star, d.modes)))
+    for dt in (1e-3, 1e-2):
+        d2, _ = advance_step(d, vol, quadratic_law(), dt, solve_torsion(d, vol), Counter())
+        assert np.all(np.isfinite(d2.modes)) and d2.radii.min() > 0.0
+    traj = run_flow(d, vol, t_end=20.0)
+    st = traj.stats
+    assert traj.status == "stationary" and st["recenters"] == 1
+    assert (st["accepted_steps"], st["solves"]) == (steps, solves)
 
 
 def test_phi_functions_match_their_exact_series():

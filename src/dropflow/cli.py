@@ -114,8 +114,9 @@ def cmd_run(args):
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "config": cfg.as_dict(),
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    print(json.dumps(summary, indent=2))
+    text = json.dumps(summary, indent=2) + "\n"
+    (out / "summary.json").write_text(text)
+    sys.stdout.write(text)
     return EXIT_HALT if traj.status == "halted" else EXIT_OK
 
 

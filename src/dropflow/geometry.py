@@ -778,16 +778,21 @@ class ReflectionReport:
     oscillation: float
 
 
-def _chord(d, j, s):
-    """gamma(theta_j + s) - gamma(theta_j) at nodes j without cancellation: with
-    v = e^{is}, v^k - 1 = (v - 1)(1 + ... + v^{k-1}) and v - 1 = 2i sin(s/2) e^{is/2}."""
+def _chord(d, j):
+    """s -> gamma(theta_j + s) - gamma(theta_j) at nodes j without cancellation: with
+    v = e^{is}, v^k - 1 = (v - 1)(1 + ... + v^{k-1}) and v - 1 = 2i sin(s/2) e^{is/2}.
+    The powers of u = e^{i theta_j} and r(theta_j) are taken once for every s."""
     c = d._radius_poly
     u = spectral.unit_circle(d.m)[j]
-    v, w = np.exp(1j * s), 2j * np.sin(0.5 * s) * np.exp(0.5j * s)
-    vk, powers = np.vander(v, c.size, increasing=True), np.vander(u, c.size, increasing=True)
-    sums = np.cumsum(vk, axis=1) - vk
-    dr = (w * ((powers * sums) @ c)).real
-    return u * (dr * v + (powers @ c).real * w)
+    powers = np.vander(u, c.size, increasing=True)
+    r = (powers @ c).real
+
+    def chord(s):
+        v, w = np.exp(1j * s), 2j * np.sin(0.5 * s) * np.exp(0.5j * s)
+        vk = np.vander(v, c.size, increasing=True)
+        sums = np.cumsum(vk, axis=1) - vk
+        return u * ((w * ((powers * sums) @ c)).real * v + r * w)
+    return chord
 
 
 def _exit_seeds(d, ce, cloud, jet, delta, bound):
@@ -798,15 +803,19 @@ def _exit_seeds(d, ce, cloud, jet, delta, bound):
     known) and upper bound of (x.e + a)/2.
 
     In w = ce z a ray's height returns to the node's on each cloud segment
-    whose ends straddle it, found for all pairs by one `searchsorted`.  The
-    curve lies within delta of the chord, so a segment spanning (da, db)
-    puts the crossing's a within delta (1 + |da/db|), and |da| + delta, of
-    the chord's.  A node's own two segments meet its ray only at the node;
-    a near-tangent exit inside them is seeded by the local quadratic's root.
+    whose ends straddle it: per direction, one real `searchsorted` of the
+    cloud heights among the sorted node heights counts the nodes below each
+    cloud point, and the nodes that a segment straddles are the ones
+    between its two ends' counts, listed for the segments whose count
+    changes.  The curve lies within delta of the chord, so a segment spanning
+    (da, db) puts the crossing's a within delta (1 + |da/db|), and
+    |da| + delta, of the chord's.  A node's own two segments meet its ray
+    only at the node; a near-tangent exit inside them is seeded by the local
+    quadratic's root.
     """
     m, n, h = d.m, cloud.size, 2.0 * np.pi / cloud.size
-    rows = np.arange(ce.shape[0])[:, None]
-    w, xw, tw = ce * cloud, ce * d.z, ce * jet[0]      # Im tw = |gamma'| e.nu
+    # the cloud closed by its first point, so segment k ends at column k + 1
+    w, xw, tw = ce * np.append(cloud, cloud[0]), ce * d.z, ce * jet[0]    # Im tw = |gamma'| e.nu
     bound = max(bound, xw.real[tw.imag <= 0.0].max(initial=0.0))
     bpp = (ce * jet[1]).imag
     s = np.divide(-2.0 * tw.imag, bpp, out=np.zeros_like(bpp), where=bpp != 0.0)
@@ -814,26 +823,36 @@ def _exit_seeds(d, ce, cloud, jet, delta, bound):
     near = np.nonzero((tw.imag > 0.0) & (tw.real * s < 0.0) & (np.abs(s) <= 2.0 * h))
     s = s[near]
     order = np.argsort(xw.imag, axis=1)
-    keys = (rows + 1j * np.take_along_axis(xw.imag, order, axis=1)).ravel()
-    idx = np.searchsorted(keys, (rows + 1j * w.imag).ravel()) - np.repeat(rows * m, n)
-    nxt = np.roll(idx.reshape(-1, n), -1, axis=1).ravel()
-    cnt = np.abs(nxt - idx)
-    seg = np.repeat(np.arange(cnt.size), cnt)
-    r, k = np.divmod(seg, n)
-    j = order[r, np.arange(seg.size) - np.repeat(np.cumsum(cnt) - cnt - np.minimum(idx, nxt), cnt)]
-    q = (k - n // m * j) % n            # segment k counted from the node's cloud point
-    r, j, k, q = (col[(q != 0) & (q != n - 1)] for col in (r, j, k, q))
-    p0, p1, x = w[r, k], w[r, (k + 1) % n], xw[r, j]
+    # the nodes below each cloud point (int32: half the memory of the counts)
+    below = np.empty(w.shape, dtype=np.int32)
+    for row, key, wi in zip(below, np.sort(xw.imag, axis=1), w.imag):
+        row[:] = key.searchsorted(wi)
+    step = np.diff(below, axis=1).ravel()       # segment k of direction r at n r + k
+    seg = np.flatnonzero(step != 0)     # the segments that straddle a node's height
+    step = step.take(seg)
+    r, cnt = seg // n, np.abs(step)
+    # one (segment, node) pair per straddled node: the nodes' places in
+    # `order` run on from the count at the segment's lower end
+    pair = np.repeat(np.arange(seg.size), cnt)
+    place = ((below.take(seg + r) + np.minimum(step, 0) + m * r + cnt - np.cumsum(cnt))
+             .take(pair) + np.arange(pair.size))
+    seg, j = seg.take(pair), order.take(place)
+    q = seg - n // m * j
+    q -= n * (q // n)                   # segment k counted from the node's cloud point
+    pair = np.flatnonzero((q != 0) & (q != n - 1))
+    seg, j, q = (col.take(pair) for col in (seg, j, q))
+    r = seg // n
+    p0, p1, x = w.take(seg + r), w.take(seg + r + 1), xw.take(m * r + j)
     da, db = p1.real - p0.real, p1.imag - p0.imag
     tau = (x.imag - p0.imag) / db
     a = p0.real + tau * da
     err = delta + np.minimum(delta * np.abs(da / db), np.abs(da))
     value = 0.5 * (x.real + a)
     bound = max(bound, (value - 0.5 * err)[a < x.real - err].max(initial=0.0))
-    keep = (a < x.real + err) & (value + 0.5 * err >= bound)
-    q = np.where(q < n // 2, q, q - n)[keep]      # signed: s keeps its precision near 0
-    return bound, ((r[keep], j[keep], (q + tau[keep]) * h, q * h, (q + 1) * h,
-                    -db[keep], (value + 0.5 * err)[keep]),
+    keep = np.flatnonzero((a < x.real + err) & (value + 0.5 * err >= bound))
+    r, j, q, tau, db, value, err = (col.take(keep) for col in (r, j, q, tau, db, value, err))
+    q = np.where(q < n // 2, q, q - n)  # signed: s keeps its precision near 0
+    return bound, ((r, j, (q + tau) * h, q * h, (q + 1) * h, -db, value + 0.5 * err),
                    (near[0], near[1], s, *np.sort((0.5 * s, 2.0 * s), axis=0),
                     np.full(s.size, np.nan), np.full(s.size, np.inf)))
 
@@ -850,9 +869,10 @@ def rho_reflection_min(d):
     the same way, the first exit the most, so the crossings that
     `_exit_seeds` finds on the 8M cloud and that may be largest are refined
     by bracketed Newton steps on the curve.  ShapeError: the origin is
-    outside; ConvergenceError: rho exceeds the least cloud radius.
+    outside by more than 1e-10 of the largest radius sample;
+    ConvergenceError: rho exceeds the least cloud radius.
     """
-    if not d.contains(np.zeros((1, 2)))[0]:
+    if not d.contains(np.zeros((1, 2)), tol=1e-10 * d.radii.max())[0]:
         raise ShapeError("reflection radius needs the origin inside the domain")
     cloud = d.dense_boundary(8)
     # the curve stays within (h^2/8) max|gamma''| of each chord, h = 2 pi/8M,
@@ -871,20 +891,22 @@ def rho_reflection_min(d):
     ce, near = ce[i], np.isnan(flo)
     # f falls across a segment whose height falls, so f(s_lo) has the sign of
     # -db; a near-tangent bracket without a sign change holds no crossing
-    flo[near], f_hi = ((ce[near] * _chord(d, j[near], end[near])).imag for end in (lo, hi))
+    chord = _chord(d, j[near])
+    flo[near], f_hi = ((ce[near] * chord(end[near])).imag for end in (lo, hi))
     live = ~near
     live[near] = flo[near] * f_hi <= 0.0
     ce, j, s, lo, hi, flo = (col[live] for col in (ce, j, s, lo, hi, flo))
+    chord, th = _chord(d, j), d.theta[j]
     for _ in range(_EXIT_NEWTON_STEPS):
-        f = (ce * _chord(d, j, s)).imag
-        fp = (ce * d.curve_jet(d.theta[j] + s)[1]).imag
+        f = (ce * chord(s)).imag
+        fp = (ce * d.curve_jet(th + s)[1]).imag
         below = (f < 0.0) == (flo < 0.0)
         lo, hi = np.where(below, s, lo), np.where(below, hi, s)
         s = s - np.divide(f, fp, out=np.full_like(f, np.inf), where=fp != 0.0)
         # a step that leaves the shrinking bracket bisects it instead
         out = ~((lo <= s) & (s <= hi))
         s[out] = 0.5 * (lo[out] + hi[out])
-    back = (ce * _chord(d, j, s)).real
+    back = (ce * chord(s)).real
     x = (ce * d.z[j]).real
     rho = max(bound, float((x + 0.5 * back)[back < 0.0].max(initial=0.0)))
     rr = np.abs(cloud)          # cloud distances to the origin

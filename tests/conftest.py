@@ -7,7 +7,8 @@ The plain functions below are reference implementations that tests compare
 the package against: they take the trigonometric interpolant of samples by
 their own route, not through `spectral.jet`, and `scipy_lu_solve` runs the
 solve's LU through scipy's own wrappers; `first_exit_reflection_radius`
-finds the reflection radius's first exits by marching along each ray; and
+finds the reflection radius's first exits by marching along each ray, and
+`complex_key_exit_seeds` finds their seeds by the reference search; and
 `saint_venant_domain` with `saint_venant_fields` is an exact torsion
 solution on a domain that is not an ellipse; `energy_gap_rate` reads a
 flow's asymptotic decay rate off its energy balance.
@@ -144,6 +145,44 @@ def first_exit_reflection_radius(d, step=1e-3):
         t_in, t_out = np.where(ok, mid, t_in), np.where(ok, t_out, mid)
     return max(lead, float((proj - 0.5 * t_in).max(initial=0.0)))
 
+
+
+def complex_key_exit_seeds(d, ce, cloud, jet, delta, bound):
+    """`geometry._exit_seeds` with the crossing search it had before the
+    per-direction one: the node heights of every direction sorted as
+    complex keys row + i height, and all cloud heights found among them by
+    one `searchsorted` (numpy orders complex numbers lexicographically)."""
+    m, n, h = d.m, cloud.size, 2.0 * np.pi / cloud.size
+    rows = np.arange(ce.shape[0])[:, None]
+    w, xw, tw = ce * cloud, ce * d.z, ce * jet[0]
+    bound = max(bound, xw.real[tw.imag <= 0.0].max(initial=0.0))
+    bpp = (ce * jet[1]).imag
+    s = np.divide(-2.0 * tw.imag, bpp, out=np.zeros_like(bpp), where=bpp != 0.0)
+    near = np.nonzero((tw.imag > 0.0) & (tw.real * s < 0.0) & (np.abs(s) <= 2.0 * h))
+    s = s[near]
+    order = np.argsort(xw.imag, axis=1)
+    keys = (rows + 1j * np.take_along_axis(xw.imag, order, axis=1)).ravel()
+    idx = np.searchsorted(keys, (rows + 1j * w.imag).ravel()) - np.repeat(rows * m, n)
+    nxt = np.roll(idx.reshape(-1, n), -1, axis=1).ravel()
+    cnt = np.abs(nxt - idx)
+    seg = np.repeat(np.arange(cnt.size), cnt)
+    r, k = np.divmod(seg, n)
+    j = order[r, np.arange(seg.size) - np.repeat(np.cumsum(cnt) - cnt - np.minimum(idx, nxt), cnt)]
+    q = (k - n // m * j) % n
+    r, j, k, q = (col[(q != 0) & (q != n - 1)] for col in (r, j, k, q))
+    p0, p1, x = w[r, k], w[r, (k + 1) % n], xw[r, j]
+    da, db = p1.real - p0.real, p1.imag - p0.imag
+    tau = (x.imag - p0.imag) / db
+    a = p0.real + tau * da
+    err = delta + np.minimum(delta * np.abs(da / db), np.abs(da))
+    value = 0.5 * (x.real + a)
+    bound = max(bound, (value - 0.5 * err)[a < x.real - err].max(initial=0.0))
+    keep = (a < x.real + err) & (value + 0.5 * err >= bound)
+    q = np.where(q < n // 2, q, q - n)[keep]
+    return bound, ((r[keep], j[keep], (q + tau[keep]) * h, q * h, (q + 1) * h,
+                    -db[keep], (value + 0.5 * err)[keep]),
+                   (near[0], near[1], s, *np.sort((0.5 * s, 2.0 * s), axis=0),
+                    np.full(s.size, np.nan), np.full(s.size, np.inf)))
 
 # Saint-Venant's torsion function u0 = a - |x|^2/4 + Re(c3 z^3): -Delta u0 = 1,
 # and u0 vanishes on the boundary of {u0 > 0}, a rounded triangle

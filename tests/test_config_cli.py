@@ -263,8 +263,10 @@ def test_cli_run_writes_outputs(tmp_path, capsys, monkeypatch):
     assert (out / "timeseries.csv").exists()
     assert (out / "final_shape.csv").exists()
     assert (out / "snapshot_0000.csv").exists()
-    stdout_summary = json.loads(capsys.readouterr().out)
-    assert stdout_summary == summary
+    stdout = capsys.readouterr().out
+    # one serialization goes to both: the printed summary is the file's text
+    assert stdout == (out / "summary.json").read_text()
+    assert json.loads(stdout) == summary
 
 
 def test_cli_run_outdir_env_override(tmp_path, monkeypatch):

@@ -6,8 +6,8 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import (dealiased_power_sum, eval_at_angles, first_exit_reflection_radius,
-                      resample)
+from conftest import (complex_key_exit_seeds, dealiased_power_sum, eval_at_angles,
+                      first_exit_reflection_radius, resample, smooth_shape)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ellipe
@@ -19,6 +19,7 @@ from dropflow import (Circle, ConvergenceError, Ellipse, FourierShape, Samples,
                       lemma_distance_check, load_domain_csv, parse_shape,
                       ray_radii, rho_reflection_min, save_domain_csv,
                       spectral)
+from dropflow import geometry
 from dropflow.geometry import _Stack, _asymmetries, _ball_overlap_jet, _horner
 
 R_STAR = (4.0 / math.pi) ** (1.0 / 3.0)
@@ -613,15 +614,29 @@ def test_rho_reflection_is_exact_on_offcenter_disks(m):
         assert abs(rho_reflection_min(d).rho / exact - 1.0) <= 2e-13
 
 
-@pytest.mark.parametrize("spec, center", [
-    ("ellipse(1.2,0.8)", (0.0, 0.0)),
-    ("fourier(1;5:0.2)", (0.0, 0.0)),
-    ("fourier(1;2:0.1,7:0.05)", (0.05, -0.03)),
-], ids=["ellipse", "fourier5", "fourier27-off"])
-def test_rho_reflection_matches_brute_force_first_exits(spec, center):
+def _random_offcenter_shapes(count, seed):
+    # smooth shapes of the SMOOTH_SHAPES family (`smooth_shape`) about star
+    # centers up to a tenth of the base radius off the origin
+    rng = np.random.default_rng(seed)
+    shapes = []
+    for _ in range(count):
+        base = rng.uniform(0.5, 2.0)
+        ks = rng.choice(np.arange(2, 9), size=rng.integers(1, 4), replace=False)
+        modes = [(int(k), float(rng.uniform(-0.08, 0.08))) for k in ks]
+        shapes.append((smooth_shape(modes, base), tuple(base * rng.uniform(-0.1, 0.1, 2))))
+    return shapes
+
+
+@pytest.mark.parametrize("spec, m, center", [
+    ("ellipse(1.2,0.8)", 64, (0.0, 0.0)),
+    ("fourier(1;5:0.2)", 64, (0.0, 0.0)),
+    ("fourier(1;2:0.1,7:0.05)", 64, (0.05, -0.03)),
+] + [(spec, 32, center) for spec, center in _random_offcenter_shapes(4, 32)],
+    ids=["ellipse", "fourier5", "fourier27-off"] + [f"random-{i}" for i in range(4)])
+def test_rho_reflection_matches_brute_force_first_exits(spec, m, center):
     # convex shapes take their maximum from near-tangent rays, whose exit
     # can fall within a cloud step of the node; fourier(1;5:0.2) is not convex
-    d = build_star_domain(spec, 64, center)
+    d = build_star_domain(spec, m, center)
     assert abs(rho_reflection_min(d).rho - first_exit_reflection_radius(d)) <= 1e-12
 
 
@@ -641,6 +656,63 @@ def test_rho_reflection_is_scale_covariant(spec):
     rho = rho_reflection_min(d).rho
     for t in (1e-6, 1e-3, 1e2, 1e6):
         assert abs(rho_reflection_min(d.scaled(t)).rho / t - rho) <= 1e-13 * rho
+
+
+def test_exit_seeds_match_the_complex_key_search(monkeypatch, reflection_reports):
+    # every block's bound and seed columns, in the same order, as the one
+    # complex-key `searchsorted` over all directions finds them
+    blocks = []
+
+    def both(*args):
+        got, ref = fast(*args), complex_key_exit_seeds(*args)
+        assert got[0] == ref[0]
+        for cols, ref_cols in zip(got[1], ref[1]):
+            for col, ref_col in zip(cols, ref_cols):
+                assert np.array_equal(col, ref_col, equal_nan=True)
+        blocks.append(got[1][0][0].size)
+        return got
+
+    fast = geometry._exit_seeds
+    monkeypatch.setattr(geometry, "_exit_seeds", both)
+    domains = [d for d, _ in reflection_reports if d.m < 512]
+    domains += [build_star_domain(spec, 32, center)
+                for spec, center in _random_offcenter_shapes(8, 33)]
+    for d in domains:
+        rho_reflection_min(d)
+    assert len(blocks) > len(domains) and sum(blocks) > 0      # M = 128 takes two blocks
+
+
+def test_rho_reflection_origin_check_is_scale_covariant():
+    # the circle of radius t about (t (1 + 1e-6), 0) leaves the origin 1e-6
+    # radii outside at every scale t, and is refused as such
+    radii = build_star_domain("circle(1)", 64).radii
+    for t in 10.0 ** np.arange(-6, 7):
+        with pytest.raises(ShapeError, match="origin inside"):
+            rho_reflection_min(StarDomain((t * (1.0 + 1e-6), 0.0), t * radii))
+
+
+@pytest.fixture(scope="module")
+def reflection_reports():
+    # the pinned shapes and the benchmark disks at M = 512, with their
+    # reports at the default block budget
+    domains = [build_star_domain(spec, m) for spec, m in (
+        ("fourier(1;2:0.1)", 128), ("fourier(1;3:0.1,5:0.03)", 128),
+        ("ellipse(1.2,0.8)", 128))]
+    domains += [build_star_domain(_offcenter_disk_samples(dist, phi, m), m)
+                for m in (64, 512) for dist, phi in BENCHMARK_DISKS]
+    return [(d, rho_reflection_min(d)) for d in domains]
+
+
+@pytest.mark.parametrize("entries", [8 * 512, 5 * 8 * 512 + 123],
+                         ids=["one-direction", "ragged"])
+def test_rho_reflection_is_block_invariant(monkeypatch, reflection_reports, entries):
+    # the lower bound each block of directions passes to the next prunes
+    # crossings, but never the ones that decide rho.  At M = 512 a budget
+    # of 8M entries holds one direction a block; the other holds 5, 20 and
+    # 40 directions at M = 512, 128 and 64, and leaves a ragged last block
+    monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", entries)
+    for d, rep in reflection_reports:
+        assert rho_reflection_min(d) == rep
 
 
 # -- snapshot I/O -------------------------------------------------------------

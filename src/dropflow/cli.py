@@ -25,7 +25,7 @@ from . import __version__
 from .config import RANGES, parse_config
 from .dynamics import fit_decay_rate, run_flow, save_timeseries_csv
 from .errors import ConfigError, ShapeError, SolverError
-from .geometry import build_star_domain, save_domain_csv
+from .geometry import build_star_domain, parse_shape, save_domain_csv
 from .identities import identity_suite
 from .stability import (ball_closed_forms, ball_consistency_notes,
                         sweep_stability, write_sweep_csv)
@@ -162,6 +162,11 @@ def cmd_stability(args):
         modes = tuple(int(k) for k in args.modes.split(","))
         lo, hi, n = args.eps_grid.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
+        if args.shape:
+            parse_shape(args.shape)     # a malformed spec ends here, before any solve
+    except ShapeError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ValueError:
         print("bad --modes/--eps-grid", file=sys.stderr)
         return EXIT_CONFIG

@@ -526,7 +526,8 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
         states.append(state)
         snaps.append(len(rows) - 1)
     *cols, modes, centers = map(np.array, zip(*rows))
-    asym = _asymmetries(modes, centers, b.r_star, None, counts)[0]
+    asym, _, evals = _asymmetries(modes, centers, b.r_star, None)
+    counts["ball_evals"] += int(evals.sum())
     for i, kept in zip(snaps, states):
         kept.asymmetry = float(asym[i])
     return Trajectory(
@@ -616,7 +617,7 @@ def fit_decay_rate(traj):
     if i.size:
         steps = [traj.dense[k] for k in i]
         mid_a = _asymmetries(_dense_modes(steps, mid_t), [step.center for step in steps],
-                             ball_closed_forms(2, traj.vol).r_star, None, None)[0]
+                             ball_closed_forms(2, traj.vol).r_star, None)[0]
     tt = np.concatenate([tt, mid_t])
     a = np.concatenate([a, mid_a])
     order = np.argsort(tt)

@@ -254,7 +254,8 @@ class StarDomain:
     def curve_points(self, th):
         """gamma(theta) = center + r(theta) e^{i theta}, exact interpolant."""
         u = np.exp(1j * np.atleast_1d(np.asarray(th, dtype=float)))
-        return self.zc + self._radius_jet(u, 0)[0] * u
+        return self.zc + (np.vander(u, self._radius_poly.size, increasing=True)
+                          @ self._radius_poly).real * u
 
     def curve_jet(self, th):
         """gamma, gamma' and gamma'' at parameter angles th, from r, r', r''."""
@@ -269,13 +270,13 @@ class StarDomain:
         """r, r' and r'' as Re sum_k row_k u^k (rows of `spectral.jet_modes`)."""
         return spectral.jet_modes(self._radius_poly, 2)
 
-    def _radius_jet(self, u, order=2):
-        """r, ..., r^(order) in the directions u = e^{i theta}, one row each.
+    def _radius_jet(self, u):
+        """r, r' and r'' in the directions u = e^{i theta}, one row each.
 
         The powers u^k come from cumulative products (`np.vander`), so
         besides u itself no trigonometric function is taken.
         """
-        coef = self._jet_poly[: order + 1]
+        coef = self._jet_poly
         return (np.vander(u, coef.shape[1], increasing=True) @ coef.T).real.T
 
     # -- membership ----------------------------------------------------------
@@ -287,16 +288,16 @@ class StarDomain:
         rel = np.ascontiguousarray(pts - self.center).view(complex)[:, 0]
         return _ray(self._radius_poly, rel)
 
-    def contains(self, pts, tol=1e-10):
-        """Point-in-domain test |x - center| <= r + tol, r from `_ray`.
+    def contains(self, pts):
+        """Point-in-domain test |x - center| <= r + 1e-10 R, r from `_ray`,
+        R the largest radius sample: the same test at every scale.
 
         The ray from the center meets the curve once, so r - |x - center| is
         the exact depth along it, negative outside and never below the
-        distance to the curve: a negative tol admits only points at least
-        |tol| deep.  A NaN or infinite coordinate is outside.
+        distance to the curve.  A NaN or infinite coordinate is outside.
         """
         rho, r = self._ray(pts)
-        return rho <= r + tol
+        return rho <= r + 1e-10 * self.radii.max()
 
     # -- derived domains -----------------------------------------------------
 
@@ -408,62 +409,64 @@ _HALLEY_MAX_STEPS = 8       # per crossing search; one step is the rule
 _TANGENCY_FLOOR = 1e-13     # least dip of |gamma - p|^2/radius^2 - 1 seeding a pair
 
 
-def _newton_2d(evaluate, p0, step_tol, gain_tol, max_step):
+def _newton_2d(evaluate, p0, radius, scale):
     """Minimize smooth functions of a point in the plane, one per row of
     p0 (D, 2): Newton's method with backtracking, each row on its own.
 
     evaluate(p, rows) returns the values (k,), gradients (k, 2) and
     Hessians (k, 2, 2) of the functions `rows` (indices into p0) at the
     points p (k, 2); each round evaluates, in one call, every row that
-    needs a point.  Where a Hessian is not positive definite the step goes
-    max_step down the gradient instead, so a start outside the basin of
-    the minimum still reaches it.  A row's search ends at a zero gradient
-    with such a Hessian, when halving its step finds no decrease before it
-    falls below step_tol, or when its Newton step is shorter than step_tol
-    or predicts a decrease below gain_tol.  That last step is too small to
-    measure against rounding, so it is taken on the quadratic model
-    without another evaluation.  Returns (points, values, evaluations),
-    one row each.
+    needs a point.  Lengths are measured in `radius`, values in `scale`.
+    Where a Hessian is not positive definite the step goes radius/4 down
+    the gradient instead, so a start outside the basin of the minimum
+    still reaches it.  A row's search ends at a zero gradient with such a
+    Hessian, when halving its step finds no decrease before it falls below
+    _NEWTON_STEP_TOL radius, or when its Newton step is shorter than that
+    or predicts a decrease below _NEWTON_GAIN_TOL scale.  That last step is
+    too small to measure against rounding, so it is taken on the quadratic
+    model without another evaluation.  A row keeps its step fraction t;
+    the step is formed anew each round from its gradient and Hessian.
+    Returns (points, values, evaluations), one row each.
     """
+    step_tol, gain_tol = _NEWTON_STEP_TOL * radius, _NEWTON_GAIN_TOL * scale
+    max_step = 0.25 * radius
     p = np.array(p0, dtype=float).reshape(-1, 2)
-    turn = np.arange(p.shape[0])            # rows whose last point was kept
-    val, g, h = evaluate(p, turn)
+    val, g, h = evaluate(p, np.arange(p.shape[0]))
     n = np.ones(p.shape[0], dtype=int)
-    step, size, t = np.zeros_like(p), np.zeros_like(val), np.ones_like(val)
-    trying = np.zeros(p.shape[0], dtype=bool)   # rows with a step to try
+    t = np.ones_like(val)           # the fraction of its step a row tries; 0: done
     while True:
-        i = turn[n[turn] < _NEWTON_MAX_EVALS]
+        i = np.flatnonzero(t)
         gi, hi = g[i], h[i]
         (h00, h01), (h10, h11) = hi[:, 0].T, hi[:, 1].T
         det = h00 * h11 - h01 * h10
         newton = (h00 > 0.0) & (det > 0.0)
         gnorm = np.hypot(gi[:, 0], gi[:, 1])
         with np.errstate(divide="ignore", invalid="ignore"):
-            si = np.where(newton[:, None],
-                          np.stack((h01 * gi[:, 1] - h11 * gi[:, 0],
-                                    h10 * gi[:, 0] - h00 * gi[:, 1]), axis=-1) / det[:, None],
-                          # no minimum in the quadratic model: steepest descent
-                          gi * (-max_step / gnorm[:, None]))
-        gain = -0.5 * (gi[:, 0] * si[:, 0] + gi[:, 1] * si[:, 1])
-        step[i], t[i] = si, 1.0
-        size[i] = np.where(newton, np.hypot(si[:, 0], si[:, 1]), max_step)
-        last = newton & ((size[i] <= step_tol) | (gain <= gain_tol))
-        p[i[last]] += si[last]
+            step = np.where(newton[:, None],
+                            np.stack((h01 * gi[:, 1] - h11 * gi[:, 0],
+                                      h10 * gi[:, 0] - h00 * gi[:, 1]), axis=-1) / det[:, None],
+                            # no minimum in the quadratic model: steepest descent
+                            gi * (-max_step / gnorm[:, None]))
+        gain = -0.5 * (gi[:, 0] * step[:, 0] + gi[:, 1] * step[:, 1])
+        size = np.where(newton, np.hypot(step[:, 0], step[:, 1]), max_step)
+        # a backtracking row's step failed this test before: never true here
+        last = newton & ((size <= step_tol) | (gain <= gain_tol))
+        p[i[last]] += step[last]
         val[i[last]] -= gain[last]
-        trying[i[~last & (newton | (gnorm != 0.0))]] = True
-        live = np.flatnonzero(trying)
-        if live.size == 0:
+        go = ~last & (newton | (gnorm != 0.0))
+        t[i[~go]] = 0.0
+        i, step, size = i[go], step[go], size[go]
+        if i.size == 0:
             return p, val, n
-        trial = evaluate(p[live] + t[live, None] * step[live], live)
-        n[live] += 1
-        better = trial[0] < val[live]
-        turn = live[better]
-        p[turn] += t[turn, None] * step[turn]
-        val[turn], g[turn], h[turn] = (part[better] for part in trial)
-        trying[turn] = False
-        j = live[~better]
-        t[j] *= 0.5
-        trying[j[(t[j] * size[j] <= step_tol) | (n[j] >= _NEWTON_MAX_EVALS)]] = False
+        trial = evaluate(p[i] + t[i, None] * step, i)
+        n[i] += 1
+        better = trial[0] < val[i]
+        k = i[better]
+        p[k] += t[k, None] * step[better]
+        val[k], g[k], h[k] = (part[better] for part in trial)
+        t[k] = 1.0
+        t[i[~better]] *= 0.5
+        t[i[(~better & (t[i] * size <= step_tol)) | (n[i] >= _NEWTON_MAX_EVALS)]] = 0.0
 
 
 class _Stack:
@@ -656,12 +659,12 @@ def _ball_overlap_jet(st, rows, p, radius):
     grad, hess = np.zeros((rows.size, 2)), np.zeros((rows.size, 2, 2))
     first, last = _segments(dom)
     i = dom[first]                      # the rows with crossings
-    # no crossing: the disk holds the curve, or lies inside or outside it
+    # no crossing: the disk holds the curve, or its center lies >= radius in or out
     out = ~start_inside
     out[i] = False
     if out.any():
         rho, r = _ray(st.poly[rows[out]], pc[out] - st.zc[rows[out]])
-        area[out] = np.where(rho <= r + 1e-10, np.pi * radius**2, 0.0)
+        area[out] = np.where(rho <= r, np.pi * radius**2, 0.0)
     if th.size == 0:
         return area, grad, hess
     rr = rows[dom]
@@ -694,7 +697,7 @@ def _ball_overlap_jet(st, rows, p, radius):
     return area, grad, hess
 
 
-def _asymmetries(modes, centers, radius, starts, stats):
+def _asymmetries(modes, centers, radius, starts):
     """(asymmetries, centers, evaluations) of `asymmetry_to_ball` for the
     same-M domains given by their radius modes (D, M/2 + 1) and star
     centers (D, 2), searched together from `starts` (D, 2), or from their
@@ -704,8 +707,7 @@ def _asymmetries(modes, centers, radius, starts, stats):
     that needs a point (`_newton_2d`), and a domain's result, its
     evaluation count included, is the same bit for bit alone or in any
     batch: every sum runs over one domain's row or segment.  The domains
-    go in blocks of about _BLOCK_ENTRIES cloud points.  `stats`, a dict or
-    None, counts the evaluations of every domain under "ball_evals".
+    go in blocks of about _BLOCK_ENTRIES cloud points.
     """
     modes, centers = np.asarray(modes), np.asarray(centers, dtype=float)
     ball_area = np.pi * radius**2
@@ -721,11 +723,8 @@ def _asymmetries(modes, centers, radius, starts, stats):
             return -area, -grad, -hess
 
         found[part], neg_area, evals[part] = _newton_2d(
-            evaluate, st.barycenter if starts is None else starts[part],
-            _NEWTON_STEP_TOL * radius, _NEWTON_GAIN_TOL * ball_area, 0.25 * radius)
+            evaluate, st.barycenter if starts is None else starts[part], radius, ball_area)
         asym[part] = np.maximum((st.area + ball_area + 2.0 * neg_area) / ball_area, 0.0)
-    if stats is not None:
-        stats["ball_evals"] = stats.get("ball_evals", 0) + int(evals.sum())
     return asym, found, evals
 
 
@@ -748,7 +747,7 @@ def asymmetry_to_ball(d, radius):
     stationarity, at an asymmetry of about 6e-8, only about 8 digits are
     meaningful.
     """
-    asym, center, _ = _asymmetries(d.modes[None], d.center[None], radius, None, None)
+    asym, center, _ = _asymmetries(d.modes[None], d.center[None], radius, None)
     return float(asym[0]), center[0]
 
 
@@ -872,7 +871,7 @@ def rho_reflection_min(d):
     outside by more than 1e-10 of the largest radius sample;
     ConvergenceError: rho exceeds the least cloud radius.
     """
-    if not d.contains(np.zeros((1, 2)), tol=1e-10 * d.radii.max())[0]:
+    if not d.contains(np.zeros((1, 2)))[0]:
         raise ShapeError("reflection radius needs the origin inside the domain")
     cloud = d.dense_boundary(8)
     # the curve stays within (h^2/8) max|gamma''| of each chord, h = 2 pi/8M,

@@ -16,9 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ShapeError, SolverError
-from .geometry import (_NEWTON_GAIN_TOL, _NEWTON_STEP_TOL, FourierShape, StarDomain,
-                       _asymmetries, _newton_2d, asymmetry_to_ball,
-                       build_star_domain, parse_shape)
+from .geometry import (FourierShape, StarDomain, _asymmetries, _newton_2d,
+                       asymmetry_to_ball, build_star_domain)
 from .torsion import solve_torsion
 
 _DEGENERATE_DEFICIT = 1e-12
@@ -122,11 +121,11 @@ def l2_distance_lhs(sol):
     """min over centers of oint ((lam/2)|x - x0| - 1)^2 dsigma.
 
     Returns (value, minimizing center).  Newton's method from the
-    barycenter with the closed-form gradient and Hessian; where
-    the Hessian is not positive definite its Gauss-Newton part
-    2 sum w (lam/2)^2 e e^T, e = (x - x0)/|x - x0|, is used instead.  The
-    search stops at a step of 1e-10 times 2/lam, the radius the distance is
-    measured from, or at a predicted decrease of 1e-15 times the perimeter.
+    barycenter with the closed-form gradient and Hessian (`_newton_2d`),
+    its lengths measured in 2/lam, the radius the distance is measured
+    from, and its gains in the perimeter.  Its one fallback, where the
+    Hessian is not positive definite, is `_newton_2d`'s: a step of a
+    quarter of that radius down the gradient.
     """
     d = sol.domain
     a = 0.5 * sol.lambda_
@@ -138,15 +137,11 @@ def l2_distance_lhs(sol):
         e = np.column_stack([v.real, v.imag]) / rho[:, None]
         res = a * rho - 1.0
         grad = -2.0 * a * ((w * res) @ e)
-        gauss = (2.0 * a * a) * (e.T * w) @ e
-        hess = gauss + (2.0 * a) * (np.sum(w * res / rho) * np.eye(2)
-                                     - (e.T * (w * res / rho)) @ e)
-        if not (hess[0, 0] > 0.0 and np.linalg.det(hess) > 0.0):
-            hess = gauss
+        hess = (2.0 * a * a) * (e.T * w) @ e + (2.0 * a) * (
+            np.sum(w * res / rho) * np.eye(2) - (e.T * (w * res / rho)) @ e)
         return np.array([np.sum(w * res**2)]), grad[None], hess[None]
 
-    center, val, _ = _newton_2d(evaluate, d.barycenter, _NEWTON_STEP_TOL / a,
-                                _NEWTON_GAIN_TOL * w.sum(), 0.25 / a)
+    center, val, _ = _newton_2d(evaluate, d.barycenter, 1.0 / a, w.sum())
     return max(float(val[0]), 0.0), center[0]
 
 
@@ -216,19 +211,18 @@ def sweep_stability(modes=(2, 3, 4), amplitudes=None, vol=1.0, m=128,
     """Stability metrics across a perturbed-ball family (or explicit shapes).
 
     Returns a list of row dicts matching SWEEP_HEADER plus a `failed` flag;
-    shape and solver errors mark the row failed instead of aborting the
-    sweep, and any other exception propagates.  The rows are solved first,
-    and the asymmetries of the solved ones searched in one batch, with the
-    same result for each row as `stability_report`'s own search.
+    shape and solver errors, a malformed shape string's included, mark the
+    row failed instead of aborting the sweep, and any other exception
+    propagates.  The rows are solved first, and the asymmetries of the
+    solved ones searched in one batch, with the same result for each row
+    as `stability_report`'s own search.
     """
     if amplitudes is None:
         amplitudes = np.linspace(0.02, 0.2, 10)
     jobs = []
     if shapes is not None:
         for s in shapes:
-            spec = parse_shape(s) if isinstance(s, str) else s
-            label = s if isinstance(s, str) else repr(s)
-            jobs.append((label, spec, 0, 0.0))
+            jobs.append((s if isinstance(s, str) else repr(s), s, 0, 0.0))
     else:
         # the label rounds eps to 6 digits; the shape solved keeps it exact
         for k in map(int, modes):
@@ -246,7 +240,7 @@ def sweep_stability(modes=(2, 3, 4), amplitudes=None, vol=1.0, m=128,
     if solved:
         domains = [sol.domain for _, sol in solved]
         asym = _asymmetries([d.modes for d in domains], [d.center for d in domains],
-                            ball_closed_forms(2, vol).r_star, None, None)[0]
+                            ball_closed_forms(2, vol).r_star, None)[0]
         for (row, sol), a in zip(solved, asym):
             row.update(asdict(_report(sol, float(a))))
     return rows

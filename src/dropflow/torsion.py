@@ -314,10 +314,10 @@ class TorsionSolution:
 
         A point is rejected with EvaluationError when it lies less than
         1e-9 times the largest radius sample inside the boundary along its
-        ray from the domain's center (the test of `StarDomain.contains` with
-        that negative tolerance): every point outside or on the curve, and
-        inside only points that close to it, since the depth along the ray
-        is never below the distance to the curve.  The same ray gives the
+        ray from the domain's center (the radial gap of `StarDomain.contains`
+        at that depth): every point outside or on the curve, and inside only
+        points that close to it, since the depth along the ray is never
+        below the distance to the curve.  The same ray gives the
         point's depth fraction s = |x - c|/r, which picks its source grid
         (`_harmonic_parts`), so a point's values do not depend on the other
         points of the call.

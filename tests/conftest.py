@@ -113,7 +113,8 @@ def first_exit_reflection_radius(d, step=1e-3):
     the domain (e.nu > 0), l its first exit; x.e for the other pairs; and 0.
 
     Each ray is marched, 16 points per pass, in steps of `step` times the
-    largest cloud radius until `contains(tol=0)` fails, and the exit is
+    largest cloud radius until the radial test |x - c| <= r of `d._ray`
+    (`contains` with no tolerance) fails, and the exit is
     bisected between the last point inside and the first outside.
     """
     dirs = np.exp(2j * np.pi * np.arange(d.m) / d.m)
@@ -124,8 +125,8 @@ def first_exit_reflection_radius(d, step=1e-3):
     x, e, proj = x[enters], e[enters], proj[enters]
 
     def inside(z):
-        return d.contains(np.column_stack([z.real.ravel(), z.imag.ravel()]),
-                          tol=0.0).reshape(z.shape)
+        rho, r = d._ray(np.column_stack([z.real.ravel(), z.imag.ravel()]))
+        return (rho <= r).reshape(z.shape)
 
     h = step * np.abs(d.dense_boundary(8)).max()
     t_in = np.zeros(x.size)

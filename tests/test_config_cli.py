@@ -219,6 +219,20 @@ def test_cli_stability_checks_its_directory_before_sweeping(tmp_path, capsys, mo
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
+def test_cli_stability_rejects_a_malformed_shape_before_sweeping(tmp_path, capsys,
+                                                               monkeypatch):
+    from dropflow import cli
+
+    def no_sweep(*args, **kw):
+        raise AssertionError("sweep_stability ran on a malformed --shape")
+    monkeypatch.setattr(cli, "sweep_stability", no_sweep)
+    out = tmp_path / "x.csv"
+    assert main(["stability", "--shape", "foo(1)", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "foo" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_stability_rejects_nonpositive_vol(tmp_path, capsys):
     assert main(["stability", "--vol", "0", "--out", str(tmp_path / "s.csv")]) == 2
     assert "--vol must be positive" in capsys.readouterr().err

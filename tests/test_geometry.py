@@ -153,6 +153,15 @@ def test_contains_inside_and_outside():
     assert np.array_equal(d.contains(np.asfortranarray(both)), [True, True, False, False])
 
 
+def test_contains_is_scale_covariant():
+    # the tolerance is relative to the largest radius: an absolute 1e-10
+    # put (2t, 0) inside circle(t) for t <= 1e-11
+    for t in (10.0 ** k for k in range(-12, 7)):
+        d = build_star_domain(f"circle({t!r})", 32)
+        pts = np.array([[0.5 * t, 0.0], [2.0 * t, 0.0]])
+        assert d.contains(pts).tolist() == [True, False], t
+
+
 def test_import_leaves_scipy_spatial_out():
     # membership needs no spatial index, so the package must not pull in
     # scipy.spatial (and the scipy.sparse and scipy.special behind it); the
@@ -195,9 +204,12 @@ def test_contains_matches_trig_radius(modes, nyquist, base, m, center, seed):
     rel = (pts[:, 0] - center[0]) + 1j * (pts[:, 1] - center[1])
     rho = np.abs(rel)
     u = np.divide(rel, rho, out=np.ones_like(rel), where=rho > 0.0)
-    for tol in (1e-10, 0.0, -1e-9 * radii.max()):
+    ray_rho, ray_r = d._ray(pts)
+    # contains at its tolerance, and the raw radial margins that the
+    # reflection radius's brute force and the interior guard test
+    for tol in (1e-10 * radii.max(), 0.0, -1e-9 * radii.max()):
         margin = np.abs(rel) - (eval_at_angles(radii, np.angle(rel)) + tol)
-        got = d.contains(pts, tol=tol)
+        got = d.contains(pts) if tol > 0.0 else ray_rho <= ray_r + tol
         # point for point the radial test of the Horner form
         assert np.array_equal(got, rho <= _horner(d._radius_poly, u) + tol)
         far = np.abs(margin) > 1e-12
@@ -444,12 +456,13 @@ def test_ball_overlap_matches_fine_quadrature():
         assert abs(_overlap(d, p, r) - fine) < 1e-8
 
 
-def _search(d, radius, start, stats=None):
-    """(asymmetry, center) of `asymmetry_to_ball` on d from `start` (the
-    barycenter where None), searched by `_asymmetries` on a stack of one."""
+def _search(d, radius, start):
+    """(asymmetry, center, evaluations) of `asymmetry_to_ball` on d from
+    `start` (the barycenter where None), searched by `_asymmetries` on a
+    stack of one."""
     starts = None if start is None else np.reshape(start, (1, 2))
-    asym, center, _ = _asymmetries(d.modes[None], d.center[None], radius, starts, stats)
-    return float(asym[0]), center[0]
+    asym, center, evals = _asymmetries(d.modes[None], d.center[None], radius, starts)
+    return float(asym[0]), center[0], int(evals[0])
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -466,7 +479,7 @@ def test_best_center_follows_translation():
     val, center = asymmetry_to_ball(d, 1.0)
     shift = np.array([0.31, -0.17])
     start = center + shift + np.array([0.05, 0.0])
-    moved, center_t = _search(StarDomain(d.center + shift, d.radii), 1.0, start)
+    moved, center_t, _ = _search(StarDomain(d.center + shift, d.radii), 1.0, start)
     assert np.abs(center_t - center - shift).max() < 1e-9
     assert abs(moved - val) < 1e-12
 
@@ -496,14 +509,12 @@ def test_asymmetry_does_not_depend_on_the_start(spec):
 
 
 def test_asymmetry_counts_overlap_evaluations():
-    stats = {}
     # no crossings: gradient and Hessian vanish, the search stops at the start
-    assert abs(_search(build_star_domain("circle(1.1)", 64), 1.0, None, stats)[0]
-               - 0.21) < 1e-12
-    assert stats == {"ball_evals": 1}
+    val, _, evals = _search(build_star_domain("circle(1.1)", 64), 1.0, None)
+    assert abs(val - 0.21) < 1e-12
+    assert evals == 1
     d = build_star_domain("fourier(1;3:0.1,5:0.03)", 64)
-    _search(d, 1.0, d.barycenter + 0.05, stats)
-    assert stats["ball_evals"] > 2
+    assert _search(d, 1.0, d.barycenter + 0.05)[2] > 2
 
 
 def test_asymmetry_search_is_batch_invariant():
@@ -524,11 +535,7 @@ def test_asymmetry_search_is_batch_invariant():
     domains = [build_star_domain(spec, 64) for spec, _ in cases]
     starts = np.array([d.barycenter if off is None else off
                        for d, (_, off) in zip(domains, cases)])
-    alone = []
-    for d, start in zip(domains, starts):
-        stats = {}
-        val, center = _search(d, 1.0, start, stats)
-        alone.append((val, center, stats["ball_evals"]))
+    alone = [_search(d, 1.0, start) for d, start in zip(domains, starts)]
     assert alone[0][0] == pytest.approx(0.21, abs=1e-12) and alone[0][2] == 1
     assert alone[1][2] > 2 and alone[2][2] > 2
     modes = np.array([d.modes for d in domains])
@@ -536,13 +543,13 @@ def test_asymmetry_search_is_batch_invariant():
     rng = np.random.default_rng(5)
     for batch in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [1, 1, 0], [2], *(
             rng.permutation(5)[: rng.integers(2, 6)] for _ in range(4))):
-        vals, found, evals = _asymmetries(modes[batch], centers[batch], 1.0, starts[batch], None)
+        vals, found, evals = _asymmetries(modes[batch], centers[batch], 1.0, starts[batch])
         for k, i in enumerate(batch):
             assert vals[k] == alone[i][0], (batch, i)
             assert np.array_equal(found[k], alone[i][1]), (batch, i)
             assert evals[k] == alone[i][2], (batch, i)
     # barycenter starts, the flow's, are batch-invariant too
-    vals = _asymmetries(modes, centers, 1.0, None, None)[0]
+    vals = _asymmetries(modes, centers, 1.0, None)[0]
     assert [float(v) for v in vals] == [asymmetry_to_ball(d, 1.0)[0] for d in domains]
 
 

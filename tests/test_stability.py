@@ -113,6 +113,28 @@ def test_l2_distance_lhs_offset_disk(a):
     assert np.abs(center - [0.3, -0.2]).max() < 1e-12
 
 
+def test_l2_distance_lhs_from_a_start_without_a_convex_model(monkeypatch):
+    # the search's one fallback: where the Hessian is not positive definite
+    # the step goes a quarter of 2/lam down the gradient, and the search
+    # still ends at the minimum that the one from the barycenter finds
+    from dropflow import stability
+    sol = solve_torsion(normalized_domain("fourier(1;2:0.1)", m=64), 1.0)
+    ref_val, ref_center = l2_distance_lhs(sol)
+    start = sol.domain.barycenter + 0.95 * R_STAR * np.array([math.cos(2.0), math.sin(2.0)])
+    newton_2d, hessians = stability._newton_2d, []
+
+    def newton(evaluate, p0, radius, scale):
+        hessians.append(evaluate(np.reshape(p0, (1, 2)), np.zeros(1, dtype=int))[2][0])
+        return newton_2d(evaluate, p0, radius, scale)
+    monkeypatch.setattr(StarDomain, "barycenter", property(lambda self: start))
+    monkeypatch.setattr(stability, "_newton_2d", newton)
+    val, center = l2_distance_lhs(sol)
+    h = hessians[0]
+    assert not (h[0, 0] > 0.0 and np.linalg.det(h) > 0.0)
+    assert abs(val / ref_val - 1.0) <= 1e-12
+    assert np.abs(center - ref_center).max() <= 1e-9 * R_STAR
+
+
 def test_faber_krahn_gap_zero_on_disks():
     for r in (0.7, 1.0, 1.6):
         sol = solve_torsion(build_star_domain(f"circle({r})", 128), 1.0)
@@ -185,6 +207,15 @@ def test_sweep_rows_and_failure_isolation(tmp_path):
         parsed = list(csv.DictReader(fh))
     assert list(parsed[0].keys()) == list(SWEEP_HEADER)
     assert float(parsed[2]["ratio_thm1"]) == rows[2]["ratio_thm1"]
+
+
+def test_sweep_marks_a_malformed_shape_string_failed():
+    # the string is parsed where the row's domain is built, inside its try
+    rows = sweep_stability(shapes=["foo(1)", "circle(1)"], m=32)
+    assert rows[0]["shape"] == "foo(1)" and rows[0]["failed"]
+    assert "unknown shape kind" in rows[0]["error"]
+    assert all(math.isnan(rows[0][key]) for key in SWEEP_HEADER[3:])
+    assert not rows[1]["failed"]
 
 
 def test_sweep_solves_the_exact_amplitude_not_its_label():

@@ -55,9 +55,13 @@ _DEFAULT_VERIFY_SHAPES = (
 
 
 def _check_writable(path):
-    """Raise OSError, which `main` reports, when `path`'s directory cannot
-    take the file: checked before any solve, and the file is not created."""
-    parent = Path(path).absolute().parent
+    """Raise OSError, which `main` reports, when `path` is a directory or its
+    directory cannot take the file: checked before any solve, and the file
+    is not created."""
+    path = Path(path).absolute()
+    if path.is_dir():
+        raise IsADirectoryError(f"{path} is a directory")
+    parent = path.parent
     if not (parent.is_dir() and os.access(parent, os.W_OK)):
         raise NotADirectoryError(f"{parent} is not a writable directory")
 
@@ -173,6 +177,9 @@ def cmd_stability(args):
     # each amplitude is a sweep row: N = 1e11 would allocate 745 GiB
     if not 1 <= n <= 10_000:
         print("--eps-grid N must be >= 1 and <= 10000", file=sys.stderr)
+        return EXIT_CONFIG
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        print("--eps-grid bounds must be finite", file=sys.stderr)
         return EXIT_CONFIG
     amplitudes = np.linspace(lo, hi, n)
     shapes = [args.shape] if args.shape else None

@@ -84,7 +84,7 @@ class VelocityLaw:
             raise ValueError("law needs degree >= 1")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        if abs(_horner(c, 1.0)) > 1e-12:
+        if abs(np.polynomial.polynomial.polyval(1.0, c)) > 1e-12:
             raise ValueError("velocity law must vanish at s = 1")
         object.__setattr__(self, "_c", c)
         object.__setattr__(self, "_dc", np.polynomial.polynomial.polyder(c))
@@ -92,21 +92,10 @@ class VelocityLaw:
             raise ValueError("velocity law must be strictly increasing on [0.1, 10]")
 
     def __call__(self, s):
-        return _horner(self._c, s)
+        return np.polynomial.polynomial.polyval(s, self._c)
 
     def deriv(self, s):
-        return _horner(self._dc, s)
-
-
-def _horner(c, s):
-    """sum_k c_k s^k by Horner's rule, in numpy's `polyval` order; like
-    `polyval`, a list or tuple of s is taken as an array."""
-    if isinstance(s, (tuple, list)):
-        s = np.asarray(s)
-    v = c[-1] + s * 0
-    for ck in c[-2::-1]:
-        v = ck + v * s
-    return v
+        return np.polynomial.polynomial.polyval(s, self._dc)
 
 
 def quadratic_law():
@@ -124,22 +113,20 @@ def polynomial_law(coeffs):
 
 @dataclass
 class FlowState:
-    """One accepted flow time with its solved torsion problem."""
+    """A kept flow state: a snapshot of its time, domain and solved torsion
+    problem.  Its numbers (J, lambda, deficit, asymmetry, max |V|, dt and
+    dissipation) are its row of the `Trajectory` columns."""
 
     t: float
     domain: StarDomain
     solution: object
-    energy: float
-    deficit: float
-    asymmetry: float
-    max_vn: float
-    dissipation: float
 
 
 @dataclass
 class Trajectory:
-    """Dense per-step diagnostics plus sparse state snapshots, and each
-    accepted step's continuous output (`domain_at`)."""
+    """Dense per-step diagnostics, one row of the columns per accepted
+    state; sparse state snapshots (`FlowState`), whose numbers are their
+    rows; and each accepted step's continuous output (`domain_at`)."""
 
     times: np.ndarray
     energy: np.ndarray
@@ -381,25 +368,19 @@ def advance_step(domain, vol, law, dt, sol, stats):
     return _stage_domain(c, r_new), step
 
 
-def _diagnose(t, domain, sol, law, stats):
-    """The accepted state at t; its asymmetry (NaN here) is searched with
-    all the others' at the end of the run."""
+def _diagnose(t, domain, sol, law, dt, stats):
+    """The row of the `Trajectory` columns of the accepted state at t,
+    which a step dt reached, in their order without the asymmetry: t, J,
+    lambda, deficit, max |V|, dt and dissipation; then the domain's modes
+    and center, from which the asymmetries of all rows are searched in one
+    batch at the end of the run."""
     bg = sol.boundary_grad
     vn = law(bg)
     dissipation = float(np.sum((1.0 - bg**2) * vn * domain.arc_weights))
     tail = spectral.mode_tail_fraction(np.fft.rfft(bg))
     stats["grad_tail_max"] = max(stats.get("grad_tail_max", tail), tail)
-    return FlowState(
-        t=t, domain=domain, solution=sol, energy=total_energy(sol),
-        deficit=serrin_deficit(sol), asymmetry=math.nan,
-        max_vn=float(np.abs(vn).max()), dissipation=dissipation)
-
-
-def _row(state, dt):
-    """The dense diagnostics of one accepted state, in Trajectory's order,
-    without the asymmetry; the domain's modes and center, for its search."""
-    return (state.t, state.energy, state.solution.lambda_, state.deficit,
-            state.max_vn, dt, state.dissipation, state.domain.modes, state.domain.center)
+    return (t, total_energy(sol), sol.lambda_, serrin_deficit(sol),
+            float(np.abs(vn).max()), dt, dissipation, domain.modes, domain.center)
 
 
 def _energy_halt_reason(*sols):
@@ -439,7 +420,10 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
     The run ends at t_end, at stationarity (max |V| below tol_stationary),
     or with a halted trajectory recording the reason (41 rejects in a row,
     say); a failed recentering halts after keeping the accepted step it
-    followed.  The run keeps the radius modes and center of every accepted
+    followed.  Each accepted state is one row of the `Trajectory` columns;
+    the initial state, every `snapshot_stride`-th accepted one and the final
+    one are also kept as snapshots (`FlowState`), whose numbers are their
+    rows.  The run keeps the radius modes and center of every accepted
     state, and before it returns, on every exit, it searches their
     asymmetries in one batch, each from the state's barycenter (the search
     of `asymmetry_to_ball`, with the same result for each state).
@@ -457,14 +441,14 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
                      accepted_steps=0, recenters=0, ball_evals=0)
     sol = _solve(domain, vol, counts)
     reject_reasons, dt_bound = Counter(), Counter()
-    state = _diagnose(0.0, domain, sol, law, counts)
-    rows, states, dense = [_row(state, 0.0)], [state], []
-    snaps = [0]     # the row of each kept state
+    rows = [_diagnose(0.0, domain, sol, law, 0.0, counts)]
+    _, energy, _, _, max_vn, *_ = rows[-1]
+    states, dense = [FlowState(0.0, domain, sol)], []
     status, halt_reason = "t_end", None
     t, rejects = 0.0, 0
     dt_error = _FIRST_DT / max(_damping_rates(sol, law, domain.m)[2], 1e-300)
     shrink, grow = _STEP_FACTOR
-    while not state.max_vn < tol_stationary and t < t_end * (1.0 - 1e-12):
+    while not max_vn < tol_stationary and t < t_end * (1.0 - 1e-12):
         caps = {"error": dt_error, "dt_max": dt_max, "t_end": t_end - t}
         bound = min(caps, key=caps.get)
         dt_try = caps[bound]
@@ -476,8 +460,8 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
         try:
             new_domain, step = advance_step(domain, vol, law, dt_try, sol, counts)
             new_sol = _solve(new_domain, vol, counts)
-            slack = _J_SLACK * max(1.0, abs(state.energy))
-            if total_energy(new_sol) > state.energy + slack:
+            slack = _J_SLACK * max(1.0, abs(energy))
+            if total_energy(new_sol) > energy + slack:
                 raise FlowHalt("energy_increase")
             ratio, k5 = step.error_ratio(new_domain, new_sol, law)
             gain = _SAFETY * ratio ** -_ERROR_EXPONENT if ratio > 0.0 else grow
@@ -512,24 +496,20 @@ def run_flow(domain, vol, law=None, t_end=10.0, dt_max=np.inf,
             except (ShapeError, SolverError) as exc:
                 # keep the accepted, un-recentered state and stop here
                 status, halt_reason = "halted", f"recenter_failed: {exc}"
-        state = _diagnose(t, domain, sol, law, counts)
+        rows.append(_diagnose(t, domain, sol, law, dt_try, counts))
+        _, energy, _, _, max_vn, *_ = rows[-1]
         counts["accepted_steps"] += 1
-        rows.append(_row(state, dt_try))
         if counts["accepted_steps"] % snapshot_stride == 0:
-            states.append(state)
-            snaps.append(len(rows) - 1)
+            states.append(FlowState(t, domain, sol))
         if status == "halted":
             break
-    if status == "t_end" and state.max_vn < tol_stationary:
+    if status == "t_end" and max_vn < tol_stationary:
         status = "stationary"   # also when the step that got there ended at t_end
-    if states[-1] is not state:
-        states.append(state)
-        snaps.append(len(rows) - 1)
+    if counts["accepted_steps"] % snapshot_stride:
+        states.append(FlowState(t, domain, sol))    # the final state
     *cols, modes, centers = map(np.array, zip(*rows))
     asym, _, evals = _asymmetries(modes, centers, b.r_star, None)
     counts["ball_evals"] += int(evals.sum())
-    for i, kept in zip(snaps, states):
-        kept.asymmetry = float(asym[i])
     return Trajectory(
         *cols[:4], asym, *cols[4:], states=states, status=status,
         halt_reason=halt_reason, vol=vol,

@@ -219,6 +219,34 @@ def test_cli_stability_checks_its_directory_before_sweeping(tmp_path, capsys, mo
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
+@pytest.mark.parametrize("argv", [["verify", "--m", "512", "--json"],
+                                  ["stability", "--m", "1024", "--out"]])
+def test_cli_output_path_that_is_a_directory_exits_2_before_solving(tmp_path, capsys,
+                                                                    monkeypatch, argv):
+    from dropflow import cli, stability
+
+    def no_solve(*args, **kw):
+        raise AssertionError("solve_torsion ran before the output path was checked")
+    monkeypatch.setattr(cli, "solve_torsion", no_solve)
+    monkeypatch.setattr(stability, "solve_torsion", no_solve)
+    (tmp_path / "dir").mkdir()
+    assert main(argv + [str(tmp_path / "dir")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output:") and err.count("\n") == 1
+    assert "is a directory" in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
+
+
+@pytest.mark.parametrize("grid", ["0.1:nan:2", "inf:0.2:2", "0.1:-inf:3"])
+def test_cli_stability_rejects_non_finite_eps_bounds(tmp_path, capsys, grid):
+    out = tmp_path / "s.csv"
+    assert main(["stability", "--modes", "2", "--eps-grid", grid, "--m", "32",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "--eps-grid bounds must be finite\n"
+    assert not out.exists()
+
+
 def test_cli_stability_rejects_a_malformed_shape_before_sweeping(tmp_path, capsys,
                                                                monkeypatch):
     from dropflow import cli

@@ -729,8 +729,8 @@ def _energy_rises(monkeypatch):
 def test_every_exit_searches_the_asymmetry_of_every_state(monkeypatch, start, m, t_end,
                                                           patch, status):
     # the asymmetries are searched in one batch before run_flow's single
-    # return: each row and each kept state has its own, finite, and equal
-    # bit for bit to the state's search alone
+    # return: each row has its own, finite, and equal bit for bit to the
+    # search alone of its kept state (every state, at stride 1)
     from dropflow.geometry import _asymmetries
     if patch is not None:
         patch(monkeypatch)
@@ -741,12 +741,35 @@ def test_every_exit_searches_the_asymmetry_of_every_state(monkeypatch, start, m,
     assert len(traj.states) == len(traj.times)
     evals = 0
     for state, t, a in zip(traj.states, traj.times, traj.asymmetries):
-        assert state.t == t and state.asymmetry == a
+        assert state.t == t
         d = state.domain
         asym, _, n = _asymmetries(d.modes[None], d.center[None], R_STAR, None)
         assert asym[0] == a
         evals += int(n[0])
     assert traj.stats["ball_evals"] == evals
+
+
+# fourier(1;1:0.05,2:0.1) at M = 32 ends stationary after 8 accepted steps
+# (pinned above): a stride of 4 divides them, a stride of 3 does not
+@pytest.mark.parametrize("stride, kept", [(4, [0, 4, 8]), (3, [0, 3, 6, 8]), (1, range(9))])
+def test_snapshot_rule_keeps_every_stride_th_state_and_the_final_one_once(stride, kept):
+    traj = run_flow(build_star_domain("fourier(1;1:0.05,2:0.1)", 32), 1.0, t_end=20.0,
+                    snapshot_stride=stride)
+    assert traj.status == "stationary" and traj.stats["accepted_steps"] == 8
+    assert [state.t for state in traj.states] == [traj.times[i] for i in kept]
+    assert traj.final_state.domain is traj.final_state.solution.domain
+
+
+@pytest.mark.parametrize("stride", [1, 50])
+def test_a_flow_halted_before_its_first_step_keeps_its_initial_state_once(monkeypatch,
+                                                                         stride):
+    _energy_rises(monkeypatch)
+    d = build_star_domain("circle(0.4)", 32)
+    traj = run_flow(d, 1.0, t_end=1.0, snapshot_stride=stride)
+    assert traj.status == "halted" and traj.stats["accepted_steps"] == 0
+    assert list(traj.times) == [0.0]
+    assert len(traj.states) == 1
+    assert traj.final_state.t == 0.0 and traj.final_state.domain is d
 
 
 def test_decay_fit_samples_the_dense_output_at_midpoints():
